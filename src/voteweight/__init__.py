@@ -22,14 +22,16 @@ from .core import (
     anonymize,
     expected_loss,
     make_ranking,
-    sample_alternative,
+    rank_codes,
+    ranking_from_code,
+    sample_index,
     unanimous,
 )
 from .harness import (
     CondorcetSplitSource,
     FileSource,
     IIDRandomSource,
-    RoundRecord,
+    Rounds,
     Trace,
     WinnerPunishingSource,
     best_voter,

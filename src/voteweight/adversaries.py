@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, AnonymousProfile, Ranking, all_rankings, anonymize, unanimous
+from .core import TOL, AnonymousProfile, Ranking, anonymize, unanimous
 from .errors import (
     DegenerateWeightsError,
     HypothesisViolatedError,
@@ -59,7 +59,10 @@ def majority_prefix_partition(weights: Sequence[float] | np.ndarray) -> Partitio
             break
     light = tuple(i for i in order if i not in set(heavy))
     # The top-j prefix of a sorted sequence carries at least j/n of the total.
-    assert acc >= len(heavy) * total / len(w) - TOL
+    if acc < len(heavy) * total / len(w) - TOL:
+        raise HypothesisViolatedError(
+            f"prefix of {len(heavy)} voters carries {acc}, under its share of {total}"
+        )
     return PartitionResult(tuple(heavy), light, acc)
 
 
@@ -154,42 +157,40 @@ def condorcet_split_round(
     losses[pair.b] = 0.0
 
     profile = anonymize(rankings, weights)
-    assert condorcet_winner(profile) == pair.a
+    if condorcet_winner(profile) != pair.a:
+        raise HypothesisViolatedError(f"{pair.a} is not the Condorcet winner of the split")
     # Case split on how far the heavy block overshoots half the total weight.
     total = float(np.asarray(weights, dtype=float).sum())
     if part.heavy_weight >= (0.5 + delta / 3.0) * total:
-        assert len(part.heavy) <= 3.0 / (2.0 * delta) + 1.0 + TOL
+        bounded = len(part.heavy) <= 3.0 / (2.0 * delta) + 1.0 + TOL
     else:
-        assert len(part.heavy) < n * (0.5 + delta / 3.0) + TOL
+        bounded = len(part.heavy) < n * (0.5 + delta / 3.0) + TOL
+    if not bounded:
+        raise HypothesisViolatedError(
+            f"heavy block of {len(part.heavy)} voters breaks its size bound"
+        )
     return RoundChallenge(rankings, losses)
 
 
 def iid_random_round(n: int, m: int, rng: np.random.Generator) -> RoundChallenge:
     """Uniform random rankings and i.i.d. uniform [0,1] losses."""
-    if m <= 8:
-        # draw indices into the cached catalog instead of building fresh
-        # Ranking objects; this dominates long-horizon episode cost otherwise
-        catalog = all_rankings(m)
-        idx = rng.integers(0, len(catalog), size=n)
-        rankings = tuple(catalog[i] for i in idx)
-    else:
-        rankings = tuple(
-            Ranking(tuple(int(a) for a in rng.permutation(m))) for _ in range(n)
-        )
-    return RoundChallenge(rankings, rng.random(m))
+    return RoundChallenge(tuple(random_rankings(n, m, rng)), rng.random(m))
 
 
 # ---------------------------------------------------------------------------
 # Fuzzing helpers shared by the verification suites and tests
 
 
+def random_rankings(n: int, m: int, rng: np.random.Generator) -> list[Ranking]:
+    """n independent uniform rankings over m alternatives."""
+    return [Ranking(tuple(int(a) for a in rng.permutation(m))) for _ in range(n)]
+
+
 def random_profile(
     m: int, rng: np.random.Generator, support: int = 5
 ) -> AnonymousProfile:
     """Random sparse profile: `support` random rankings with random weights."""
-    rankings = [
-        Ranking(tuple(int(a) for a in rng.permutation(m))) for _ in range(support)
-    ]
+    rankings = random_rankings(support, m, rng)
     weights = rng.random(support) + 1e-3
     return anonymize(rankings, weights)
 

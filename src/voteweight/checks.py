@@ -13,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversaries import majority_prefix_partition, random_distribution, random_profile
-from .core import TOL, Ranking, anonymize, unanimous
+from .adversaries import (
+    majority_prefix_partition,
+    random_distribution,
+    random_profile,
+    random_rankings,
+)
+from .core import TOL, anonymize, unanimous
 from .errors import EstimatorUndefinedError
 from .harness import (
     CondorcetSplitSource,
@@ -49,10 +54,6 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, passed, detail)
 
 
-def _random_votes(n: int, m: int, rng: np.random.Generator) -> list[Ranking]:
-    return [Ranking(tuple(int(a) for a in rng.permutation(m))) for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # identities
 
@@ -66,7 +67,7 @@ def check_single_voter_decomposition(seed: int, profiles: int) -> CheckResult:
     for name in ("plurality", "veto", "borda"):
         rule = RandomizedPositional(name)
         for _ in range(profiles):
-            votes = _random_votes(n, m, rng)
+            votes = random_rankings(n, m, rng)
             p = random_distribution(n, rng)
             mixed = rule.evaluate(anonymize(votes, p))
             averaged = sum(
@@ -168,7 +169,7 @@ def estimator_monte_carlo(
     """
     rng = np.random.default_rng(seed)
     rule = RandomizedPositional("borda")
-    votes = _random_votes(n, m, rng)
+    votes = random_rankings(n, m, rng)
     ell = rng.random(m)
     p = random_distribution(n, rng)
 
@@ -238,7 +239,7 @@ def check_winner_punishing(seed: int) -> CheckResult:
     rule = DeterministicPositional("plurality")
     scheme = SchemeConfig("constant", n=n, horizon=T)
     trace = run_episode(scheme, rule, WinnerPunishingSource(rule, 3), T, seed=seed)
-    losses_one = all(r.scheme_expected_loss == 1.0 for r in trace.records)
+    losses_one = bool(np.all(trace.scheme_loss == 1.0))
     _, best = best_voter(trace)
     ok = losses_one and best <= (n - 1) * T / n and regret(trace) >= T / n
     return _result(
@@ -272,9 +273,7 @@ def check_condorcet_split(seed: int) -> CheckResult:
         trace = run_episode(
             scheme, rule, CondorcetSplitSource(rule, m, delta), T, seed=seed
         )
-    worst_gap = min(
-        r.scheme_expected_loss - float(r.per_voter_loss.mean()) for r in trace.records
-    )
+    worst_gap = float(np.min(trace.scheme_loss - trace.per_voter_loss.mean(axis=1)))
     ok = worst_gap >= delta / 6 - TOL and regret(trace) >= T * delta / 6 - TOL
     return _result(
         "condorcet_split_gap",

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -16,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .checks import SUITES, run_suite
+from .core import check_alternatives
 from .errors import VoteWeightError
 from .harness import (
     CondorcetSplitSource,
@@ -23,6 +23,7 @@ from .harness import (
     IIDRandomSource,
     Trace,
     WinnerPunishingSource,
+    monte_carlo_regret,
     regret,
     run_episode,
     voter_totals,
@@ -52,8 +53,8 @@ def _build_source(spec: dict, rule, n: int, m: int):
 
 
 def _write_trace_csv(path: str, trace: Trace) -> None:
-    cumulative_scheme = 0.0
-    running_voter = np.zeros(len(trace.records[0].per_voter_loss))
+    cumulative_scheme = np.cumsum(trace.scheme_loss)
+    best = np.cumsum(trace.per_voter_loss, axis=0).min(axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -65,19 +66,11 @@ def _write_trace_csv(path: str, trace: Trace) -> None:
                 "cumulative_regret",
             ]
         )
-        for record in trace.records:
-            cumulative_scheme += record.scheme_expected_loss
-            running_voter = running_voter + record.per_voter_loss
-            best = float(running_voter.min())
-            writer.writerow(
-                [
-                    record.t,
-                    _fmt(record.scheme_expected_loss),
-                    _fmt(cumulative_scheme),
-                    _fmt(best),
-                    _fmt(cumulative_scheme - best),
-                ]
-            )
+        columns = (trace.scheme_loss, cumulative_scheme, best, cumulative_scheme - best)
+        writer.writerows(
+            [t, *map(_fmt, values)]
+            for t, values in enumerate(zip(*(c.tolist() for c in columns)), 1)
+        )
 
 
 def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
@@ -88,11 +81,11 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
         print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
         return 1
 
+    # Everything is validated and computed before any output is written.
     try:
         n = int(cfg["n"])
-        m = int(cfg["m"])
+        m = check_alternatives(int(cfg["m"]))
         T = int(cfg["T"])
-        feedback = cfg.get("feedback", "full")
         seed = int(cfg.get("seed", 0))
         trials = int(cfg.get("trials", 1))
         rule = rule_from_spec(cfg["rule"])
@@ -103,52 +96,43 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
             horizon=T,
             eta=scheme_spec.get("eta"),
         )
-        source_spec = cfg["source"]
-        destination = out_dir or cfg.get("out_dir", ".")
+        source = _build_source(cfg["source"], rule, n, m)
 
         def episode(trial_seed: int) -> Trace:
-            # Adaptive sources are stateless between rounds, but a fresh one
-            # per trial keeps any future stateful source honest.
-            source = _build_source(source_spec, rule, n, m)
-            return run_episode(scheme, rule, source, T, feedback=feedback, seed=trial_seed)
+            return run_episode(
+                scheme, rule, source, T, feedback=cfg.get("feedback"), seed=trial_seed
+            )
 
-        # Validate everything, including the source, before touching outputs.
-        _build_source(source_spec, rule, n, m)
-        traces = [episode(seed + k) for k in range(trials)]
-    except (KeyError, TypeError, ValueError, VoteWeightError) as exc:
+        first = episode(seed)
+        mean, stderr = monte_carlo_regret(
+            lambda s: first if s == seed else episode(s), trials, seed
+        )
+        final = regret(first)
+        summary = {
+            "final_regret": float(_fmt(final)),
+            "regret_bound": float(_fmt(scheme.regret_bound)),
+            "mean_regret": float(_fmt(mean)),
+            "stderr_regret": float(_fmt(stderr)),
+            "trials": trials,
+            "seed": seed,
+            "best_voter_cumulative_loss": float(_fmt(float(voter_totals(first).min()))),
+            "config": cfg,
+        }
+        summary_text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except (AttributeError, KeyError, TypeError, ValueError, VoteWeightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    regrets = [regret(tr) for tr in traces]
-    mean = float(np.mean(regrets))
-    stderr = (
-        float(np.std(regrets, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    )
-    if feedback == "partial":
-        bound = math.sqrt(2.0 * T * n * math.log(n)) if n > 1 else 0.0
-    else:
-        bound = math.sqrt(2.0 * T * math.log(n)) if n > 1 else 0.0
-
+    destination = out_dir or cfg.get("out_dir", ".")
     os.makedirs(destination, exist_ok=True)
     trace_path = os.path.join(destination, cfg.get("trace_csv", "trace.csv"))
     summary_path = os.path.join(destination, cfg.get("summary_json", "summary.json"))
-    _write_trace_csv(trace_path, traces[0])
-    summary = {
-        "final_regret": float(_fmt(regrets[0])),
-        "regret_bound": float(_fmt(bound)),
-        "mean_regret": float(_fmt(mean)),
-        "stderr_regret": float(_fmt(stderr)),
-        "trials": trials,
-        "seed": seed,
-        "best_voter_cumulative_loss": float(_fmt(float(voter_totals(traces[0]).min()))),
-        "config": cfg,
-    }
+    _write_trace_csv(trace_path, first)
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(summary_text + "\n")
     print(f"wrote {trace_path} and {summary_path}")
-    print(f"final regret {_fmt(regrets[0])}, mean over {trials} trials "
-          f"{_fmt(mean)} +/- {_fmt(stderr)} (bound {_fmt(bound)})")
+    print(f"final regret {_fmt(final)}, mean over {trials} trials "
+          f"{_fmt(mean)} +/- {_fmt(stderr)} (bound {_fmt(scheme.regret_bound)})")
     return 0
 
 

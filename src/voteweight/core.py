@@ -8,7 +8,9 @@ caller-owned generator.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -25,6 +27,17 @@ from .errors import (
 #: Comparison tolerance for all probability/loss identities. Everything tested
 #: against it is a short sum of double-precision products.
 TOL = 1e-12
+
+#: Largest number of alternatives whose m! rank codes fit in int64.
+MAX_M = 20
+
+
+def check_alternatives(m: int) -> int:
+    """Reject alternative counts outside 2..MAX_M: with one alternative the
+    positional score sums vanish, and past MAX_M rank codes overflow."""
+    if not 2 <= m <= MAX_M:
+        raise ShapeError(f"need 2 <= m <= {MAX_M} alternatives, got {m}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,11 @@ class Ranking:
     def top(self) -> int:
         return self.order[0]
 
+    @cached_property
+    def code(self) -> int:
+        """Lexicographic index among the m! orderings; see :func:`rank_codes`."""
+        return int(rank_codes(self.order))
+
 
 @lru_cache(maxsize=None)
 def all_rankings(m: int) -> tuple[Ranking, ...]:
@@ -70,6 +88,33 @@ def all_rankings(m: int) -> tuple[Ranking, ...]:
     if m > 8:
         raise EnumerationRefusedError(f"refusing to enumerate {m}! rankings")
     return tuple(Ranking(perm) for perm in itertools.permutations(range(m)))
+
+
+def rank_codes(orders) -> np.ndarray:
+    """Lexicographic index of each order among the m! orderings (its Lehmer code).
+
+    `orders` has shape (..., m) and holds permutations of 0..m-1; the result
+    drops the last axis. ``all_rankings(m)[c]`` is the ranking with code c.
+    """
+    orders = np.asarray(orders, dtype=np.int64)
+    m = orders.shape[-1]
+    codes = np.zeros(orders.shape[:-1], dtype=np.int64)
+    for j in range(m - 1):
+        smaller_later = (orders[..., j + 1:] < orders[..., j, None]).sum(axis=-1)
+        codes = codes * (m - j) + smaller_later
+    return codes
+
+
+def ranking_from_code(code: int, m: int) -> Ranking:
+    """Inverse of :func:`rank_codes` for one code."""
+    if not 0 <= code < math.factorial(m):
+        raise InvalidRankingError(f"rank code {code} out of range for m={m}")
+    rest = list(range(m))
+    order = []
+    for j in range(m - 1, -1, -1):
+        digit, code = divmod(code, math.factorial(j))
+        order.append(rest.pop(digit))
+    return Ranking(tuple(order))
 
 
 def make_ranking(order: Sequence[int], m: int) -> Ranking:
@@ -158,26 +203,28 @@ def validate_losses(losses: Sequence[float] | np.ndarray) -> np.ndarray:
     return ell
 
 
-def as_distribution(probs: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Validate a probability vector over alternatives."""
-    p = np.asarray(probs, dtype=float)
-    if np.any(p < 0):
-        raise ShapeError("probabilities must be non-negative")
-    if abs(float(p.sum()) - 1.0) > TOL:
-        raise ShapeError(f"probabilities sum to {p.sum()}, expected 1")
-    return p
+def inverse_cdf(weights: np.ndarray, u) -> np.ndarray:
+    """Row-wise inverse-CDF draws from unnormalized non-negative weights.
+
+    `weights` has shape (..., k) and `u` (uniforms in [0, 1)) the shape of its
+    leading axes. Each draw is the first index whose normalized cumulative
+    weight exceeds u. The normalized total is exactly 1, so the draw always
+    lands on a positive weight, zero padding included.
+    """
+    cdf = np.cumsum(weights, axis=-1)
+    return np.add.reduce(cdf / cdf[..., -1:] <= np.asarray(u)[..., None], axis=-1)
+
+
+def draw(weights: Sequence[float], u: float) -> int:
+    """:func:`inverse_cdf` for one row of Python floats, with the same
+    arithmetic but none of the per-call cost of array operations."""
+    cdf = list(itertools.accumulate(weights))
+    return bisect.bisect_right([x / cdf[-1] for x in cdf], u)
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw from an unnormalized non-negative vector."""
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return idx if idx < len(probs) else len(probs) - 1
-
-
-def sample_alternative(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one alternative from a probability vector."""
-    return sample_index(dist, rng)
+    return int(inverse_cdf(probs, rng.random()))
 
 
 def expected_loss(rule, profile: AnonymousProfile, losses: np.ndarray) -> float:

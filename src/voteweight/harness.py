@@ -4,11 +4,17 @@ exact expected losses, and compute regret against the best voter in hindsight.
 Expected losses are computed in closed form from the rule's output
 distribution; sampling is used only for the winner that is actually fed back
 in partial-information mode (and recorded for replay checks).
+
+Votes are rank codes and an episode evaluates the rule once per distinct code
+(:class:`~voteweight.rules.OutcomeTable`). Full-information kinds on oblivious
+sources play the whole episode as array operations; every other pairing runs
+one round-by-round loop over the same columns.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -19,49 +25,67 @@ from .adversaries import (
     GapPair,
     RoundChallenge,
     condorcet_split_round,
-    iid_random_round,
     orient_gap_pair,
     winner_punishing_round,
 )
-from .core import Ranking, anonymize, make_ranking, sample_alternative, validate_losses
-from .errors import ConfigError, NoWitnessError
+from .core import (
+    Ranking,
+    anonymize,
+    check_alternatives,
+    draw,
+    inverse_cdf,
+    rank_codes,
+    validate_losses,
+)
+from .errors import ConfigError, InvalidRankingError, NoWitnessError, ShapeError
 from .rules import (
+    OutcomeTable,
     RandomizedCopeland,
     VotingRule,
     per_voter_losses,
     unanimity_witness,
-    unanimous_distribution,
 )
-from .schemes import (
-    SchemeConfig,
-    SchemeState,
-    act,
-    full_info_update,
-    initial_state,
-    partial_info_update,
-    voter_distribution,
-)
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    t: int
-    challenge: RoundChallenge
-    weights: np.ndarray
-    winner: int
-    scheme_expected_loss: float
-    per_voter_loss: np.ndarray
+from .schemes import SchemeConfig, exp_weights
 
 
 @dataclass(frozen=True)
 class Trace:
-    records: tuple[RoundRecord, ...]
+    """One episode as columns; row t holds round t + 1.
+
+    ``per_voter_loss`` (T, n) is each voter's unanimous-profile expected loss
+    and ``probs`` (T, n) the distribution over voters the scheme played (a
+    point mass on voter 0 for ``constant``). ``chosen`` (T,) is the voter
+    drawn from it, or -1 when the distribution itself is the weight vector;
+    ``winner`` (T,) is drawn from that voter's (or the weighted) outcome.
+    ``scheme_loss`` (T,) is the expected loss given ``chosen``, and
+    ``winner_loss`` (T,) the realized loss, all that partial feedback reveals.
+    """
+
+    per_voter_loss: np.ndarray
+    probs: np.ndarray
+    chosen: np.ndarray
+    winner: np.ndarray
+    scheme_loss: np.ndarray
+    winner_loss: np.ndarray
     config: dict
     seed: int
 
 
+@dataclass(frozen=True)
+class Rounds:
+    """Rounds as columns: alternatives ``m`` (T,), voters' rank ``codes``
+    (T, n) and ``losses`` (T, width), zero past each round's m."""
+
+    m: np.ndarray
+    codes: np.ndarray
+    losses: np.ndarray
+
+
 # ---------------------------------------------------------------------------
-# Round sources
+# Round sources: oblivious ones return all T rounds from ``rounds(T, rng)``,
+# adaptive ones answer each round's weights from ``emit(t, weights, rng)``.
+# ``m`` is the most alternatives a source emits. Sources hold no per-episode
+# state, so one instance serves every trial.
 
 
 class WinnerPunishingSource:
@@ -73,6 +97,7 @@ class WinnerPunishingSource:
             raise NoWitnessError("rule is constant on unanimous profiles")
         self.rule = rule
         self.witness = witness
+        self.m = m
 
     def emit(self, t: int, weights: np.ndarray, rng: np.random.Generator) -> RoundChallenge:
         return winner_punishing_round(weights, self.rule, self.witness)
@@ -97,6 +122,7 @@ class CondorcetSplitSource:
         self.rule = rule
         self.delta = delta
         self.pair: GapPair = orient_gap_pair(rule, m)
+        self.m = m
 
     def emit(self, t: int, weights: np.ndarray, rng: np.random.Generator) -> RoundChallenge:
         return condorcet_split_round(weights, self.pair, self.delta)
@@ -107,47 +133,60 @@ class IIDRandomSource:
 
     def __init__(self, n: int, m: int):
         self.n = n
-        self.m = m
+        self.m = check_alternatives(m)
 
-    def emit(self, t: int, weights: np.ndarray, rng: np.random.Generator) -> RoundChallenge:
-        return iid_random_round(self.n, self.m, rng)
+    def rounds(self, T: int, rng: np.random.Generator) -> Rounds:
+        """All rank codes first, then all losses."""
+        codes = rng.integers(0, math.factorial(self.m), size=(T, self.n))
+        return Rounds(np.full(T, self.m), codes, rng.random((T, self.m)))
 
 
 class FileSource:
     """Pre-recorded rounds from a JSON Lines file.
 
     Each line is {"rankings": [[ids], ...], "losses": [reals]}; the number of
-    alternatives is inferred per line and may vary across rounds.
+    alternatives is inferred per line and may vary across rounds, the number
+    of voters may not.
     """
 
     def __init__(self, path: str):
-        self.rounds: list[RoundChallenge] = []
+        ms, codes, losses = [], [], []
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
                     obj = json.loads(line)
-                    losses = validate_losses(obj["losses"])
-                    m = len(losses)
-                    rankings = tuple(make_ranking(r, m) for r in obj["rankings"])
+                    losses.append(validate_losses(obj["losses"]))
+                    m = check_alternatives(len(losses[-1]))
+                    orders = np.asarray(obj["rankings"], dtype=np.int64)
+                    shape = (len(codes[0]) if codes else len(orders), m)
+                    if orders.shape != shape:
+                        raise ShapeError(f"rankings of shape {orders.shape}, expected {shape}")
+                    if np.any(np.sort(orders, axis=1) != np.arange(m)):
+                        raise InvalidRankingError(f"rankings must permute 0..{m - 1}")
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad round: {exc}") from exc
-                self.rounds.append(RoundChallenge(rankings, losses))
-        if not self.rounds:
+                ms.append(m)
+                codes.append(rank_codes(orders))
+        if not ms:
             raise ConfigError(f"{path}: no rounds")
+        self.m = max(ms)
+        padded = np.zeros((len(ms), self.m))
+        for row, ell in zip(padded, losses):
+            row[: len(ell)] = ell
+        self.recorded = Rounds(np.array(ms), np.array(codes), padded)
 
-    def emit(self, t: int, weights: np.ndarray, rng: np.random.Generator) -> RoundChallenge:
-        if t > len(self.rounds):
-            raise ConfigError(
-                f"sequence file has {len(self.rounds)} rounds, round {t} requested"
-            )
-        return self.rounds[t - 1]
+    def rounds(self, T: int, rng: np.random.Generator) -> Rounds:
+        """The file's first T rounds; draws nothing."""
+        have = self.recorded
+        if T > len(have.m):
+            raise ConfigError(f"sequence file has {len(have.m)} rounds, {T} requested")
+        return Rounds(have.m[:T], have.codes[:T], have.losses[:T])
 
 
 # ---------------------------------------------------------------------------
-# Episode loop
+# Episode engine
 
 
 def run_episode(
@@ -155,79 +194,139 @@ def run_episode(
     rule: VotingRule,
     source,
     T: int,
-    feedback: str = "full",
+    feedback: Optional[str] = None,
     seed: int = 0,
 ) -> Trace:
-    """Play T rounds: scheme emits weights, source emits the round, a winner
-    is sampled, and feedback is routed per mode."""
-    if feedback not in ("full", "partial"):
-        raise ConfigError(f"unknown feedback mode {feedback!r}")
-    if feedback == "partial" and scheme.kind in ("full_info", "deterministic_unilateral"):
+    """Play T rounds: the scheme plays a voter distribution, the source emits
+    the round, a voter and then a winner are drawn, and feedback follows the
+    scheme kind; `feedback`, if given, must name that kind's mode.
+
+    Randomness: an oblivious source draws its rounds first, then one (T, 2)
+    block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
+    """
+    if feedback is not None and feedback != scheme.feedback:
         raise ConfigError(
-            f"scheme kind {scheme.kind!r} has no partial-information update"
+            f"scheme kind {scheme.kind!r} takes {scheme.feedback!r} feedback, "
+            f"not {feedback!r}"
+        )
+    decomposes = rule.is_distribution_over_unilaterals()
+    if scheme.kind == "deterministic_unilateral" and not decomposes:
+        warnings.warn(
+            "deterministic weights with a rule that does not decompose "
+            "across voters: the round-for-round equivalence guarantee is void",
+            stacklevel=2,
         )
     rng = np.random.default_rng(seed)
-    state = initial_state(scheme)
-    dist_cache: dict = {}
-    records: list[RoundRecord] = []
-    warned = False
-
-    for t in range(1, T + 1):
-        probs = voter_distribution(state, scheme)
-        weights, chosen = act(state, scheme, rng, probs=probs)
-        if (
-            scheme.kind == "deterministic_unilateral"
-            and not rule.is_distribution_over_unilaterals()
-            and not warned
-        ):
-            warnings.warn(
-                "deterministic weights with a rule that does not decompose "
-                "across voters: the round-for-round equivalence guarantee is void",
-                stacklevel=2,
-            )
-            warned = True
-        challenge = source.emit(t, weights, rng)
-        if len(challenge.rankings) != scheme.n:
-            raise ConfigError(
-                f"round {t} has {len(challenge.rankings)} rankings for n={scheme.n}"
-            )
-        losses = challenge.losses
-        voter_loss = per_voter_losses(rule, challenge.rankings, losses, dist_cache)
-
-        if scheme.kind in ("full_info", "partial_info"):
-            scheme_dist = unanimous_distribution(rule, challenge.rankings[chosen], dist_cache)
-            scheme_loss = float(voter_loss[chosen])
-        elif scheme.kind == "constant":
-            scheme_dist = unanimous_distribution(rule, challenge.rankings[0], dist_cache)
-            scheme_loss = float(voter_loss[0])
-        else:  # deterministic_unilateral
-            scheme_dist = rule.evaluate(anonymize(challenge.rankings, weights))
-            scheme_loss = float(scheme_dist @ losses)
-
-        winner = sample_alternative(scheme_dist, rng)
-        records.append(
-            RoundRecord(t, challenge, weights, winner, scheme_loss, voter_loss)
-        )
-
-        if scheme.kind in ("full_info", "deterministic_unilateral"):
-            state = full_info_update(
-                state, scheme, challenge.rankings, losses, rule, increments=voter_loss
-            )
-        elif scheme.kind == "partial_info":
-            state = partial_info_update(
-                state, scheme, chosen, float(losses[winner]), probs
-            )
-        # constant: no update, by design
-
+    rounds = source.rounds(T, rng) if hasattr(source, "rounds") else None
+    u = rng.random((T, 2))
+    table = OutcomeTable(rule, source.m)
+    if rounds is None or scheme.kind == "partial_info":
+        columns = _play_sequential(scheme, table, source, rounds, u, rng)
+    else:
+        columns = _play_oblivious(scheme, table, rounds, u)
     config_echo = {
         "scheme": scheme.kind,
         "n": scheme.n,
         "T": T,
         "eta": scheme.learning_rate,
-        "feedback": feedback,
+        "feedback": scheme.feedback,
         "rule": repr(rule),
     }
-    return Trace(tuple(records), config_echo, seed)
+    return Trace(*columns, config=config_echo, seed=seed)
+
+
+def _index_rounds(table: OutcomeTable, rounds: Rounds, n: int):
+    """Table rows (T, n) of the rounds' votes and the per-voter losses (T, n)."""
+    if rounds.codes.shape[1] != n:
+        raise ConfigError(f"rounds have {rounds.codes.shape[1]} rankings for n={n}")
+    idx = np.empty(rounds.codes.shape, dtype=np.int64)
+    for m in set(rounds.m.tolist()):
+        idx[rounds.m == m] = table.index(m, rounds.codes[rounds.m == m])
+    return idx, table.voter_losses(idx, rounds.losses)
+
+
+def _play_oblivious(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u):
+    """Whole-episode full information: with the rounds known up front, each
+    voter's cumulative loss before round t is an exclusive prefix sum of L."""
+    T, n = rounds.codes.shape
+    rows = np.arange(T)
+    idx, L = _index_rounds(table, rounds, scheme.n)
+    if scheme.kind == "constant":
+        probs = np.eye(1, n).repeat(T, axis=0)
+    else:
+        before = np.zeros((T, n))
+        np.cumsum(L[:-1], axis=0, out=before[1:])
+        probs = exp_weights(before, scheme.learning_rate)
+    if scheme.kind != "deterministic_unilateral":
+        chosen = inverse_cdf(probs, u[:, 0])
+        outcome = table.U[idx[rows, chosen]]
+        scheme_loss = L[rows, chosen]
+    else:
+        chosen = np.full(T, -1)
+        if table.rule.is_distribution_over_unilaterals():
+            outcome = np.einsum("tn,tnk->tk", probs, table.U[idx])
+        else:
+            outcome = np.zeros((T, table.width))
+            for t in range(T):
+                profile = anonymize([table.rankings[k] for k in idx[t]], probs[t])
+                outcome[t, : rounds.m[t]] = table.rule.evaluate(profile)
+        scheme_loss = np.einsum("tk,tk->t", outcome, rounds.losses)
+    winner = inverse_cdf(outcome, u[:, 1])
+    return L, probs, chosen, winner, scheme_loss, rounds.losses[rows, winner]
+
+
+def _play_sequential(scheme: SchemeConfig, table: OutcomeTable, source, rounds, u, rng):
+    """Round-by-round play, for state that depends on the sampled voter or on
+    a source that answers the played weights. Per-round work is on Python
+    floats: at n in the tens, array calls would cost more than their work."""
+    T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
+    probs = np.zeros((T, n))
+    if rounds is None:
+        L, losses = np.zeros((T, n)), np.zeros((T, table.width))
+    else:
+        (idx, L), losses = _index_rounds(table, rounds, n), rounds.losses
+    chosen, winner, scheme_loss = [], [], []
+    cumulative = [0.0] * n
+    for t, (u_voter, u_winner) in enumerate(u.tolist()):
+        if kind == "constant":
+            p = [1.0] + [0.0] * (n - 1)
+        else:
+            z = [x * -eta for x in cumulative]
+            top = max(z)
+            w = [math.exp(x - top) for x in z]
+            total = sum(w)
+            p = [x / total for x in w]
+        probs[t] = p
+        c = -1 if kind == "deterministic_unilateral" else draw(p, u_voter)
+        if rounds is None:
+            weights = probs[t] if c < 0 else np.eye(1, n, c)[0]
+            challenge = source.emit(t + 1, weights, rng)
+            if len(challenge.rankings) != n:
+                raise ConfigError(f"round {t + 1} has {len(challenge.rankings)} voters, not {n}")
+            losses[t, : challenge.m] = challenge.losses
+            loss_t = losses[t].tolist()
+            codes = [r.code for r in challenge.rankings]
+            row_of = {code: table.row(challenge.m, code) for code in set(codes)}
+            loss_of = {k: table.loss(k, loss_t) for k in row_of.values()}
+            idx_t = [row_of[code] for code in codes]
+            L[t] = L_t = [loss_of[k] for k in idx_t]
+        else:
+            idx_t, L_t, loss_t = idx[t].tolist(), L[t].tolist(), losses[t].tolist()
+        if c < 0:  # deterministic weights reach this loop only from adaptive sources
+            outcome = table.rule.evaluate(anonymize(challenge.rankings, p)).tolist()
+            scheme_loss.append(float(np.dot(outcome, loss_t[: len(outcome)])))
+        else:
+            outcome = table.outcomes[idx_t[c]]
+            scheme_loss.append(L_t[c])
+        chosen.append(c)
+        winner.append(draw(outcome, u_winner))
+        if kind == "partial_info":
+            cumulative[c] += loss_t[winner[-1]] / p[c]
+        elif kind != "constant":
+            cumulative = [a + b for a, b in zip(cumulative, L_t)]
+    winner = np.array(winner)
+    winner_loss = losses[np.arange(T), winner]
+    return L, probs, np.array(chosen), winner, np.array(scheme_loss), winner_loss
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +334,7 @@ def run_episode(
 
 
 def voter_totals(trace: Trace) -> np.ndarray:
-    return np.sum([r.per_voter_loss for r in trace.records], axis=0)
+    return trace.per_voter_loss.sum(axis=0)
 
 
 def best_voter(trace: Trace) -> tuple[int, float]:
@@ -247,9 +346,10 @@ def best_voter(trace: Trace) -> tuple[int, float]:
 
 def regret(trace: Trace) -> float:
     """Cumulative scheme expected loss minus the best voter's cumulative loss."""
-    total = sum(r.scheme_expected_loss for r in trace.records)
-    _, best = best_voter(trace)
-    return total - best
+    # Summed as per-round gaps, so a scheme that always matches the best voter
+    # has exactly zero regret whatever the summation order.
+    best, _ = best_voter(trace)
+    return float(np.sum(trace.scheme_loss - trace.per_voter_loss[:, best]))
 
 
 def monte_carlo_regret(

@@ -14,13 +14,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, AnonymousProfile, Ranking, unanimous
-from .errors import (
-    ConfigError,
-    EnumerationRefusedError,
-    InvalidPairError,
-    ShapeError,
+from .core import (
+    TOL,
+    AnonymousProfile,
+    Ranking,
+    all_rankings,
+    ranking_from_code,
+    unanimous,
 )
+from .errors import ConfigError, InvalidPairError, ShapeError
 
 # ---------------------------------------------------------------------------
 # Score vectors
@@ -93,16 +95,16 @@ def _pairwise_matrix(profile: AnonymousProfile) -> np.ndarray:
 def copeland_scores(profile: AnonymousProfile) -> np.ndarray:
     """Pairwise wins plus half a point per exact pairwise tie."""
     mat = _pairwise_matrix(profile)
-    m = profile.m
-    scores = np.zeros(m)
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            if mat[a, b] > 0.5:
-                scores[a] += 1.0
-            elif mat[a, b] == 0.5:
-                scores[a] += 0.5
+    scores = np.zeros(profile.m)
+    # Each pair is decided once from one side, like a duple, so rounding in
+    # the two masses can never leave a pair with no winner.
+    for a, b in itertools.combinations(range(profile.m), 2):
+        if mat[a, b] > 0.5:
+            scores[a] += 1.0
+        elif mat[a, b] < 0.5:
+            scores[b] += 1.0
+        else:
+            scores[[a, b]] += 0.5
     return scores
 
 
@@ -315,12 +317,9 @@ def unanimity_witness(rule: VotingRule, m: int) -> Optional[tuple[Ranking, Ranki
     Enumerates all m! unanimous profiles, so m is capped at 8. Returns None
     when the rule is constant on unanimous profiles.
     """
-    if m > 8:
-        raise EnumerationRefusedError(f"refusing to enumerate {m}! rankings")
     first: Optional[Ranking] = None
     base: Optional[np.ndarray] = None
-    for perm in itertools.permutations(range(m)):
-        ranking = Ranking(perm)
+    for ranking in all_rankings(m):
         dist = rule.evaluate(unanimous(ranking))
         if first is None:
             first, base = ranking, dist
@@ -360,34 +359,72 @@ def rule_from_spec(spec: dict) -> VotingRule:
 
 
 # ---------------------------------------------------------------------------
-# Per-voter evaluation cache
+# Per-voter outcomes
 
 
-def unanimous_distribution(
-    rule: VotingRule,
-    ranking: Ranking,
-    cache: Optional[dict] = None,
-) -> np.ndarray:
-    """f applied to the unanimous profile on `ranking`, optionally memoized.
+class OutcomeTable:
+    """The rule's outcome on each distinct unanimous profile an episode meets.
 
-    The cache key includes only the ranking, so a cache must never be shared
-    across rules or across rounds with different alternative sets.
+    Row k of `U` (and of the same values as Python lists, `outcomes`) is
+    f(unanimous(rankings[k])), zero-padded to `width` alternatives. Rows are
+    keyed by (m, rank code), so one table serves rounds with different
+    alternative counts and evaluates the rule once per key.
     """
-    if cache is None:
-        return rule.evaluate(unanimous(ranking))
-    dist = cache.get(ranking.order)
-    if dist is None:
-        dist = rule.evaluate(unanimous(ranking))
-        cache[ranking.order] = dist
-    return dist
+
+    def __init__(self, rule: VotingRule, width: int):
+        self.rule = rule
+        self.width = width
+        self.rankings: list[Ranking] = []
+        self.outcomes: list[list[float]] = []
+        self._rows: dict[tuple[int, int], int] = {}
+        self._U = np.zeros((0, width))
+
+    @property
+    def U(self) -> np.ndarray:
+        if len(self._U) < len(self.outcomes):
+            self._U = np.array(self.outcomes)
+        return self._U
+
+    def row(self, m: int, code: int) -> int:
+        """Table row of one rank code over m alternatives, evaluating the rule
+        if the code is new."""
+        k = self._rows.get((m, code))
+        if k is None:
+            k = self._rows[(m, code)] = len(self.rankings)
+            self.rankings.append(ranking_from_code(code, m))
+            outcome = self.rule.evaluate(unanimous(self.rankings[-1])).tolist()
+            self.outcomes.append(outcome + [0.0] * (self.width - m))
+        return k
+
+    def index(self, m: int, codes: np.ndarray) -> np.ndarray:
+        """Table row of each rank code in an array of codes over m alternatives."""
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        rows = np.array([self.row(m, code) for code in distinct.tolist()], dtype=np.int64)
+        return rows[inverse].reshape(np.shape(codes))
+
+    def loss(self, k: int, losses: Sequence[float]) -> float:
+        """Row k's expected loss under `losses`, with the arithmetic of
+        :meth:`voter_losses` but on Python floats."""
+        total = 0.0
+        for q, ell in zip(self.outcomes[k], losses):
+            total += q * ell
+        return total
+
+    def voter_losses(self, idx: np.ndarray, losses: np.ndarray) -> np.ndarray:
+        """U[idx] . losses over the last axis of `losses`, summed over the
+        alternatives in order so that scalar replays match exactly."""
+        out = np.zeros(np.shape(idx))
+        for k in range(self.U.shape[1]):
+            out += self.U[idx, k] * losses[..., k, None]
+        return out
 
 
 def per_voter_losses(
-    rule: VotingRule,
-    rankings: Sequence[Ranking],
-    losses: np.ndarray,
-    cache: Optional[dict] = None,
+    rule: VotingRule, rankings: Sequence[Ranking], losses: np.ndarray
 ) -> np.ndarray:
     """Loss each voter's ranking would incur if it carried all the weight."""
-    dists = np.array([unanimous_distribution(rule, r, cache) for r in rankings])
-    return dists @ np.asarray(losses, dtype=float)
+    ell = np.asarray(losses, dtype=float)
+    if any(r.m != len(ell) for r in rankings):
+        raise ShapeError(f"rankings and {len(ell)} losses disagree on m")
+    table = OutcomeTable(rule, len(ell))
+    return np.array([table.loss(table.row(len(ell), r.code), ell) for r in rankings])

@@ -48,8 +48,19 @@ class SchemeConfig:
             raise ConfigError(f"unknown scheme kind {self.kind!r}")
         if self.n < 1 or self.horizon < 1:
             raise ConfigError("need n >= 1 and horizon >= 1")
-        if self.eta is not None and self.eta <= 0:
-            raise ConfigError("eta must be positive")
+        if self.eta is not None and not (0 < self.eta < math.inf):
+            raise ConfigError("eta must be positive and finite")
+
+    @property
+    def feedback(self) -> str:
+        """"partial" for the importance-weighted kind, "full" for the rest."""
+        return "partial" if self.kind == "partial_info" else "full"
+
+    @property
+    def regret_bound(self) -> float:
+        """sqrt(2 T ln n) for full information, sqrt(2 T n ln n) for partial."""
+        rounds = self.horizon * (self.n if self.kind == "partial_info" else 1)
+        return math.sqrt(2.0 * rounds * math.log(self.n))
 
     @property
     def learning_rate(self) -> float:
@@ -72,12 +83,19 @@ def initial_state(config: SchemeConfig) -> SchemeState:
     return SchemeState(np.zeros(config.n), 0)
 
 
+def exp_weights(cumulative: np.ndarray, eta: float) -> np.ndarray:
+    """Row-wise p_i proportional to exp(-eta * cumulative_i) over the last
+    axis, max-shifted for overflow safety."""
+    z = cumulative * -eta
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def voter_distribution(state: SchemeState, config: SchemeConfig) -> np.ndarray:
-    """p_i proportional to exp(-eta * cumulative_i), max-shifted for overflow safety."""
-    z = -config.learning_rate * state.cumulative
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    """p_i proportional to exp(-eta * cumulative_i)."""
+    return exp_weights(state.cumulative, config.learning_rate)
 
 
 def full_info_update(
@@ -86,18 +104,11 @@ def full_info_update(
     rankings: Sequence[Ranking],
     losses: np.ndarray,
     rule: VotingRule,
-    dist_cache: Optional[dict] = None,
-    increments: Optional[np.ndarray] = None,
 ) -> SchemeState:
-    """Add each voter's unanimous-profile expected loss to their tally.
-
-    `increments` short-circuits the per-voter evaluation when the caller has
-    already computed it for the same (rule, rankings, losses).
-    """
+    """Add each voter's unanimous-profile expected loss to their tally."""
     if state.t >= config.horizon:
         raise ConfigError(f"round {state.t} is past the horizon {config.horizon}")
-    if increments is None:
-        increments = per_voter_losses(rule, rankings, losses, dist_cache)
+    increments = per_voter_losses(rule, rankings, losses)
     if len(increments) != config.n:
         raise ConfigError(f"{len(increments)} voter losses for n={config.n}")
     return SchemeState(state.cumulative + increments, state.t + 1)
@@ -129,21 +140,14 @@ def partial_info_update(
 
 
 def act(
-    state: SchemeState,
-    config: SchemeConfig,
-    rng: np.random.Generator,
-    probs: Optional[np.ndarray] = None,
+    state: SchemeState, config: SchemeConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, Optional[int]]:
-    """Emit this round's weight vector and, for sampled kinds, the chosen voter.
-
-    `probs` lets the caller reuse an already-computed voter distribution.
-    """
+    """Emit this round's weight vector and, for sampled kinds, the chosen voter."""
     if config.kind == "constant":
         weights = np.zeros(config.n)
         weights[0] = 1.0
         return weights, None
-    if probs is None:
-        probs = voter_distribution(state, config)
+    probs = voter_distribution(state, config)
     if config.kind == "deterministic_unilateral":
         return probs, None
     chosen = sample_index(probs, rng)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from voteweight import Ranking, make_ranking
+from voteweight import make_ranking
+# re-exported for the test modules
+from voteweight.adversaries import random_rankings  # noqa: F401
 
 
 @pytest.fixture
@@ -31,7 +33,3 @@ def bca():
 @pytest.fixture
 def cab():
     return ranking(2, 0, 1)
-
-
-def random_rankings(n, m, rng):
-    return [Ranking(tuple(int(a) for a in rng.permutation(m))) for _ in range(n)]

@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 
 import pytest
 
+import voteweight.cli as cli
 from voteweight.cli import main
 
 
@@ -121,6 +123,89 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
         assert len(read_rows(tmp_path / "trace.csv")) == 10
+
+
+    def test_source_built_once(self, tmp_path, monkeypatch):
+        seq = tmp_path / "rounds.jsonl"
+        seq.write_text(
+            json.dumps({"rankings": [[0, 1, 2]] * 4, "losses": [0.0, 0.5, 1.0]}) + "\n"
+        )
+        built = []
+
+        class CountingFileSource(cli.FileSource):
+            def __init__(self, path):
+                built.append(path)
+                super().__init__(path)
+
+        monkeypatch.setattr(cli, "FileSource", CountingFileSource)
+        cfg = write_config(
+            tmp_path,
+            rule={"kind": "randomized_positional", "scores": "borda"},
+            source={"kind": "file", "path": str(seq)},
+            T=1,
+            trials=3,
+        )
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert len(built) == 1
+
+    def test_regret_bound_follows_scheme_kind(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            scheme={"kind": "partial_info"},
+            rule={"kind": "randomized_positional", "scores": "borda"},
+            source={"kind": "iid_random"},
+            T=200,
+        )
+        cfg_obj = json.loads(cfg.read_text())
+        del cfg_obj["feedback"]
+        cfg.write_text(json.dumps(cfg_obj))
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["regret_bound"] == pytest.approx(
+            math.sqrt(2 * 200 * 4 * math.log(4)), rel=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"m": 1, "rule": {"kind": "randomized_copeland"},
+             "source": {"kind": "iid_random"}, "scheme": {"kind": "full_info"}},
+            {"m": 21, "source": {"kind": "iid_random"}},
+            {"scheme": {"kind": "partial_info"}, "feedback": "full",
+             "rule": {"kind": "randomized_positional", "scores": "borda"},
+             "source": {"kind": "iid_random"}},
+            {"scheme": {"kind": "constant"}, "feedback": "partial"},
+            {"feedback": "bandit"},
+            {"scheme": {"kind": "full_info", "eta": float("nan")}},
+            {"note": float("nan")},
+            {"trials": 0},
+            {"source": "iid_random"},
+        ],
+        ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
+             "unknown_feedback", "nan_eta", "nan_in_summary", "zero_trials",
+             "source_not_an_object"],
+    )
+    def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
+
+    def test_file_line_with_one_alternative_writes_nothing(self, tmp_path):
+        seq = tmp_path / "rounds.jsonl"
+        lines = [{"rankings": [[0, 1]] * 4, "losses": [0.5, 0.5]},
+                 {"rankings": [[0]] * 4, "losses": [0.5]}]
+        seq.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        cfg = write_config(
+            tmp_path,
+            rule={"kind": "randomized_copeland"},
+            source={"kind": "file", "path": str(seq)},
+            T=2,
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestVerify:

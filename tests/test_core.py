@@ -12,9 +12,12 @@ from voteweight import (
     anonymize,
     expected_loss,
     make_ranking,
-    sample_alternative,
+    rank_codes,
+    ranking_from_code,
+    sample_index,
     unanimous,
 )
+from voteweight.core import MAX_M, all_rankings, check_alternatives
 from voteweight.errors import (
     DegenerateWeightsError,
     InvalidRankingError,
@@ -135,17 +138,50 @@ class TestExpectedLoss:
 class TestSample:
     def test_point_mass(self, rng):
         dist = np.array([0.0, 1.0, 0.0])
-        assert all(sample_alternative(dist, rng) == 1 for _ in range(20))
+        assert all(sample_index(dist, rng) == 1 for _ in range(20))
 
     def test_point_mass_any_seed(self):
         dist = np.array([1.0, 0.0, 0.0])
         stale = np.random.default_rng(0)
         stale.random(100)
         fresh = np.random.default_rng(99)
-        assert sample_alternative(dist, stale) == sample_alternative(dist, fresh) == 0
+        assert sample_index(dist, stale) == sample_index(dist, fresh) == 0
 
     def test_monte_carlo_frequency(self, rng):
         draws = 10**5
         dist = np.array([0.5, 0.5])
-        hits = sum(sample_alternative(dist, rng) == 0 for _ in range(draws))
+        hits = sum(sample_index(dist, rng) == 0 for _ in range(draws))
         assert abs(hits / draws - 0.5) <= 3 * math.sqrt(0.25 / draws)
+
+
+class TestRankCodes:
+    @given(m=st.integers(2, 6))
+    @settings(max_examples=10, deadline=None)
+    def test_code_is_index_in_all_rankings(self, m):
+        rankings = all_rankings(m)
+        codes = rank_codes([r.order for r in rankings])
+        assert codes.tolist() == list(range(len(rankings)))
+        assert [r.code for r in rankings] == list(range(len(rankings)))
+
+    @given(m=st.integers(2, MAX_M), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_decode_round_trip(self, m, data):
+        code = data.draw(st.integers(0, math.factorial(m) - 1))
+        ranking = ranking_from_code(code, m)
+        assert sorted(ranking.order) == list(range(m))
+        assert rank_codes(ranking.order) == code
+        assert rank_codes(np.array([ranking.order] * 2)).dtype == np.int64
+
+    def test_largest_code_fits_int64(self):
+        last = tuple(range(MAX_M - 1, -1, -1))
+        assert int(rank_codes(last)) == math.factorial(MAX_M) - 1
+
+    def test_out_of_range_code_rejected(self):
+        with pytest.raises(InvalidRankingError):
+            ranking_from_code(6, 3)
+
+    def test_alternative_range(self):
+        assert check_alternatives(2) == 2 and check_alternatives(MAX_M) == MAX_M
+        for m in (1, MAX_M + 1):
+            with pytest.raises(ShapeError):
+                check_alternatives(m)

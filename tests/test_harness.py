@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voteweight import (
     TOL,
@@ -19,6 +22,7 @@ from voteweight import (
     anonymize,
     best_voter,
     expected_loss,
+    make_ranking,
     monte_carlo_regret,
     oracle_expected_round_loss,
     regret,
@@ -42,10 +46,8 @@ def episode(kind="full_info", rule=None, source=None, n=4, m=3, T=50,
 class TestRunEpisode:
     def test_constant_scheme_constant_rule_has_zero_regret(self):
         trace = episode("constant", rule=ConstantUniform(), T=100)
-        for record in trace.records:
-            assert all(
-                record.scheme_expected_loss == loss for loss in record.per_voter_loss
-            )
+        for scheme_loss, per_voter in zip(trace.scheme_loss, trace.per_voter_loss):
+            assert all(scheme_loss == loss for loss in per_voter)
         assert regret(trace) == 0.0
 
     def test_first_round_weights_are_uniform(self):
@@ -53,12 +55,12 @@ class TestRunEpisode:
         trace = run_episode(
             scheme, RandomizedPositional("borda"), IIDRandomSource(5, 3), 1
         )
-        assert np.allclose(trace.records[0].weights, 0.2, atol=TOL)
+        assert np.allclose(trace.probs[0], 0.2, atol=TOL)
 
     def test_winner_punishing_gives_loss_one_every_round(self):
         rule = DeterministicPositional("plurality")
         trace = episode("constant", rule=rule, source=WinnerPunishingSource(rule, 3), T=80)
-        assert all(r.scheme_expected_loss == 1.0 for r in trace.records)
+        assert all(loss == 1.0 for loss in trace.scheme_loss)
 
     def test_partial_feedback_needs_partial_update(self):
         with pytest.raises(ConfigError):
@@ -78,11 +80,13 @@ class TestRunEpisode:
     def test_replay_determinism(self):
         a = episode("partial_info", T=60, feedback="partial", seed=42)
         b = episode("partial_info", T=60, feedback="partial", seed=42)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.challenge.rankings == rb.challenge.rankings
-            assert np.array_equal(ra.challenge.losses, rb.challenge.losses)
-            assert ra.winner == rb.winner
-            assert ra.scheme_expected_loss == rb.scheme_expected_loss
+        ra = IIDRandomSource(4, 3).rounds(60, np.random.default_rng(42))
+        rb = IIDRandomSource(4, 3).rounds(60, np.random.default_rng(42))
+        assert np.array_equal(ra.codes, rb.codes)
+        assert np.array_equal(ra.losses, rb.losses)
+        assert np.array_equal(a.per_voter_loss, b.per_voter_loss)
+        assert np.array_equal(a.winner, b.winner)
+        assert np.array_equal(a.scheme_loss, b.scheme_loss)
 
 
 class TestBestVoter:
@@ -90,9 +94,7 @@ class TestBestVoter:
         trace = episode(n=1, T=20)
         idx, loss = best_voter(trace)
         assert idx == 0
-        assert loss == pytest.approx(
-            sum(r.per_voter_loss[0] for r in trace.records), abs=TOL
-        )
+        assert loss == pytest.approx(trace.per_voter_loss[:, 0].sum(), abs=TOL)
 
     def test_zero_losses_tie_goes_to_first(self):
         lines = [
@@ -113,7 +115,7 @@ class TestBestVoter:
 
     def test_benchmark_ordering(self):
         trace = episode(T=60)
-        totals = np.sum([r.per_voter_loss for r in trace.records], axis=0)
+        totals = trace.per_voter_loss.sum(axis=0)
         _, best = best_voter(trace)
         assert best <= totals.mean() + TOL <= totals.max() + TOL
 
@@ -126,8 +128,8 @@ class TestRegret:
         with pytest.warns(UserWarning):
             trace = episode("deterministic_unilateral", rule=rule, n=n, T=T,
                             source=CondorcetSplitSource(rule, m))
-        for record in trace.records:
-            gap = record.scheme_expected_loss - record.per_voter_loss.mean()
+        for scheme_loss, per_voter in zip(trace.scheme_loss, trace.per_voter_loss):
+            gap = scheme_loss - per_voter.mean()
             assert gap >= delta / 6 - TOL
         assert regret(trace) >= T * delta / 6 - TOL
 
@@ -206,11 +208,7 @@ class TestEpisodeCrossCheck:
     def test_sampled_winner_losses_match_expected(self):
         T = 10**4
         trace = episode("full_info", n=6, m=3, T=T, seed=3)
-        realized = np.array(
-            [r.challenge.losses[r.winner] for r in trace.records]
-        )
-        expected = np.array([r.scheme_expected_loss for r in trace.records])
-        diff = realized - expected
+        diff = trace.winner_loss - trace.scheme_loss
         stderr = diff.std(ddof=1) / math.sqrt(T)
         assert abs(diff.mean()) <= 3 * stderr
 
@@ -233,11 +231,10 @@ class TestFileSource:
                 {"rankings": [[1, 0], [0, 1]], "losses": [1.0, 0.0]},
             ]
         )
-        first = source.emit(1, np.ones(2), np.random.default_rng(0))
-        second = source.emit(2, np.ones(2), np.random.default_rng(0))
-        assert first.m == 3
+        rounds = source.rounds(2, np.random.default_rng(0))
+        assert rounds.m[0] == 3
         # the alternative count may change between rounds
-        assert second.m == 2
+        assert rounds.m[1] == 2
 
     def test_varying_m_episode(self):
         lines = [
@@ -245,7 +242,7 @@ class TestFileSource:
             {"rankings": [[1, 0], [0, 1]], "losses": [1.0, 0.0]},
         ] * 3
         trace = episode(n=2, T=6, source=_file_source(lines))
-        assert len(trace.records) == 6
+        assert len(trace.scheme_loss) == 6
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -255,3 +252,106 @@ class TestFileSource:
         source = _file_source([{"rankings": [[0, 1]], "losses": [0.5, 0.5]}])
         with pytest.raises(ConfigError):
             episode(n=1, T=2, source=source)
+
+
+def scalar_replay(scheme, rule, trace, round_at):
+    """Plain per-round semantics of every scheme kind, replaying the trace's
+    voter and winner draws; round_at(t, weights) returns round t's rankings
+    and losses given the weights the trace played."""
+    n, eta = scheme.n, scheme.learning_rate
+    cumulative = [0.0] * n
+    for t in range(len(trace.scheme_loss)):
+        if scheme.kind == "constant":
+            p = [1.0] + [0.0] * (n - 1)
+        else:
+            w = [math.exp(-eta * (x - min(cumulative))) for x in cumulative]
+            p = [x / math.fsum(w) for x in w]
+        assert np.max(np.abs(trace.probs[t] - p)) <= TOL
+        c, win = int(trace.chosen[t]), int(trace.winner[t])
+        rankings, ell = round_at(t, trace.probs[t] if c < 0 else np.eye(n)[c])
+        per_voter = []
+        for r in rankings:
+            acc = 0.0
+            for q, loss in zip(rule.evaluate(unanimous(r)).tolist(), ell):
+                acc += q * loss
+            per_voter.append(acc)
+        assert trace.per_voter_loss[t].tolist() == per_voter
+        if scheme.kind == "deterministic_unilateral":
+            assert c == -1
+            # the played weights: a rule with ties is discontinuous in them
+            outcome = rule.evaluate(anonymize(rankings, trace.probs[t]))
+        else:
+            assert p[c] > 0 and (c == 0 or scheme.kind != "constant")
+            outcome = rule.evaluate(unanimous(rankings[c]))
+        assert abs(trace.scheme_loss[t] - float(outcome @ ell)) <= TOL
+        assert outcome[win] > 0 and trace.winner_loss[t] == ell[win]
+        if scheme.kind == "partial_info":
+            cumulative[c] += ell[win] / p[c]
+        elif scheme.kind != "constant":
+            cumulative = [a + b for a, b in zip(cumulative, per_voter)]
+
+
+SCHEME_KINDS = ("full_info", "partial_info", "deterministic_unilateral", "constant")
+REFERENCE_RULES = (
+    RandomizedPositional("borda"),
+    RandomizedPositional("plurality"),
+    RandomizedCopeland(),
+    DeterministicPositional("veto"),
+    ConstantUniform(),
+)
+
+
+@st.composite
+def file_rounds(draw):
+    n = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        m = draw(st.integers(2, 5))
+        rankings = [list(draw(st.permutations(range(m)))) for _ in range(n)]
+        losses = draw(st.lists(st.floats(0, 1), min_size=m, max_size=m))
+        lines.append({"rankings": rankings, "losses": losses})
+    return n, lines
+
+
+class TestScalarReference:
+    @given(case=file_rounds(), rule=st.sampled_from(REFERENCE_RULES),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_file_episodes_match_reference(self, case, rule, seed):
+        n, lines = case
+        T = len(lines)
+        source = _file_source(lines)
+
+        def round_at(t, weights):
+            m = len(lines[t]["losses"])
+            return [make_ranking(r, m) for r in lines[t]["rankings"]], lines[t]["losses"]
+
+        for kind in SCHEME_KINDS:
+            scheme = SchemeConfig(kind, n=n, horizon=T)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                trace = run_episode(scheme, rule, source, T, seed=seed)
+                again = run_episode(scheme, rule, source, T, seed=seed)
+            scalar_replay(scheme, rule, trace, round_at)
+            for column in ("per_voter_loss", "probs", "chosen", "winner",
+                           "scheme_loss", "winner_loss"):
+                assert np.array_equal(getattr(trace, column), getattr(again, column))
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_adaptive_episodes_match_reference(self, kind):
+        cases = [
+            (DeterministicPositional("plurality"), WinnerPunishingSource, 4),
+            (RandomizedCopeland(), CondorcetSplitSource, 11),
+        ]
+        for rule, source_cls, n in cases:
+            source = source_cls(rule, 3)
+            scheme = SchemeConfig(kind, n=n, horizon=40)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                trace = run_episode(scheme, rule, source, 40, seed=5)
+
+            def round_at(t, weights):
+                round_ = source.emit(t + 1, weights, np.random.default_rng(0))
+                return round_.rankings, round_.losses.tolist()
+
+            scalar_replay(scheme, rule, trace, round_at)

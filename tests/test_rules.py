@@ -154,6 +154,12 @@ class TestCopeland:
         profile = profile_of({(0, 1, 2): 0.5, (1, 2, 0): 0.5})
         assert np.allclose(copeland_scores(profile), [1, 1.5, 0.5], atol=TOL)
 
+    def test_rounded_half_split_still_awards_the_pair(self):
+        # both sides of pair (0, 1) round to just under one half
+        profile = profile_of({(0, 1, 2): 0.5 - 1e-13, (1, 0, 2): 0.5 - 1e-13})
+        assert copeland_scores(profile).sum() == 3.0
+        assert RandomizedCopeland().evaluate(profile).sum() == pytest.approx(1.0, abs=TOL)
+
     def test_two_alternatives(self):
         profile = profile_of({(0, 1): 1.0})
         assert np.allclose(copeland_scores(profile), [1, 0], atol=TOL)
