@@ -12,9 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, AnonymousProfile, Ranking, anonymize, unanimous
+from .core import TOL, AnonymousProfile, Ranking, anonymize, as_weights, group_profile, unanimous
 from .errors import (
-    DegenerateWeightsError,
     HypothesisViolatedError,
     NoWitnessError,
 )
@@ -38,32 +37,23 @@ class PartitionResult:
     """Split of the voters into a heavy majority block and the rest."""
 
     heavy: tuple[int, ...]
-    light: tuple[int, ...]
     heavy_weight: float
 
 
 def majority_prefix_partition(weights: Sequence[float] | np.ndarray) -> PartitionResult:
     """Shortest prefix of voters, sorted by weight descending, exceeding half
     the total weight. Weight ties break by ascending voter index."""
-    w = np.asarray(weights, dtype=float)
-    total = float(w.sum())
-    if total <= 0:
-        raise DegenerateWeightsError("total weight must be positive")
-    order = sorted(range(len(w)), key=lambda i: (-w[i], i))
-    heavy: list[int] = []
-    acc = 0.0
-    for i in order:
-        heavy.append(i)
-        acc += w[i]
-        if acc > total / 2:
-            break
-    light = tuple(i for i in order if i not in set(heavy))
+    w, total = as_weights(weights)
+    order = np.argsort(-w, kind="stable")
+    prefix = np.cumsum(w[order])  # adds in sequence, like a loop over the sorted voters
+    j = int(np.searchsorted(prefix, total / 2, side="right"))
+    heavy, acc = tuple(order[: j + 1].tolist()), float(prefix[j])
     # The top-j prefix of a sorted sequence carries at least j/n of the total.
     if acc < len(heavy) * total / len(w) - TOL:
         raise HypothesisViolatedError(
             f"prefix of {len(heavy)} voters carries {acc}, under its share of {total}"
         )
-    return PartitionResult(tuple(heavy), light, acc)
+    return PartitionResult(heavy, acc)
 
 
 def top_two_ranking(x: int, y: int, m: int) -> Ranking:
@@ -125,7 +115,7 @@ def winner_punishing_round(
     tau, tau_prime = witness
     n = len(weights)
     rankings = (tau,) + (tau_prime,) * (n - 1)
-    dist = rule.evaluate(anonymize(rankings, weights))
+    dist = rule.evaluate(group_profile(np.arange(n) > 0, witness, weights))
     winner = int(np.argmax(dist))
     losses = np.zeros(tau.m)
     losses[winner] = 1.0
@@ -149,15 +139,15 @@ def condorcet_split_round(
             f"need n >= 2(3/(2 delta) + 1) = {2 * (3 / (2 * delta) + 1):.3f}, got {n}"
         )
     part = majority_prefix_partition(weights)
-    heavy = set(part.heavy)
-    rankings = tuple(pair.top_ab if i in heavy else pair.top_ba for i in range(n))
+    light = np.isin(np.arange(n), part.heavy, invert=True)
+    blocks = (pair.top_ab, pair.top_ba)
+    rankings = tuple(map(blocks.__getitem__, light.tolist()))
     m = pair.top_ab.m
     losses = np.full(m, 0.5)
     losses[pair.a] = 1.0
     losses[pair.b] = 0.0
 
-    profile = anonymize(rankings, weights)
-    if condorcet_winner(profile) != pair.a:
+    if condorcet_winner(group_profile(light, blocks, weights)) != pair.a:
         raise HypothesisViolatedError(f"{pair.a} is not the Condorcet winner of the split")
     # Case split on how far the heavy block overshoots half the total weight.
     total = float(np.asarray(weights, dtype=float).sum())

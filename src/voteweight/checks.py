@@ -50,10 +50,6 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, passed, detail)
-
-
 # ---------------------------------------------------------------------------
 # identities
 
@@ -74,7 +70,7 @@ def check_single_voter_decomposition(seed: int, profiles: int) -> CheckResult:
                 p[i] * rule.evaluate(unanimous(votes[i])) for i in range(n)
             )
             worst = max(worst, float(np.max(np.abs(mixed - averaged))))
-    return _result(
+    return CheckResult(
         "single_voter_decomposition", worst <= TOL, f"max deviation {worst:.3e}"
     )
 
@@ -92,7 +88,7 @@ def check_duple_decomposition(seed: int, profiles: int) -> CheckResult:
             )
         )
         worst = max(worst, float(dev))
-    return _result("duple_decomposition", worst <= TOL, f"max deviation {worst:.3e}")
+    return CheckResult("duple_decomposition", worst <= TOL, f"max deviation {worst:.3e}")
 
 
 def check_unilateral_decomposition(seed: int, profiles: int) -> CheckResult:
@@ -109,7 +105,7 @@ def check_unilateral_decomposition(seed: int, profiles: int) -> CheckResult:
             )
         )
         worst = max(worst, float(dev))
-    return _result(
+    return CheckResult(
         "unilateral_decomposition", worst <= TOL, f"max deviation {worst:.3e}"
     )
 
@@ -126,7 +122,7 @@ def check_score_conservation(seed: int, profiles: int) -> CheckResult:
             abs(float(positional_scores(profile, s).sum()) - float(s.sum())),
             abs(float(copeland_scores(profile).sum()) - m * (m - 1) / 2),
         )
-    return _result("score_conservation", worst <= TOL, f"max deviation {worst:.3e}")
+    return CheckResult("score_conservation", worst <= TOL, f"max deviation {worst:.3e}")
 
 
 def check_condorcet_gap(seed: int, profiles: int) -> CheckResult:
@@ -147,7 +143,7 @@ def check_condorcet_gap(seed: int, profiles: int) -> CheckResult:
         others = np.delete(dist, winner)
         slack = float(dist[winner] - others.max()) - 2.0 / (m * (m - 1))
         worst_slack = min(worst_slack, slack)
-    return _result(
+    return CheckResult(
         "condorcet_gap",
         worst_slack >= -TOL,
         f"{found} Condorcet instances, worst slack {worst_slack:.3e}",
@@ -199,7 +195,7 @@ def check_estimator_mean(seed: int, samples: int = 10**5) -> CheckResult:
     stats = estimator_monte_carlo(seed + 10, samples)
     err = abs(stats["mean"] - stats["exact"])
     bound = 3 * stats["stderr"]
-    return _result(
+    return CheckResult(
         "estimator_mean",
         err <= bound,
         f"|{stats['mean']:.6f} - {stats['exact']:.6f}| = {err:.2e} vs 3se {bound:.2e}",
@@ -209,7 +205,7 @@ def check_estimator_mean(seed: int, samples: int = 10**5) -> CheckResult:
 def check_estimator_second_moment(seed: int, samples: int = 10**5) -> CheckResult:
     stats = estimator_monte_carlo(seed + 11, samples)
     bound = stats["n"] + 3 * stats["second_stderr"]
-    return _result(
+    return CheckResult(
         "estimator_second_moment",
         stats["second_moment"] <= bound,
         f"{stats['second_moment']:.4f} <= {bound:.4f}",
@@ -224,8 +220,8 @@ def check_estimator_error_path(seed: int) -> CheckResult:
         partial_info_update(state, config, chosen=1, observed_loss=0.5,
                             probs=np.array([0.5, 0.0, 0.5]))
     except EstimatorUndefinedError:
-        return _result("estimator_error_path", True, "zero probability rejected")
-    return _result("estimator_error_path", False, "zero probability was accepted")
+        return CheckResult("estimator_error_path", True, "zero probability rejected")
+    return CheckResult("estimator_error_path", False, "zero probability was accepted")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +238,7 @@ def check_winner_punishing(seed: int) -> CheckResult:
     losses_one = bool(np.all(trace.scheme_loss == 1.0))
     _, best = best_voter(trace)
     ok = losses_one and best <= (n - 1) * T / n and regret(trace) >= T / n
-    return _result(
+    return CheckResult(
         "winner_punishing_accounting",
         ok,
         f"regret {regret(trace):.1f} >= {T / n:.1f}, best voter {best:.1f}",
@@ -258,7 +254,7 @@ def check_prefix_bound(seed: int, profiles: int) -> CheckResult:
         w = rng.random(n) * 10
         part = majority_prefix_partition(w)
         worst = min(worst, part.heavy_weight - len(part.heavy) * float(w.sum()) / n)
-    return _result("majority_prefix_bound", worst >= -TOL, f"worst slack {worst:.3e}")
+    return CheckResult("majority_prefix_bound", worst >= -TOL, f"worst slack {worst:.3e}")
 
 
 def check_condorcet_split(seed: int) -> CheckResult:
@@ -275,7 +271,7 @@ def check_condorcet_split(seed: int) -> CheckResult:
         )
     worst_gap = float(np.min(trace.scheme_loss - trace.per_voter_loss.mean(axis=1)))
     ok = worst_gap >= delta / 6 - TOL and regret(trace) >= T * delta / 6 - TOL
-    return _result(
+    return CheckResult(
         "condorcet_split_gap",
         ok,
         f"worst per-round gap {worst_gap:.5f} >= {delta / 6:.5f}, "

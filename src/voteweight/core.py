@@ -147,7 +147,7 @@ class AnonymousProfile:
             if frac < 0:
                 raise ShapeError(f"negative mass {frac} on {ranking.order}")
             total += frac
-        if abs(total - 1.0) > TOL:
+        if not abs(total - 1.0) <= TOL:  # a NaN total fails too
             raise ShapeError(f"profile mass sums to {total}, expected 1")
 
     def items(self) -> Iterable[tuple[Ranking, float]]:
@@ -163,6 +163,17 @@ def unanimous(ranking: Ranking) -> AnonymousProfile:
     return AnonymousProfile({ranking: 1.0}, ranking.m)
 
 
+def as_weights(weights: Sequence[float] | np.ndarray) -> tuple[np.ndarray, float]:
+    """The weights as floats and their total, which must be positive and finite."""
+    w = np.asarray(weights, dtype=float)
+    if not (w >= 0).all():  # also false for NaN
+        raise DegenerateWeightsError("weights must be non-negative numbers")
+    total = float(w.sum())
+    if not 0 < total < math.inf:
+        raise DegenerateWeightsError("total weight must be positive and finite")
+    return w, total
+
+
 def anonymize(
     rankings: Sequence[Ranking], weights: Sequence[float] | np.ndarray
 ) -> AnonymousProfile:
@@ -171,26 +182,29 @@ def anonymize(
     Identical rankings merge; the result is invariant to voter permutation
     and to positive rescaling of the weights.
     """
-    w = np.asarray(weights, dtype=float)
-    if len(rankings) != len(w):
-        raise ShapeError(f"{len(rankings)} rankings but {len(w)} weights")
-    if np.any(w < 0):
-        raise DegenerateWeightsError("weights must be non-negative")
-    total = float(w.sum())
-    if total <= 0:
-        raise DegenerateWeightsError("total weight must be positive")
+    ids: dict[Ranking, int] = {}
+    groups = [ids.setdefault(ranking, len(ids)) for ranking in rankings]
+    if len({ranking.m for ranking in ids}) > 1:
+        raise ShapeError("all rankings in a round must share one alternative set")
+    return group_profile(groups, list(ids), weights)
 
-    m = rankings[0].m
-    mass: dict[Ranking, float] = {}
-    for ranking, wi in zip(rankings, w):
-        if ranking.m != m:
-            raise ShapeError("all rankings in a round must share one alternative set")
-        if wi == 0:
-            continue
-        mass[ranking] = mass.get(ranking, 0.0) + wi
-    for ranking in mass:
-        mass[ranking] /= total
-    return AnonymousProfile(mass, m)
+
+def group_profile(
+    groups: Sequence[int] | np.ndarray,
+    representatives: Sequence[Ranking],
+    weights: Sequence[float] | np.ndarray,
+) -> AnonymousProfile:
+    """:func:`anonymize` for voter i reporting ``representatives[groups[i]]`` (distinct,
+    over one alternative set) with no per-voter hashing: group weights are summed in
+    voter order, and the support follows each group's first positive-weight voter."""
+    g = np.asarray(groups, dtype=np.int64)
+    w, total = as_weights(weights)
+    if len(g) != len(w):
+        raise ShapeError(f"{len(g)} rankings but {len(w)} weights")
+    m = representatives[g[0]].m
+    sums = np.bincount(g, weights=w)
+    support = dict.fromkeys(g[w > 0].tolist())
+    return AnonymousProfile({representatives[k]: sums[k] / total for k in support}, m)
 
 
 def validate_losses(losses: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -30,9 +30,9 @@ from .adversaries import (
 )
 from .core import (
     Ranking,
-    anonymize,
     check_alternatives,
     draw,
+    group_profile,
     inverse_cdf,
     rank_codes,
     validate_losses,
@@ -268,7 +268,7 @@ def _play_oblivious(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u
         else:
             outcome = np.zeros((T, table.width))
             for t in range(T):
-                profile = anonymize([table.rankings[k] for k in idx[t]], probs[t])
+                profile = group_profile(idx[t], table.rankings, probs[t])
                 outcome[t, : rounds.m[t]] = table.rule.evaluate(profile)
         scheme_loss = np.einsum("tk,tk->t", outcome, rounds.losses)
     winner = inverse_cdf(outcome, u[:, 1])
@@ -313,7 +313,7 @@ def _play_sequential(scheme: SchemeConfig, table: OutcomeTable, source, rounds, 
         else:
             idx_t, L_t, loss_t = idx[t].tolist(), L[t].tolist(), losses[t].tolist()
         if c < 0:  # deterministic weights reach this loop only from adaptive sources
-            outcome = table.rule.evaluate(anonymize(challenge.rankings, p)).tolist()
+            outcome = table.rule.evaluate(group_profile(idx_t, table.rankings, probs[t])).tolist()
             scheme_loss.append(float(np.dot(outcome, loss_t[: len(outcome)])))
         else:
             outcome = table.outcomes[idx_t[c]]

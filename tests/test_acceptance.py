@@ -87,29 +87,31 @@ class TestExactLowerBounds:
 
     def test_condorcet_split_regret_floor(self):
         """The Condorcet-split source forces a per-round gap of at least
-        delta/6 = 1/18 against randomized Copeland with m=3, n=11."""
-        n, m, T = 11, 3, 1000
-        delta = 2.0 / (m * (m - 1))
-        rule = RandomizedCopeland()
-        scheme = SchemeConfig("deterministic_unilateral", n=n, horizon=T)
-        start = time.perf_counter()
-        trace = quiet_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), T, seed=0)
-        elapsed = time.perf_counter() - start
-        worst_gap = min(
-            scheme_loss - float(per_voter.mean())
-            for scheme_loss, per_voter in zip(trace.scheme_loss, trace.per_voter_loss)
-        )
-        ok = (
-            worst_gap >= delta / 6 - TOL
-            and regret(trace) >= T * delta / 6
-            and elapsed < 5.0
-        )
-        report(
-            "condorcet_split_regret_floor",
-            ok,
-            f"worst per-round gap {worst_gap:.5f} >= {delta / 6:.5f}, "
-            f"regret {regret(trace):.1f} >= {T * delta / 6:.1f}, {elapsed:.2f}s",
-        )
+        delta/6 = 1/18 against randomized Copeland with m=3, at n=11 and at
+        the width n=1001."""
+        for n, T in ((11, 1000), (1001, 200)):
+            m = 3
+            delta = 2.0 / (m * (m - 1))
+            rule = RandomizedCopeland()
+            scheme = SchemeConfig("deterministic_unilateral", n=n, horizon=T)
+            start = time.perf_counter()
+            trace = quiet_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), T, seed=0)
+            elapsed = time.perf_counter() - start
+            worst_gap = min(
+                scheme_loss - float(per_voter.mean())
+                for scheme_loss, per_voter in zip(trace.scheme_loss, trace.per_voter_loss)
+            )
+            ok = (
+                worst_gap >= delta / 6 - TOL
+                and regret(trace) >= T * delta / 6
+                and elapsed < 5.0
+            )
+            report(
+                f"condorcet_split_regret_floor n={n}",
+                ok,
+                f"worst per-round gap {worst_gap:.5f} >= {delta / 6:.5f}, "
+                f"regret {regret(trace):.1f} >= {T * delta / 6:.1f}, {elapsed:.2f}s",
+            )
 
 
 class TestMonteCarloUpperBounds:

@@ -90,6 +90,37 @@ class TestMajorityPrefixPartition:
         with pytest.raises(DegenerateWeightsError):
             majority_prefix_partition([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, bad):
+        with pytest.raises(DegenerateWeightsError):
+            majority_prefix_partition([bad, 1.0, 1.0])
+
+    def test_matches_sorted_loop(self, rng):
+        def reference(w):
+            """The partition as a plain loop over the voters sorted by weight."""
+            total = float(w.sum())
+            heavy, acc = [], 0.0
+            for i in sorted(range(len(w)), key=lambda i: (-w[i], i)):
+                heavy.append(i)
+                acc += w[i]
+                if acc > total / 2:
+                    break
+            return tuple(heavy), acc
+
+        for trial in range(300):
+            n = int(rng.integers(1, 2001)) if trial % 10 == 0 else int(rng.integers(1, 60))
+            w = rng.integers(0, 4, size=n) * rng.choice([1.0, 0.1, 1 / 3])  # ties and zeros
+            if trial % 3 == 0:
+                w = rng.random(n)
+            if trial % 5 == 0:
+                w[rng.integers(n)] = n  # one dominant voter
+            if w.sum() == 0:
+                w[0] = 1.0
+            part = majority_prefix_partition(w)
+            heavy, acc = reference(w)
+            assert part.heavy == heavy
+            assert part.heavy_weight == acc
+
 
 class TestOrientGapPair:
     def test_randomized_copeland_keeps_ascending_pair(self):

@@ -17,7 +17,13 @@ from voteweight import (
     sample_index,
     unanimous,
 )
-from voteweight.core import MAX_M, all_rankings, check_alternatives
+from voteweight.core import (
+    MAX_M,
+    AnonymousProfile,
+    all_rankings,
+    check_alternatives,
+    group_profile,
+)
 from voteweight.errors import (
     DegenerateWeightsError,
     InvalidRankingError,
@@ -98,6 +104,74 @@ class TestAnonymize:
         scaled = anonymize(rankings, weights * scale)
         for r in base.mass:
             assert base.mass[r] == pytest.approx(scaled.mass[r], abs=1e-9)
+
+
+def reference_anonymize(rankings, weights):
+    """The weight fractions as a plain loop over the voters."""
+    w = np.asarray(weights, dtype=float)
+    total = float(w.sum())
+    mass = {}
+    for ranking, wi in zip(rankings, w):
+        if wi == 0:
+            continue
+        mass[ranking] = mass.get(ranking, 0.0) + wi
+    for ranking in mass:
+        mass[ranking] /= total
+    return mass
+
+
+class TestGroupProfile:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 300),
+        m=st.integers(2, 4),
+        zero_first=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_voter_loop(self, seed, n, m, zero_first):
+        rng = np.random.default_rng(seed)
+        # few distinct rankings, so most are repeated
+        reps = random_rankings(int(rng.integers(1, 7)), m, rng)
+        reps = list(dict.fromkeys(reps))
+        groups = rng.integers(0, len(reps), size=n)
+        weights = rng.random(n) * (rng.random(n) < 0.8)
+        if zero_first:
+            weights[0] = 0.0
+        weights[-1] += 1e-3
+        rankings = [reps[k] for k in groups]
+        want = reference_anonymize(rankings, weights)
+        for profile in (group_profile(groups, reps, weights), anonymize(rankings, weights)):
+            assert list(profile.mass) == list(want)
+            assert all(profile.mass[r] == want[r] for r in want)
+
+    def test_support_follows_first_positive_voter(self, abc, bca):
+        profile = group_profile([0, 1, 0], [abc, bca], [0.0, 1.0, 3.0])
+        assert list(profile.mass) == [bca, abc]
+        assert profile.mass == {bca: 0.25, abc: 0.75}
+
+    def test_existing_errors_still_raise(self, abc, bca):
+        with pytest.raises(DegenerateWeightsError):
+            group_profile([0, 1], [abc, bca], [-1.0, 2.0])
+        with pytest.raises(DegenerateWeightsError):
+            group_profile([0, 1], [abc, bca], [0.0, 0.0])
+        with pytest.raises(ShapeError):
+            group_profile([0, 1], [abc, bca], [1.0])
+        with pytest.raises(ShapeError):
+            group_profile([0, 1], [abc, ranking(1, 0)], [1.0, 1.0])
+        with pytest.raises(DegenerateWeightsError):
+            anonymize([abc, bca], [-1.0, 2.0])
+        with pytest.raises(ShapeError):
+            anonymize([abc, bca], [1.0])
+        with pytest.raises(ShapeError):
+            anonymize([abc, ranking(1, 0)], [1.0, 0.0])
+
+    def test_nan_weight_rejected(self, abc, bca):
+        with pytest.raises(DegenerateWeightsError):
+            anonymize([abc, bca], [math.nan, 1.0])
+
+    def test_nan_mass_rejected(self, abc):
+        with pytest.raises(ShapeError):
+            AnonymousProfile({abc: math.nan}, 3)
 
 
 class TestExpectedLoss:
