@@ -22,21 +22,35 @@ from .rules import VotingRule, condorcet_winner
 
 @dataclass(frozen=True)
 class RoundChallenge:
-    """One election's inputs: a ranking per voter and a loss per alternative."""
+    """One election's inputs as voter groups: voter i reports
+    ``representatives[groups[i]]``, and ``losses`` holds a loss per alternative.
 
-    rankings: tuple[Ranking, ...]
+    ``groups`` is an int64 array of length n. An adaptive round names only a
+    few distinct rankings, so per-voter work is array indexing. ``profile`` is
+    the weighted profile of the weights the round answers (None when it was
+    drawn without weights); the engine reuses it for deterministic weights.
+    """
+
+    groups: np.ndarray
+    representatives: tuple[Ranking, ...]
     losses: np.ndarray
+    profile: Optional[AnonymousProfile] = None
 
     @property
     def m(self) -> int:
         return len(self.losses)
+
+    @property
+    def rankings(self) -> tuple[Ranking, ...]:
+        """One ranking per voter."""
+        return tuple(map(self.representatives.__getitem__, self.groups.tolist()))
 
 
 @dataclass(frozen=True)
 class PartitionResult:
     """Split of the voters into a heavy majority block and the rest."""
 
-    heavy: tuple[int, ...]
+    heavy: np.ndarray
     heavy_weight: float
 
 
@@ -47,7 +61,7 @@ def majority_prefix_partition(weights: Sequence[float] | np.ndarray) -> Partitio
     order = np.argsort(-w, kind="stable")
     prefix = np.cumsum(w[order])  # adds in sequence, like a loop over the sorted voters
     j = int(np.searchsorted(prefix, total / 2, side="right"))
-    heavy, acc = tuple(order[: j + 1].tolist()), float(prefix[j])
+    heavy, acc = order[: j + 1], float(prefix[j])
     # The top-j prefix of a sorted sequence carries at least j/n of the total.
     if acc < len(heavy) * total / len(w) - TOL:
         raise HypothesisViolatedError(
@@ -112,14 +126,11 @@ def winner_punishing_round(
     """
     if not rule.deterministic:
         raise NoWitnessError("winner punishment requires a deterministic rule")
-    tau, tau_prime = witness
-    n = len(weights)
-    rankings = (tau,) + (tau_prime,) * (n - 1)
-    dist = rule.evaluate(group_profile(np.arange(n) > 0, witness, weights))
-    winner = int(np.argmax(dist))
-    losses = np.zeros(tau.m)
-    losses[winner] = 1.0
-    return RoundChallenge(rankings, losses)
+    groups = (np.arange(len(weights)) > 0).astype(np.int64)
+    profile = group_profile(groups, witness, weights)
+    losses = np.zeros(witness[0].m)
+    losses[int(np.argmax(rule.evaluate(profile)))] = 1.0
+    return RoundChallenge(groups, witness, losses, profile)
 
 
 def condorcet_split_round(
@@ -138,19 +149,19 @@ def condorcet_split_round(
         raise HypothesisViolatedError(
             f"need n >= 2(3/(2 delta) + 1) = {2 * (3 / (2 * delta) + 1):.3f}, got {n}"
         )
-    part = majority_prefix_partition(weights)
-    light = np.isin(np.arange(n), part.heavy, invert=True)
+    w, total = as_weights(weights)
+    part = majority_prefix_partition(w)
+    groups = np.ones(n, dtype=np.int64)
+    groups[part.heavy] = 0
     blocks = (pair.top_ab, pair.top_ba)
-    rankings = tuple(map(blocks.__getitem__, light.tolist()))
-    m = pair.top_ab.m
-    losses = np.full(m, 0.5)
+    profile = group_profile(groups, blocks, w)
+    losses = np.full(pair.top_ab.m, 0.5)
     losses[pair.a] = 1.0
     losses[pair.b] = 0.0
 
-    if condorcet_winner(group_profile(light, blocks, weights)) != pair.a:
+    if condorcet_winner(profile) != pair.a:
         raise HypothesisViolatedError(f"{pair.a} is not the Condorcet winner of the split")
     # Case split on how far the heavy block overshoots half the total weight.
-    total = float(np.asarray(weights, dtype=float).sum())
     if part.heavy_weight >= (0.5 + delta / 3.0) * total:
         bounded = len(part.heavy) <= 3.0 / (2.0 * delta) + 1.0 + TOL
     else:
@@ -159,12 +170,12 @@ def condorcet_split_round(
         raise HypothesisViolatedError(
             f"heavy block of {len(part.heavy)} voters breaks its size bound"
         )
-    return RoundChallenge(rankings, losses)
+    return RoundChallenge(groups, blocks, losses, profile)
 
 
 def iid_random_round(n: int, m: int, rng: np.random.Generator) -> RoundChallenge:
     """Uniform random rankings and i.i.d. uniform [0,1] losses."""
-    return RoundChallenge(tuple(random_rankings(n, m, rng)), rng.random(m))
+    return RoundChallenge(np.arange(n), tuple(random_rankings(n, m, rng)), rng.random(m))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ in partial-information mode (and recorded for replay checks).
 
 Votes are rank codes and an episode evaluates the rule once per distinct code
 (:class:`~voteweight.rules.OutcomeTable`). Full-information kinds on oblivious
-sources play the whole episode as array operations; every other pairing runs
-one round-by-round loop over the same columns.
+sources play the whole episode as array operations, EXP3 on oblivious sources
+runs one round-by-round loop over Python floats, and adaptive sources run one
+round-by-round loop over voter groups.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ class CondorcetSplitSource:
                 delta = 1.0
             else:
                 raise ConfigError("no built-in gap for this rule; supply delta")
+        if not 0 < delta <= 1:  # also false for NaN
+            raise ConfigError(f"delta is a selection gap in (0, 1], got {delta}")
         self.rule = rule
         self.delta = delta
         self.pair: GapPair = orient_gap_pair(rule, m)
@@ -220,8 +223,10 @@ def run_episode(
     rounds = source.rounds(T, rng) if hasattr(source, "rounds") else None
     u = rng.random((T, 2))
     table = OutcomeTable(rule, source.m)
-    if rounds is None or scheme.kind == "partial_info":
-        columns = _play_sequential(scheme, table, source, rounds, u, rng)
+    if rounds is None:
+        columns = _play_adaptive(scheme, table, source, u, rng)
+    elif scheme.kind == "partial_info":
+        columns = _play_sequential(scheme, table, rounds, u)
     else:
         columns = _play_oblivious(scheme, table, rounds, u)
     config_echo = {
@@ -275,55 +280,64 @@ def _play_oblivious(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u
     return L, probs, chosen, winner, scheme_loss, rounds.losses[rows, winner]
 
 
-def _play_sequential(scheme: SchemeConfig, table: OutcomeTable, source, rounds, u, rng):
-    """Round-by-round play, for state that depends on the sampled voter or on
-    a source that answers the played weights. Per-round work is on Python
-    floats: at n in the tens, array calls would cost more than their work."""
-    T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
+def _play_sequential(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u):
+    """EXP3 on oblivious rounds, one round at a time since the update depends
+    on the sampled voter. Per-round work is on Python floats: at n in the
+    tens, array calls would cost more than their work."""
+    T, n, eta = len(u), scheme.n, scheme.learning_rate
+    (idx, L), losses = _index_rounds(table, rounds, n), rounds.losses
     probs = np.zeros((T, n))
-    if rounds is None:
-        L, losses = np.zeros((T, n)), np.zeros((T, table.width))
-    else:
-        (idx, L), losses = _index_rounds(table, rounds, n), rounds.losses
-    chosen, winner, scheme_loss = [], [], []
+    chosen, winner = [], []
     cumulative = [0.0] * n
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
+        z = [x * -eta for x in cumulative]
+        top = max(z)
+        w = [math.exp(x - top) for x in z]
+        total = sum(w)
+        probs[t] = p = [x / total for x in w]
+        c = draw(p, u_voter)
+        chosen.append(c)
+        winner.append(draw(table.outcomes[idx[t, c]], u_winner))
+        cumulative[c] += float(losses[t, winner[-1]]) / p[c]
+    rows = np.arange(T)
+    chosen, winner = np.array(chosen), np.array(winner)
+    return L, probs, chosen, winner, L[rows, chosen], losses[rows, winner]
+
+
+def _play_adaptive(scheme: SchemeConfig, table: OutcomeTable, source, u, rng):
+    """Round-by-round play against a source that answers the played weights.
+    A round is a few voter groups: each voter's loss is its group's, and
+    deterministic weights reuse the profile the source built from them."""
+    T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
+    L, probs, losses = np.zeros((T, n)), np.zeros((T, n)), np.zeros((T, table.width))
+    chosen, winner, scheme_loss = [], [], []
+    cumulative = np.zeros(n)
+    for t, (u_voter, u_winner) in enumerate(u.tolist()):
+        p = probs[t]
         if kind == "constant":
-            p = [1.0] + [0.0] * (n - 1)
+            p[0], c = 1.0, 0  # what a draw from the point mass gives
         else:
-            z = [x * -eta for x in cumulative]
-            top = max(z)
-            w = [math.exp(x - top) for x in z]
-            total = sum(w)
-            p = [x / total for x in w]
-        probs[t] = p
-        c = -1 if kind == "deterministic_unilateral" else draw(p, u_voter)
-        if rounds is None:
-            weights = probs[t] if c < 0 else np.eye(1, n, c)[0]
-            challenge = source.emit(t + 1, weights, rng)
-            if len(challenge.rankings) != n:
-                raise ConfigError(f"round {t + 1} has {len(challenge.rankings)} voters, not {n}")
-            losses[t, : challenge.m] = challenge.losses
-            loss_t = losses[t].tolist()
-            codes = [r.code for r in challenge.rankings]
-            row_of = {code: table.row(challenge.m, code) for code in set(codes)}
-            loss_of = {k: table.loss(k, loss_t) for k in row_of.values()}
-            idx_t = [row_of[code] for code in codes]
-            L[t] = L_t = [loss_of[k] for k in idx_t]
-        else:
-            idx_t, L_t, loss_t = idx[t].tolist(), L[t].tolist(), losses[t].tolist()
-        if c < 0:  # deterministic weights reach this loop only from adaptive sources
-            outcome = table.rule.evaluate(group_profile(idx_t, table.rankings, probs[t])).tolist()
+            p[:] = exp_weights(cumulative, eta)
+            c = -1 if kind == "deterministic_unilateral" else int(inverse_cdf(p, u_voter))
+        challenge = source.emit(t + 1, p if c < 0 else np.eye(1, n, c)[0], rng)
+        if len(challenge.groups) != n:
+            raise ConfigError(f"round {t + 1} has {len(challenge.groups)} voters, not {n}")
+        losses[t, : challenge.m] = challenge.losses
+        loss_t = losses[t].tolist()
+        rows = [table.row(challenge.m, r.code) for r in challenge.representatives]
+        L[t] = np.array([table.loss(k, loss_t) for k in rows])[challenge.groups]
+        if c < 0:  # deterministic weights reach the rule as one weighted profile
+            outcome = table.rule.evaluate(challenge.profile).tolist()
             scheme_loss.append(float(np.dot(outcome, loss_t[: len(outcome)])))
         else:
-            outcome = table.outcomes[idx_t[c]]
-            scheme_loss.append(L_t[c])
+            outcome = table.outcomes[rows[challenge.groups[c]]]
+            scheme_loss.append(L[t, c])
         chosen.append(c)
         winner.append(draw(outcome, u_winner))
         if kind == "partial_info":
             cumulative[c] += loss_t[winner[-1]] / p[c]
         elif kind != "constant":
-            cumulative = [a + b for a, b in zip(cumulative, L_t)]
+            cumulative += L[t]
     winner = np.array(winner)
     winner_loss = losses[np.arange(T), winner]
     return L, probs, np.array(chosen), winner, np.array(scheme_loss), winner_loss

@@ -19,6 +19,7 @@ from voteweight import (
     unanimous,
     winner_punishing_round,
 )
+from voteweight import checks
 from voteweight.adversaries import GapPair
 from voteweight.errors import (
     DegenerateWeightsError,
@@ -58,21 +59,28 @@ class TestWinnerPunishingRound:
         with pytest.raises(NoWitnessError):
             winner_punishing_round([1, 1], ConstantUniform(), self.witness)
 
+    def test_groups_are_voter_zero_against_the_rest(self, rng):
+        for n in (1, 2, 30):
+            round_ = winner_punishing_round(rng.random(n) + 1e-3, self.rule, self.witness)
+            assert round_.groups.dtype == np.int64
+            assert round_.groups.tolist() == [0] + [1] * (n - 1)
+            assert round_.representatives == self.witness
+
 
 class TestMajorityPrefixPartition:
     def test_single_heavy_voter(self):
         part = majority_prefix_partition([5, 1, 1, 1])
-        assert part.heavy == (0,)
+        assert part.heavy.tolist() == [0]
         assert part.heavy_weight == 5
 
     def test_uniform_needs_strict_majority(self):
         part = majority_prefix_partition(np.ones(8))
         # 4/8 is not strictly more than half, so five voters are needed
-        assert part.heavy == (0, 1, 2, 3, 4)
+        assert part.heavy.tolist() == [0, 1, 2, 3, 4]
 
     def test_prefix_sums(self):
         part = majority_prefix_partition([0.3, 0.3, 0.2, 0.2])
-        assert part.heavy == (0, 1)
+        assert part.heavy.tolist() == [0, 1]
         assert part.heavy_weight == pytest.approx(0.6, abs=TOL)
 
     def test_prefix_bound_fuzz(self, rng):
@@ -94,6 +102,15 @@ class TestMajorityPrefixPartition:
     def test_non_finite_or_negative_weight_rejected(self, bad):
         with pytest.raises(DegenerateWeightsError):
             majority_prefix_partition([bad, 1.0, 1.0])
+
+    def test_prefix_bound_check_reports_violation(self, monkeypatch):
+        def violated(weights):
+            raise HypothesisViolatedError("prefix of 1 voters carries 0.1, under its share")
+
+        monkeypatch.setattr(checks, "majority_prefix_partition", violated)
+        result = checks.check_prefix_bound(seed=0, profiles=5)
+        assert not result.passed
+        assert "under its share" in result.detail
 
     def test_matches_sorted_loop(self, rng):
         def reference(w):
@@ -118,7 +135,7 @@ class TestMajorityPrefixPartition:
                 w[0] = 1.0
             part = majority_prefix_partition(w)
             heavy, acc = reference(w)
-            assert part.heavy == heavy
+            assert tuple(part.heavy.tolist()) == heavy
             assert part.heavy_weight == acc
 
 
@@ -187,6 +204,16 @@ class TestCondorcetSplitRound:
     def test_too_few_voters_rejected(self):
         with pytest.raises(HypothesisViolatedError):
             condorcet_split_round(np.ones(5), self.pair, self.delta)
+
+    def test_groups_are_the_heavy_block(self, rng):
+        for n in (11, 1001):
+            w = rng.random(n) + 1e-3
+            round_ = condorcet_split_round(w, self.pair, self.delta)
+            heavy = np.sort(majority_prefix_partition(w).heavy)
+            assert round_.groups.dtype == np.int64
+            assert np.array_equal(np.flatnonzero(round_.groups == 0), heavy)
+            assert np.all(round_.groups[round_.groups != 0] == 1)
+            assert round_.representatives == (self.pair.top_ab, self.pair.top_ba)
 
 
 class TestIIDRandomRound:

@@ -180,10 +180,13 @@ class TestSimulate:
             {"note": float("nan")},
             {"trials": 0},
             {"source": "iid_random"},
+            {"source": {"kind": "thm5", "delta": 0}},
+            {"source": {"kind": "thm5", "delta": 2.0}, "rule": {"kind": "randomized_copeland"},
+             "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
         ],
         ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
              "unknown_feedback", "nan_eta", "nan_in_summary", "zero_trials",
-             "source_not_an_object"],
+             "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one"],
     )
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)

@@ -24,9 +24,11 @@ from voteweight import (
     expected_loss,
     make_ranking,
     monte_carlo_regret,
+    orient_gap_pair,
     oracle_expected_round_loss,
     regret,
     run_episode,
+    unanimity_witness,
     unanimous,
     voter_distribution,
 )
@@ -71,6 +73,11 @@ class TestRunEpisode:
     def test_winner_punishing_needs_non_constant_rule(self):
         with pytest.raises(NoWitnessError):
             WinnerPunishingSource(ConstantUniform(), 3)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 1.5, math.nan, math.inf])
+    def test_condorcet_split_needs_a_gap_in_unit_interval(self, delta):
+        with pytest.raises(ConfigError):
+            CondorcetSplitSource(RandomizedCopeland(), 3, delta)
 
     def test_non_decomposing_rule_with_deterministic_weights_warns(self):
         with pytest.warns(UserWarning):
@@ -354,4 +361,42 @@ class TestScalarReference:
                 round_ = source.emit(t + 1, weights, np.random.default_rng(0))
                 return round_.rankings, round_.losses.tolist()
 
+            scalar_replay(scheme, rule, trace, round_at)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_wide_adaptive_episodes_match_per_voter_rounds(self, kind):
+        """The adversaries' rounds rebuilt here as one ranking per voter, so a
+        wrong voter grouping in the engine or the sources shows."""
+        copeland = RandomizedCopeland()
+        pair = orient_gap_pair(copeland, 3)
+
+        def split_round(t, weights):
+            total, acc, heavy = float(np.sum(weights)), 0.0, set()
+            for i in sorted(range(len(weights)), key=lambda i: (-weights[i], i)):
+                heavy.add(i)
+                acc += weights[i]
+                if acc > total / 2:
+                    break
+            ell = [0.5] * 3
+            ell[pair.a], ell[pair.b] = 1.0, 0.0
+            return [pair.top_ab if i in heavy else pair.top_ba for i in range(len(weights))], ell
+
+        plurality = DeterministicPositional("plurality")
+        witness = unanimity_witness(plurality, 3)
+
+        def punishing_round(t, weights):
+            rankings = [witness[0]] + [witness[1]] * (len(weights) - 1)
+            ell = [0.0] * 3
+            ell[int(np.argmax(plurality.evaluate(anonymize(rankings, weights))))] = 1.0
+            return rankings, ell
+
+        cases = [
+            (copeland, CondorcetSplitSource(copeland, 3), 1001, 20, split_round),
+            (plurality, WinnerPunishingSource(plurality, 3), 30, 40, punishing_round),
+        ]
+        for rule, source, n, T, round_at in cases:
+            scheme = SchemeConfig(kind, n=n, horizon=T)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                trace = run_episode(scheme, rule, source, T, seed=11)
             scalar_replay(scheme, rule, trace, round_at)
