@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage/config error, 2 check failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -53,24 +52,15 @@ def _build_source(spec: dict, rule, n: int, m: int):
 
 
 def _write_trace_csv(path: str, trace: Trace) -> None:
+    """The bytes ``csv.writer`` would write (CRLF, :func:`_fmt` numbers), one format per row."""
     cumulative_scheme = np.cumsum(trace.scheme_loss)
     best = np.cumsum(trace.per_voter_loss, axis=0).min(axis=1)
+    columns = (trace.scheme_loss, cumulative_scheme, best, cumulative_scheme - best)
+    rows = zip(range(1, len(best) + 1), *(c.tolist() for c in columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "round",
-                "scheme_expected_loss",
-                "cumulative_scheme_loss",
-                "best_voter_cumulative_loss_so_far",
-                "cumulative_regret",
-            ]
-        )
-        columns = (trace.scheme_loss, cumulative_scheme, best, cumulative_scheme - best)
-        writer.writerows(
-            [t, *map(_fmt, values)]
-            for t, values in enumerate(zip(*(c.tolist() for c in columns)), 1)
-        )
+        fh.write("round,scheme_expected_loss,cumulative_scheme_loss,"
+                 "best_voter_cumulative_loss_so_far,cumulative_regret\r\n")
+        fh.writelines("%d,%.12g,%.12g,%.12g,%.12g\r\n" % row for row in rows)
 
 
 def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:

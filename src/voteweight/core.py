@@ -105,16 +105,24 @@ def rank_codes(orders) -> np.ndarray:
     return codes
 
 
+def orders_from_codes(codes, m: int) -> np.ndarray:
+    """Inverse of :func:`rank_codes`: the (k, m) orders of k codes over m
+    alternatives, decoded as arrays: split into Lehmer digits, then each digit
+    is shifted past the alternatives placed before it."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+    if np.any((codes < 0) | (codes >= math.factorial(m))):
+        raise InvalidRankingError(f"rank codes must lie in 0..{m}!-1 for m={m}")
+    orders = np.empty((len(codes), m), dtype=np.int64)
+    for j in range(m):
+        orders[:, j], codes = np.divmod(codes, math.factorial(m - 1 - j))
+    for j in range(m - 2, -1, -1):
+        orders[:, j + 1:] += orders[:, j + 1:] >= orders[:, j, None]
+    return orders
+
+
 def ranking_from_code(code: int, m: int) -> Ranking:
     """Inverse of :func:`rank_codes` for one code."""
-    if not 0 <= code < math.factorial(m):
-        raise InvalidRankingError(f"rank code {code} out of range for m={m}")
-    rest = list(range(m))
-    order = []
-    for j in range(m - 1, -1, -1):
-        digit, code = divmod(code, math.factorial(j))
-        order.append(rest.pop(digit))
-    return Ranking(tuple(order))
+    return Ranking(tuple(orders_from_codes([code], m)[0].tolist()))
 
 
 def make_ranking(order: Sequence[int], m: int) -> Ranking:

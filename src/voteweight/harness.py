@@ -120,8 +120,8 @@ class CondorcetSplitSource:
                 delta = 1.0
             else:
                 raise ConfigError("no built-in gap for this rule; supply delta")
-        if not 0 < delta <= 1:  # also false for NaN
-            raise ConfigError(f"delta is a selection gap in (0, 1], got {delta}")
+        if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not 0 < delta <= 1:
+            raise ConfigError(f"delta is a selection gap in (0, 1], got {delta!r}")
         self.rule = rule
         self.delta = delta
         self.pair: GapPair = orient_gap_pair(rule, m)

@@ -19,7 +19,7 @@ from .core import (
     AnonymousProfile,
     Ranking,
     all_rankings,
-    ranking_from_code,
+    orders_from_codes,
     unanimous,
 )
 from .errors import ConfigError, InvalidPairError, ShapeError
@@ -135,6 +135,12 @@ class VotingRule:
     def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
         raise NotImplementedError
 
+    def unanimous_outcomes(self, orders: np.ndarray) -> np.ndarray:
+        """Row i is the outcome on the unanimous profile of ``orders[i]``, for a
+        (k, m) array of orders. Overrides must match this loop bit for bit."""
+        rows = [self.evaluate(unanimous(Ranking(tuple(o)))) for o in orders.tolist()]
+        return np.array(rows).reshape(orders.shape)
+
     def is_distribution_over_unilaterals(self) -> bool:
         """True when the rule decomposes across voters' individual rankings.
 
@@ -165,6 +171,15 @@ class _Positional(VotingRule):
                 f"rule fixed to {len(self._scores)} alternatives, profile has {m}"
             )
         return self._scores
+
+    def unanimous_outcomes(self, orders: np.ndarray) -> np.ndarray:
+        """Each order's unanimous scores are s scattered onto its alternatives."""
+        s = self.score_vector(orders.shape[1])
+        scores = np.zeros(orders.shape)
+        np.put_along_axis(scores, orders, s, axis=1)
+        if self.deterministic:
+            return np.eye(len(s))[np.argmax(scores, axis=1)]
+        return scores / float(s.sum())
 
     def __repr__(self) -> str:
         tag = self._family if self._family is not None else list(self._scores)
@@ -317,14 +332,13 @@ def unanimity_witness(rule: VotingRule, m: int) -> Optional[tuple[Ranking, Ranki
     Enumerates all m! unanimous profiles, so m is capped at 8. Returns None
     when the rule is constant on unanimous profiles.
     """
-    first: Optional[Ranking] = None
-    base: Optional[np.ndarray] = None
-    for ranking in all_rankings(m):
-        dist = rule.evaluate(unanimous(ranking))
-        if first is None:
-            first, base = ranking, dist
-        elif np.max(np.abs(dist - base)) > TOL:
-            return first, ranking
+    rankings = all_rankings(m)
+    orders = np.array([r.order for r in rankings])
+    base = rule.unanimous_outcomes(orders[:1])
+    for lo in range(0, len(orders), 64):  # blocks keep most of a scan's early exit
+        differs = np.abs(rule.unanimous_outcomes(orders[lo:lo + 64]) - base).max(axis=1) > TOL
+        if differs.any():
+            return rankings[0], rankings[lo + int(np.argmax(differs))]
     return None
 
 
@@ -374,8 +388,9 @@ class OutcomeTable:
     def __init__(self, rule: VotingRule, width: int):
         self.rule = rule
         self.width = width
-        self.rankings: list[Ranking] = []
         self.outcomes: list[list[float]] = []
+        self._rankings: list[Ranking] = []
+        self._pending: list[np.ndarray] = []  # decoded orders of rows past _rankings
         self._rows: dict[tuple[int, int], int] = {}
         self._U = np.zeros((0, width))
 
@@ -385,21 +400,30 @@ class OutcomeTable:
             self._U = np.array(self.outcomes)
         return self._U
 
+    @property
+    def rankings(self) -> list[Ranking]:
+        """Row k's ranking, built on first use: only weighted profiles need it."""
+        while self._pending:
+            self._rankings += [Ranking(tuple(o)) for o in self._pending.pop(0).tolist()]
+        return self._rankings
+
     def row(self, m: int, code: int) -> int:
-        """Table row of one rank code over m alternatives, evaluating the rule
-        if the code is new."""
+        """Table row of one rank code over m alternatives."""
         k = self._rows.get((m, code))
-        if k is None:
-            k = self._rows[(m, code)] = len(self.rankings)
-            self.rankings.append(ranking_from_code(code, m))
-            outcome = self.rule.evaluate(unanimous(self.rankings[-1])).tolist()
-            self.outcomes.append(outcome + [0.0] * (self.width - m))
-        return k
+        return int(self.index(m, np.array([code]))[0]) if k is None else k
 
     def index(self, m: int, codes: np.ndarray) -> np.ndarray:
-        """Table row of each rank code in an array of codes over m alternatives."""
+        """Table row of each rank code in an array of codes over m alternatives.
+        Codes new to the table are decoded and evaluated in one rule call."""
         distinct, inverse = np.unique(codes, return_inverse=True)
-        rows = np.array([self.row(m, code) for code in distinct.tolist()], dtype=np.int64)
+        new = [c for c in distinct.tolist() if (m, c) not in self._rows]
+        orders = orders_from_codes(new, m)
+        padded = np.zeros((len(new), self.width))
+        padded[:, :m] = self.rule.unanimous_outcomes(orders)
+        self._rows.update({(m, c): len(self._rows) + i for i, c in enumerate(new)})
+        self._pending.append(orders)
+        self.outcomes += padded.tolist()
+        rows = np.array([self._rows[(m, c)] for c in distinct.tolist()], dtype=np.int64)
         return rows[inverse].reshape(np.shape(codes))
 
     def loss(self, k: int, losses: Sequence[float]) -> float:

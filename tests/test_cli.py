@@ -2,10 +2,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 import voteweight.cli as cli
 from voteweight.cli import main
+from voteweight.harness import Trace
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -29,6 +31,19 @@ def write_config(tmp_path, name="config.json", **overrides):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def reference_trace_csv(path, trace):
+    """The trace CSV as ``csv.writer`` writes it, one field at a time."""
+    cumulative_scheme = np.cumsum(trace.scheme_loss)
+    best = np.cumsum(trace.per_voter_loss, axis=0).min(axis=1)
+    columns = (trace.scheme_loss, cumulative_scheme, best, cumulative_scheme - best)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", "scheme_expected_loss", "cumulative_scheme_loss",
+                         "best_voter_cumulative_loss_so_far", "cumulative_regret"])
+        for t, values in enumerate(zip(*(c.tolist() for c in columns)), 1):
+            writer.writerow([t, *(f"{x:.12g}" for x in values)])
 
 
 class TestSimulate:
@@ -66,6 +81,19 @@ class TestSimulate:
                 row["best_voter_cumulative_loss_so_far"]
             )
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_trace_csv_bytes_match_csv_writer(self, tmp_path):
+        scheme_loss = np.array([-0.0, 1e-300, 1 / 3, 1e17, 1e-5, 0.1])
+        per_voter = np.array([[-0.0, 0.0], [1e-300, 0.5], [0.25, 1 / 7],
+                              [2 / 3, 1e17], [0.0, 1e-5], [0.3, 0.2]])
+        T, n = per_voter.shape
+        trace = Trace(per_voter, np.full((T, n), 1 / n), np.zeros(T, dtype=int),
+                      np.zeros(T, dtype=int), scheme_loss, scheme_loss, config={}, seed=0)
+        cli._write_trace_csv(tmp_path / "fast.csv", trace)
+        reference_trace_csv(tmp_path / "reference.csv", trace)
+        written = (tmp_path / "fast.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert b"\r\n1,-0,-0," in written and b",1e-300," in written and b",1e+17," in written
 
     def test_byte_identical_replay(self, tmp_path):
         cfg = write_config(
@@ -183,17 +211,23 @@ class TestSimulate:
             {"source": {"kind": "thm5", "delta": 0}},
             {"source": {"kind": "thm5", "delta": 2.0}, "rule": {"kind": "randomized_copeland"},
              "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
+            {"source": {"kind": "thm5", "delta": "0.5"}, "rule": {"kind": "randomized_copeland"},
+             "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
         ],
         ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
              "unknown_feedback", "nan_eta", "nan_in_summary", "zero_trials",
-             "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one"],
+             "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
+             "thm5_string_delta"],
     )
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        if "delta" in str(overrides.get("source")):
+            assert "delta" in err
 
     def test_file_line_with_one_alternative_writes_nothing(self, tmp_path):
         seq = tmp_path / "rounds.jsonl"

@@ -23,6 +23,7 @@ from voteweight.core import (
     all_rankings,
     check_alternatives,
     group_profile,
+    orders_from_codes,
 )
 from voteweight.errors import (
     DegenerateWeightsError,
@@ -253,6 +254,31 @@ class TestRankCodes:
     def test_out_of_range_code_rejected(self):
         with pytest.raises(InvalidRankingError):
             ranking_from_code(6, 3)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_orders_from_codes_decodes_every_code(self, m):
+        codes = np.arange(math.factorial(m))
+        orders = orders_from_codes(codes, m)
+        assert orders.shape == (len(codes), m) and orders.dtype == np.int64
+        assert np.array_equal(rank_codes(orders), codes)
+        assert orders.tolist() == [list(r.order) for r in all_rankings(m)]
+
+    @given(m=st.integers(2, MAX_M), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_orders_from_codes_round_trips_random_orders(self, m, seed):
+        rng = np.random.default_rng(seed)
+        identity = np.arange(m)
+        orders = np.vstack([identity, rng.permuted(np.tile(identity, (20, 1)), axis=1),
+                            identity[::-1]])
+        codes = rank_codes(orders)
+        assert codes[0] == 0 and codes[-1] == math.factorial(m) - 1
+        assert np.array_equal(orders_from_codes(codes, m), orders)
+
+    @pytest.mark.parametrize("m", [2, 3, 6, MAX_M])
+    def test_orders_from_codes_rejects_out_of_range(self, m):
+        for bad in (-1, math.factorial(m)):
+            with pytest.raises(InvalidRankingError):
+                orders_from_codes([0, bad], m)
 
     def test_alternative_range(self):
         assert check_alternatives(2) == 2 and check_alternatives(MAX_M) == MAX_M

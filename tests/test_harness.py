@@ -74,9 +74,9 @@ class TestRunEpisode:
         with pytest.raises(NoWitnessError):
             WinnerPunishingSource(ConstantUniform(), 3)
 
-    @pytest.mark.parametrize("delta", [0.0, -0.1, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 1.5, math.nan, math.inf, "0.5", True])
     def test_condorcet_split_needs_a_gap_in_unit_interval(self, delta):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="delta"):
             CondorcetSplitSource(RandomizedCopeland(), 3, delta)
 
     def test_non_decomposing_rule_with_deterministic_weights_warns(self):

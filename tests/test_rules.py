@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from voteweight import (
     unanimous,
 )
 from voteweight.adversaries import random_profile
+from voteweight.core import all_rankings, ranking_from_code
 from voteweight.errors import (
     ConfigError,
     EnumerationRefusedError,
@@ -34,6 +36,7 @@ from voteweight.errors import (
     ShapeError,
 )
 from voteweight.rules import (
+    OutcomeTable,
     borda_scores,
     duple_mixture_copeland,
     unilateral_mixture_positional,
@@ -343,6 +346,88 @@ class TestUnanimityWitness:
     def test_enumeration_guard(self):
         with pytest.raises(EnumerationRefusedError):
             unanimity_witness(ConstantUniform(), 9)
+
+    def test_witness_past_the_first_block(self):
+        reversed_only = Unilateral(lambda r: int(r.order == (4, 3, 2, 1, 0)))
+        witness = unanimity_witness(reversed_only, 5)
+        assert witness == (ranking(0, 1, 2, 3, 4), ranking(4, 3, 2, 1, 0))
+
+
+def tied_scores(m):
+    return [3.0, 3.0, 1.0, 1.0, 0.0, 0.0][:m]
+
+
+# Every shipped rule, as a function of m.
+SHIPPED_RULES = {
+    "randomized_borda": lambda m: RandomizedPositional("borda"),
+    "randomized_plurality": lambda m: RandomizedPositional("plurality"),
+    "randomized_veto": lambda m: RandomizedPositional("veto"),
+    "randomized_tied": lambda m: RandomizedPositional(tied_scores(m)),
+    "deterministic_borda": lambda m: DeterministicPositional("borda"),
+    "deterministic_plurality": lambda m: DeterministicPositional("plurality"),
+    "deterministic_veto": lambda m: DeterministicPositional("veto"),
+    "deterministic_tied": lambda m: DeterministicPositional(tied_scores(m)),
+    "deterministic_copeland": lambda m: DeterministicCopeland(),
+    "randomized_copeland": lambda m: RandomizedCopeland(),
+    "duple_0_1": lambda m: Duple(0, 1),
+    "unilateral_position_1": lambda m: Unilateral(position_selector(1)),
+    "constant_uniform": lambda m: ConstantUniform(),
+    "duple_mixture_copeland": duple_mixture_copeland,
+    "unilateral_mixture_borda": lambda m: unilateral_mixture_positional(borda_scores(m)),
+}
+
+
+class TestUnanimousOutcomes:
+    @pytest.mark.parametrize("make_rule", SHIPPED_RULES.values(), ids=SHIPPED_RULES.keys())
+    def test_hook_matches_scalar_evaluate(self, make_rule):
+        for m in range(2, 7):
+            rule, rankings = make_rule(m), all_rankings(m)
+            expected = np.array([rule.evaluate(unanimous(r)) for r in rankings])
+            got = rule.unanimous_outcomes(np.array([r.order for r in rankings]))
+            assert got.shape == (len(rankings), m)
+            assert np.array_equal(got, expected), m
+
+
+def scalar_table(rule, width, calls):
+    """Rows, outcomes and rankings of an outcome table built one code at a time
+    with `evaluate`; each batch adds its new codes in ascending order."""
+    keys, outcomes, rankings, rows = {}, [], [], []
+    for m, codes in calls:
+        for code in sorted(set(np.ravel(codes).tolist())):
+            if (m, code) not in keys:
+                keys[(m, code)] = len(outcomes)
+                rankings.append(ranking_from_code(code, m))
+                outcome = rule.evaluate(unanimous(rankings[-1])).tolist()
+                outcomes.append(outcome + [0.0] * (width - m))
+        rows.append(np.vectorize(lambda c: keys[(m, c)], otypes=[np.int64])(codes))
+    return rows, outcomes, rankings
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize(
+        "name", ["randomized_borda", "deterministic_plurality", "randomized_copeland"]
+    )
+    def test_batches_match_scalar_build(self, rng, name):
+        rule, width = SHIPPED_RULES[name](None), 5
+        calls = []
+        for m, shape in [(4, (6, 7)), (3, (5,)), (4, (3, 9)), (5, (1,)), (4, (1,)),
+                         (5, (8, 4)), (3, (1,))]:
+            calls.append((m, rng.integers(0, math.factorial(m), size=shape)))
+        table = OutcomeTable(rule, width)
+        rows = []
+        for i, (m, codes) in enumerate(calls):
+            if codes.shape == (1,):
+                rows.append(np.array([table.row(m, int(codes[0]))]))
+            else:
+                rows.append(table.index(m, codes))
+            if i == 2:  # the lazy rankings and U must keep up with later batches
+                assert len(table.rankings) == len(table.U) == len(table.outcomes)
+        want_rows, want_outcomes, want_rankings = scalar_table(rule, width, calls)
+        for got, want in zip(rows, want_rows):
+            assert np.array_equal(got, want)
+        assert table.outcomes == want_outcomes
+        assert np.array_equal(table.U, np.array(want_outcomes))
+        assert table.rankings == want_rankings
 
 
 class TestRuleSpec:
