@@ -9,7 +9,6 @@ from .adversaries import (
     PartitionResult,
     RoundChallenge,
     condorcet_split_round,
-    iid_random_round,
     majority_prefix_partition,
     orient_gap_pair,
     top_two_ranking,
@@ -20,11 +19,7 @@ from .core import (
     AnonymousProfile,
     Ranking,
     anonymize,
-    expected_loss,
-    make_ranking,
     rank_codes,
-    ranking_from_code,
-    sample_index,
     unanimous,
 )
 from .harness import (
@@ -36,7 +31,6 @@ from .harness import (
     WinnerPunishingSource,
     best_voter,
     monte_carlo_regret,
-    oracle_expected_round_loss,
     regret,
     run_episode,
 )
@@ -60,12 +54,7 @@ from .rules import (
 )
 from .schemes import (
     SchemeConfig,
-    SchemeState,
-    act,
-    full_info_update,
-    initial_state,
-    partial_info_update,
-    voter_distribution,
+    exp_weights,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Round generators: worst-case constructions against deterministic weighting
-schemes, plus a benign i.i.d. generator for upper-bound experiments.
+schemes, plus the random rankings and profiles the checks and tests fuzz with.
 
 The worst-case generators are adaptive: they consume the weight vector the
 scheme just played and only then emit the round.
@@ -39,11 +39,6 @@ class RoundChallenge:
     @property
     def m(self) -> int:
         return len(self.losses)
-
-    @property
-    def rankings(self) -> tuple[Ranking, ...]:
-        """One ranking per voter."""
-        return tuple(map(self.representatives.__getitem__, self.groups.tolist()))
 
 
 @dataclass(frozen=True)
@@ -171,11 +166,6 @@ def condorcet_split_round(
             f"heavy block of {len(part.heavy)} voters breaks its size bound"
         )
     return RoundChallenge(groups, blocks, losses, profile)
-
-
-def iid_random_round(n: int, m: int, rng: np.random.Generator) -> RoundChallenge:
-    """Uniform random rankings and i.i.d. uniform [0,1] losses."""
-    return RoundChallenge(np.arange(n), tuple(random_rankings(n, m, rng)), rng.random(m))
 
 
 # ---------------------------------------------------------------------------

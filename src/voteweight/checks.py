@@ -19,10 +19,11 @@ from .adversaries import (
     random_profile,
     random_rankings,
 )
-from .core import TOL, anonymize, unanimous
-from .errors import EstimatorUndefinedError, HypothesisViolatedError
+from .core import TOL, anonymize, draw, inverse_cdf, unanimous
+from .errors import HypothesisViolatedError
 from .harness import (
     CondorcetSplitSource,
+    IIDRandomSource,
     WinnerPunishingSource,
     best_voter,
     regret,
@@ -38,7 +39,7 @@ from .rules import (
     unilateral_mixture_positional,
     validate_scores,
 )
-from .schemes import SchemeConfig, SchemeState, partial_info_update
+from .schemes import SchemeConfig
 
 SUITES = ("identities", "estimators", "adversaries", "all")
 
@@ -213,15 +214,30 @@ def check_estimator_second_moment(seed: int, samples: int = 10**5) -> CheckResul
 
 
 def check_estimator_error_path(seed: int) -> CheckResult:
-    """A zero selection probability must surface as an explicit error."""
-    config = SchemeConfig("partial_info", n=3, horizon=10)
-    state = SchemeState(np.zeros(3), 0)
-    try:
-        partial_info_update(state, config, chosen=1, observed_loss=0.5,
-                            probs=np.array([0.5, 0.0, 0.5]))
-    except EstimatorUndefinedError:
-        return CheckResult("estimator_error_path", True, "zero probability rejected")
-    return CheckResult("estimator_error_path", False, "zero probability was accepted")
+    """The EXP3 update divides by the chosen voter's probability unguarded, so
+    every draw must land on a positive weight: on rows with zero entries at
+    the edges of [0, 1), and in episodes whose probabilities underflow to 0."""
+    rows = ([0.0, 1.0], [1.0, 0.0], [0.0, 0.5, 0.0, 0.5, 0.0], [0.25, 0.0, 0.0, 0.75],
+            [1e-300, 0.0, 1.0], [0.0, 0.0, 3.0, 0.0])
+    bad = []
+    for row in rows:
+        for u in (0.0, 0.5, math.nextafter(1.0, 0.0)):
+            c = draw(row, u)
+            if not (0 <= c < len(row) and row[c] > 0 and c == inverse_cdf(np.array(row), u)):
+                bad.append(f"{row} at u={u!r} drew {c}")
+    n, T, zeros = 10, 2000, 0
+    for eta in (50.0, 1e6):
+        trace = run_episode(SchemeConfig("partial_info", n=n, horizon=T, eta=eta),
+                            RandomizedPositional("borda"), IIDRandomSource(n, 3), T, seed=seed)
+        p = trace.probs[np.arange(T), trace.chosen]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero p fails below
+            estimates = np.bincount(trace.chosen, trace.winner_loss / p, minlength=n)
+        if not (np.all(p > 0) and np.isfinite(trace.probs).all() and np.isfinite(estimates).all()):
+            bad.append(f"eta={eta:g}: a zero-probability voter was chosen or an estimate overflowed")
+        zeros += int(np.count_nonzero(trace.probs == 0))
+    detail = bad[0] if bad else (f"{len(rows) * 3} edge draws on positive weight; "
+                                 f"{zeros} zero probabilities in EXP3 episodes, none chosen")
+    return CheckResult("estimator_error_path", not bad, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ def _build_source(spec: dict, rule, n: int, m: int):
         return IIDRandomSource(n, m)
     if kind == "file":
         path = spec.get("path")
-        if not path or not os.path.exists(path):
-            raise VoteWeightError(f"sequence file not found: {path!r}")
+        if not path or not isinstance(path, str):
+            raise VoteWeightError(f"file source needs a path, got {path!r}")
         return FileSource(path)
     raise VoteWeightError(f"unknown source kind {kind!r}")
 

@@ -2,8 +2,8 @@
 
 Alternatives are round-local integers ``0..m-1``. Positions within a ranking
 are 0-based, so the most preferred alternative has position 0. All types here
-are immutable values after construction; random sampling takes an explicit
-caller-owned generator.
+are immutable values after construction; draws take uniforms the caller
+supplies.
 """
 
 from __future__ import annotations
@@ -65,16 +65,9 @@ class Ranking:
             pos[a] = rank
         return tuple(pos)
 
-    def position(self, a: int) -> int:
-        return self.positions[a]
-
     def prefers(self, a: int, b: int) -> bool:
         """True iff a is ranked strictly above b."""
         return self.positions[a] < self.positions[b]
-
-    @property
-    def top(self) -> int:
-        return self.order[0]
 
     @cached_property
     def code(self) -> int:
@@ -120,20 +113,6 @@ def orders_from_codes(codes, m: int) -> np.ndarray:
     return orders
 
 
-def ranking_from_code(code: int, m: int) -> Ranking:
-    """Inverse of :func:`rank_codes` for one code."""
-    return Ranking(tuple(orders_from_codes([code], m)[0].tolist()))
-
-
-def make_ranking(order: Sequence[int], m: int) -> Ranking:
-    """Build a ranking over m alternatives, validating the permutation."""
-    if len(order) != m:
-        raise InvalidRankingError(
-            f"expected {m} alternatives, got {len(order)}"
-        )
-    return Ranking(tuple(int(a) for a in order))
-
-
 @dataclass(frozen=True)
 class AnonymousProfile:
     """Sparse distribution over rankings: mass[r] is the weight fraction on r.
@@ -160,10 +139,6 @@ class AnonymousProfile:
 
     def items(self) -> Iterable[tuple[Ranking, float]]:
         return self.mass.items()
-
-    @property
-    def support(self) -> Iterable[Ranking]:
-        return self.mass.keys()
 
 
 def unanimous(ranking: Ranking) -> AnonymousProfile:
@@ -243,15 +218,3 @@ def draw(weights: Sequence[float], u: float) -> int:
     cdf = list(itertools.accumulate(weights))
     return bisect.bisect_right([x / cdf[-1] for x in cdf], u)
 
-
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from an unnormalized non-negative vector."""
-    return int(inverse_cdf(probs, rng.random()))
-
-
-def expected_loss(rule, profile: AnonymousProfile, losses: np.ndarray) -> float:
-    """Expected loss of the alternative the rule picks: f(profile) . losses."""
-    ell = np.asarray(losses, dtype=float)
-    if len(ell) != profile.m:
-        raise ShapeError(f"{len(ell)} losses for a profile with m={profile.m}")
-    return float(rule.evaluate(profile) @ ell)

@@ -33,9 +33,5 @@ class HypothesisViolatedError(VoteWeightError, ValueError):
     """An adversary construction was invoked outside its stated hypothesis."""
 
 
-class EstimatorUndefinedError(VoteWeightError, ValueError):
-    """The importance-weighted loss estimate divides by zero probability."""
-
-
 class ConfigError(VoteWeightError, ValueError):
     """Malformed experiment configuration or incompatible component pairing."""

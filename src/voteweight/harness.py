@@ -2,8 +2,9 @@
 exact expected losses, and compute regret against the best voter in hindsight.
 
 Expected losses are computed in closed form from the rule's output
-distribution; sampling is used only for the winner that is actually fed back
-in partial-information mode (and recorded for replay checks).
+distribution. Sampling picks the voter a sampled scheme plays and the winner,
+whose realized loss is the only feedback in partial-information mode; both
+draws are recorded for replay checks.
 
 Votes are rank codes and an episode evaluates the rule once per distinct code
 (:class:`~voteweight.rules.OutcomeTable`). Full-information kinds on oblivious
@@ -18,7 +19,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .adversaries import (
     winner_punishing_round,
 )
 from .core import (
-    Ranking,
     check_alternatives,
     draw,
     group_profile,
@@ -43,7 +43,6 @@ from .rules import (
     OutcomeTable,
     RandomizedCopeland,
     VotingRule,
-    per_voter_losses,
     unanimity_witness,
 )
 from .schemes import SchemeConfig, exp_weights
@@ -154,7 +153,11 @@ class FileSource:
 
     def __init__(self, path: str):
         ms, codes, losses = [], [], []
-        with open(path) as fh:
+        try:
+            fh = open(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read sequence file {path!r}: {exc.strerror}") from exc
+        with fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -377,13 +380,3 @@ def monte_carlo_regret(
     stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
 
-
-def oracle_expected_round_loss(
-    rule: VotingRule,
-    rankings: Sequence[Ranking],
-    losses: np.ndarray,
-    probs: np.ndarray,
-) -> float:
-    """Closed-form expected loss of sampling a voter from `probs` and applying
-    the rule to that voter's unanimous profile."""
-    return float(probs @ per_voter_losses(rule, rankings, losses))

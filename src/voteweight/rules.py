@@ -442,13 +442,3 @@ class OutcomeTable:
             out += self.U[idx, k] * losses[..., k, None]
         return out
 
-
-def per_voter_losses(
-    rule: VotingRule, rankings: Sequence[Ranking], losses: np.ndarray
-) -> np.ndarray:
-    """Loss each voter's ranking would incur if it carried all the weight."""
-    ell = np.asarray(losses, dtype=float)
-    if any(r.m != len(ell) for r in rankings):
-        raise ShapeError(f"rankings and {len(ell)} losses disagree on m")
-    table = OutcomeTable(rule, len(ell))
-    return np.array([table.loss(table.row(len(ell), r.code), ell) for r in rankings])

@@ -1,7 +1,11 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
-from voteweight import make_ranking
+from voteweight import FileSource, Ranking, unanimous
 # re-exported for the test modules
 from voteweight.adversaries import random_rankings  # noqa: F401
 
@@ -12,7 +16,29 @@ def rng():
 
 
 def ranking(*order):
-    return make_ranking(order, len(order))
+    return Ranking(tuple(order))
+
+
+def voter_rankings(challenge):
+    """One ranking per voter of an adversary's grouped round."""
+    return tuple(challenge.representatives[g] for g in challenge.groups.tolist())
+
+
+def voter_losses(rule, rankings, losses):
+    """Each voter's expected loss if its ranking carried all the weight."""
+    return np.array([float(rule.evaluate(unanimous(r)) @ losses) for r in rankings])
+
+
+def file_source(lines):
+    """A FileSource over the given JSONL round objects; it parses the whole
+    file on construction, so the file is removed right after."""
+    fd, path = tempfile.mkstemp(suffix=".jsonl")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(json.dumps(obj) + "\n" for obj in lines)
+        return FileSource(path)
+    finally:
+        os.unlink(path)
 
 
 @pytest.fixture

@@ -6,12 +6,11 @@ import pytest
 from voteweight import (
     TOL,
     DeterministicPositional,
+    IIDRandomSource,
     RandomizedCopeland,
     anonymize,
     condorcet_split_round,
     condorcet_winner,
-    expected_loss,
-    iid_random_round,
     majority_prefix_partition,
     orient_gap_pair,
     top_two_ranking,
@@ -25,10 +24,11 @@ from voteweight.errors import (
     DegenerateWeightsError,
     HypothesisViolatedError,
     NoWitnessError,
+    ShapeError,
 )
-from voteweight.rules import ConstantUniform, per_voter_losses
+from voteweight.rules import ConstantUniform
 
-from conftest import ranking
+from conftest import ranking, voter_losses, voter_rankings
 
 
 class TestWinnerPunishingRound:
@@ -38,7 +38,7 @@ class TestWinnerPunishingRound:
 
     def test_majority_weight_picks_second_ranking(self):
         round_ = winner_punishing_round([1, 1, 1], self.rule, self.witness)
-        assert round_.rankings == (ranking(0, 1, 2), ranking(1, 0, 2), ranking(1, 0, 2))
+        assert voter_rankings(round_) == (ranking(0, 1, 2), ranking(1, 0, 2), ranking(1, 0, 2))
         # 2/3 of the weight puts b on top, so b wins and is punished
         assert np.array_equal(round_.losses, [0, 1, 0])
 
@@ -50,9 +50,9 @@ class TestWinnerPunishingRound:
         for _ in range(20):
             w = rng.random(4) + 1e-3
             round_ = winner_punishing_round(w, self.rule, self.witness)
-            profile = anonymize(round_.rankings, w)
-            assert expected_loss(self.rule, profile, round_.losses) == 1.0
-            voter = per_voter_losses(self.rule, round_.rankings, round_.losses)
+            rankings = voter_rankings(round_)
+            assert self.rule.evaluate(anonymize(rankings, w)) @ round_.losses == 1.0
+            voter = voter_losses(self.rule, rankings, round_.losses)
             assert voter.sum() <= len(w) - 1
 
     def test_randomized_rule_rejected(self):
@@ -171,17 +171,17 @@ class TestCondorcetSplitRound:
 
     def test_uniform_eleven_voters(self):
         round_ = condorcet_split_round(np.ones(11), self.pair, self.delta)
-        n_heavy = sum(r == self.pair.top_ab for r in round_.rankings)
+        n_heavy = sum(r == self.pair.top_ab for r in voter_rankings(round_))
         assert n_heavy == 6
         assert np.array_equal(round_.losses, [1.0, 0.0, 0.5])
 
     def test_scheme_loss_and_average_gap(self):
         w = np.ones(11)
         round_ = condorcet_split_round(w, self.pair, self.delta)
-        profile = anonymize(round_.rankings, w)
-        scheme_loss = expected_loss(self.rule, profile, round_.losses)
+        rankings = voter_rankings(round_)
+        scheme_loss = self.rule.evaluate(anonymize(rankings, w)) @ round_.losses
         assert scheme_loss == pytest.approx(2 / 3, abs=TOL)
-        avg = per_voter_losses(self.rule, round_.rankings, round_.losses).mean()
+        avg = voter_losses(self.rule, rankings, round_.losses).mean()
         assert avg == pytest.approx(0.5 + 1 / 66, abs=TOL)
         assert scheme_loss - avg == pytest.approx(5 / 33, abs=TOL)
         assert scheme_loss - avg >= self.delta / 6 - TOL
@@ -190,15 +190,15 @@ class TestCondorcetSplitRound:
         for _ in range(50):
             w = rng.random(11) + 1e-3
             round_ = condorcet_split_round(w, self.pair, self.delta)
-            assert condorcet_winner(anonymize(round_.rankings, w)) == self.pair.a
+            assert condorcet_winner(anonymize(voter_rankings(round_), w)) == self.pair.a
 
     def test_per_round_gap_for_random_weights(self, rng):
         for _ in range(50):
             w = rng.random(11) + 1e-3
             round_ = condorcet_split_round(w, self.pair, self.delta)
-            profile = anonymize(round_.rankings, w)
-            scheme_loss = expected_loss(self.rule, profile, round_.losses)
-            avg = per_voter_losses(self.rule, round_.rankings, round_.losses).mean()
+            rankings = voter_rankings(round_)
+            scheme_loss = self.rule.evaluate(anonymize(rankings, w)) @ round_.losses
+            avg = voter_losses(self.rule, rankings, round_.losses).mean()
             assert scheme_loss - avg >= self.delta / 6 - TOL
 
     def test_too_few_voters_rejected(self):
@@ -217,22 +217,27 @@ class TestCondorcetSplitRound:
 
 
 class TestIIDRandomRound:
-    def test_single_alternative(self, rng):
-        round_ = iid_random_round(4, 1, rng)
-        assert all(r.order == (0,) for r in round_.rankings)
-        assert len(round_.losses) == 1
+    """The i.i.d. rounds `simulate` draws, from `IIDRandomSource.rounds`."""
+
+    def test_shapes(self, rng):
+        rounds = IIDRandomSource(4, 2).rounds(5, rng)
+        assert rounds.m.tolist() == [2] * 5
+        assert rounds.codes.shape == (5, 4) and set(rounds.codes.ravel().tolist()) <= {0, 1}
+        assert rounds.losses.shape == (5, 2)
+        assert np.all((rounds.losses >= 0) & (rounds.losses < 1))
+
+    def test_single_alternative(self):
+        with pytest.raises(ShapeError):
+            IIDRandomSource(4, 1)
 
     def test_deterministic_replay(self):
-        a = iid_random_round(5, 3, np.random.default_rng(7))
-        b = iid_random_round(5, 3, np.random.default_rng(7))
-        assert a.rankings == b.rankings
+        a = IIDRandomSource(5, 3).rounds(20, np.random.default_rng(7))
+        b = IIDRandomSource(5, 3).rounds(20, np.random.default_rng(7))
+        assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.losses, b.losses)
 
     def test_ranking_uniformity(self):
-        rng = np.random.default_rng(0)
         draws = 10**4
-        hits = sum(
-            iid_random_round(1, 2, rng).rankings[0].order == (0, 1)
-            for _ in range(draws)
-        )
+        rounds = IIDRandomSource(1, 2).rounds(draws, np.random.default_rng(0))
+        hits = np.count_nonzero(rounds.codes[:, 0] == 0)
         assert abs(hits / draws - 0.5) <= 3 * math.sqrt(0.25 / draws)

@@ -119,6 +119,16 @@ class TestSimulate:
         assert not out.exists()
         assert "nope.jsonl" in capsys.readouterr().err
 
+    def test_unreadable_sequence_file(self, tmp_path, capsys):
+        folder = tmp_path / "rounds.jsonl"
+        folder.mkdir()
+        cfg = write_config(tmp_path, source={"kind": "file", "path": str(folder)})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+
     def test_malformed_config(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -205,6 +215,8 @@ class TestSimulate:
             {"scheme": {"kind": "constant"}, "feedback": "partial"},
             {"feedback": "bandit"},
             {"scheme": {"kind": "full_info", "eta": float("nan")}},
+            {"scheme": {"kind": "full_info", "eta": "0.5"}},
+            {"scheme": {"kind": "full_info", "eta": True}},
             {"note": float("nan")},
             {"trials": 0},
             {"source": "iid_random"},
@@ -215,8 +227,8 @@ class TestSimulate:
              "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
         ],
         ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
-             "unknown_feedback", "nan_eta", "nan_in_summary", "zero_trials",
-             "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
+             "unknown_feedback", "nan_eta", "eta_string", "eta_bool", "nan_in_summary",
+             "zero_trials", "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
              "thm5_string_delta"],
     )
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides):
@@ -226,8 +238,9 @@ class TestSimulate:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "error" in err
-        if "delta" in str(overrides.get("source")):
-            assert "delta" in err
+        for key, section in (("delta", "source"), ("eta", "scheme")):
+            if key in str(overrides.get(section)):
+                assert key in err
 
     def test_file_line_with_one_alternative_writes_nothing(self, tmp_path):
         seq = tmp_path / "rounds.jsonl"

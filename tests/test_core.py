@@ -9,12 +9,9 @@ from voteweight import (
     TOL,
     ConstantUniform,
     RandomizedPositional,
+    Ranking,
     anonymize,
-    expected_loss,
-    make_ranking,
     rank_codes,
-    ranking_from_code,
-    sample_index,
     unanimous,
 )
 from voteweight.core import (
@@ -22,41 +19,45 @@ from voteweight.core import (
     AnonymousProfile,
     all_rankings,
     check_alternatives,
+    draw,
     group_profile,
+    inverse_cdf,
     orders_from_codes,
 )
 from voteweight.errors import (
+    ConfigError,
     DegenerateWeightsError,
     InvalidRankingError,
     ShapeError,
 )
 
-from conftest import random_rankings, ranking
+from conftest import file_source, random_rankings, ranking
 
 
 class TestMakeRanking:
     def test_identity_permutation(self):
-        r = make_ranking([0, 1, 2], 3)
+        r = Ranking((0, 1, 2))
         assert r.order == (0, 1, 2)
-        assert r.position(0) == 0
+        assert r.positions[0] == 0
 
     def test_transposition_positions(self):
-        r = make_ranking([1, 0, 2], 3)
-        assert r.position(1) == 0
-        assert r.position(0) == 1
+        r = Ranking((1, 0, 2))
+        assert r.positions[1] == 0
+        assert r.positions[0] == 1
         assert r.prefers(1, 0)
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(InvalidRankingError):
-            make_ranking([0, 0, 2], 3)
+            Ranking((0, 0, 2))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidRankingError):
-            make_ranking([0, 1, 3], 3)
+            Ranking((0, 1, 3))
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(InvalidRankingError):
-            make_ranking([0, 1], 3)
+        # a round's rankings must cover the alternatives of its loss vector
+        with pytest.raises(ConfigError, match=r"shape \(1, 2\), expected \(1, 3\)"):
+            file_source([{"rankings": [[0, 1]], "losses": [0.0, 0.0, 0.0]}])
 
 
 class TestAnonymize:
@@ -176,56 +177,58 @@ class TestGroupProfile:
 
 
 class TestExpectedLoss:
+    """The expected loss of a rule's pick is its outcome dotted with the losses."""
+
     def test_dot_product_by_hand(self, abc):
         # randomized Borda on the unanimous profile gives (2/3, 1/3, 0)
         rule = RandomizedPositional("borda")
-        loss = expected_loss(rule, unanimous(abc), np.array([1.0, 0.0, 0.5]))
+        loss = rule.evaluate(unanimous(abc)) @ np.array([1.0, 0.0, 0.5])
         assert loss == pytest.approx(2 / 3, abs=TOL)
 
     def test_zero_losses(self, abc, bca):
-        rule = ConstantUniform()
         profile = anonymize([abc, bca], [1, 2])
-        assert expected_loss(rule, profile, np.zeros(3)) == 0.0
+        assert ConstantUniform().evaluate(profile) @ np.zeros(3) == 0.0
 
     def test_point_mass_distribution(self, abc):
         rule = RandomizedPositional("plurality")
-        loss = expected_loss(rule, unanimous(abc), np.array([0.7, 0.1, 0.2]))
+        loss = rule.evaluate(unanimous(abc)) @ np.array([0.7, 0.1, 0.2])
         assert loss == pytest.approx(0.7, abs=TOL)
 
-    def test_shape_mismatch(self, abc):
-        with pytest.raises(ShapeError):
-            expected_loss(ConstantUniform(), unanimous(abc), np.zeros(4))
+    def test_shape_mismatch(self):
+        # a loss vector longer than the round's rankings is rejected on reading
+        with pytest.raises(ConfigError, match=r"shape \(1, 3\), expected \(1, 4\)"):
+            file_source([{"rankings": [[0, 1, 2]], "losses": [0.0, 0.0, 0.0, 0.0]}])
 
     @given(seed=st.integers(0, 10**6), alpha=st.floats(0, 1))
     @settings(max_examples=40, deadline=None)
     def test_linearity_in_losses(self, seed, alpha):
         rng = np.random.default_rng(seed)
-        rule = RandomizedPositional("borda")
-        profile = anonymize(random_rankings(4, 3, rng), rng.random(4) + 1e-6)
+        outcome = RandomizedPositional("borda").evaluate(
+            anonymize(random_rankings(4, 3, rng), rng.random(4) + 1e-6))
         l1, l2 = rng.random(3), rng.random(3)
-        combined = expected_loss(rule, profile, alpha * l1 + (1 - alpha) * l2)
-        split = alpha * expected_loss(rule, profile, l1) + (1 - alpha) * expected_loss(
-            rule, profile, l2
-        )
+        combined = outcome @ (alpha * l1 + (1 - alpha) * l2)
+        split = alpha * (outcome @ l1) + (1 - alpha) * (outcome @ l2)
         assert combined == pytest.approx(split, abs=TOL)
 
 
 class TestSample:
     def test_point_mass(self, rng):
         dist = np.array([0.0, 1.0, 0.0])
-        assert all(sample_index(dist, rng) == 1 for _ in range(20))
+        assert np.all(inverse_cdf(np.tile(dist, (20, 1)), rng.random(20)) == 1)
+        assert all(draw(dist.tolist(), u) == 1 for u in rng.random(20).tolist())
 
     def test_point_mass_any_seed(self):
         dist = np.array([1.0, 0.0, 0.0])
         stale = np.random.default_rng(0)
         stale.random(100)
         fresh = np.random.default_rng(99)
-        assert sample_index(dist, stale) == sample_index(dist, fresh) == 0
+        for u in (stale.random(), fresh.random()):
+            assert inverse_cdf(dist, u) == draw(dist.tolist(), u) == 0
 
     def test_monte_carlo_frequency(self, rng):
         draws = 10**5
         dist = np.array([0.5, 0.5])
-        hits = sum(sample_index(dist, rng) == 0 for _ in range(draws))
+        hits = np.count_nonzero(inverse_cdf(np.tile(dist, (draws, 1)), rng.random(draws)) == 0)
         assert abs(hits / draws - 0.5) <= 3 * math.sqrt(0.25 / draws)
 
 
@@ -242,10 +245,10 @@ class TestRankCodes:
     @settings(max_examples=60, deadline=None)
     def test_decode_round_trip(self, m, data):
         code = data.draw(st.integers(0, math.factorial(m) - 1))
-        ranking = ranking_from_code(code, m)
-        assert sorted(ranking.order) == list(range(m))
-        assert rank_codes(ranking.order) == code
-        assert rank_codes(np.array([ranking.order] * 2)).dtype == np.int64
+        order = orders_from_codes([code], m)[0]
+        assert sorted(order.tolist()) == list(range(m))
+        assert rank_codes(order) == code
+        assert rank_codes(np.array([order] * 2)).dtype == np.int64
 
     def test_largest_code_fits_int64(self):
         last = tuple(range(MAX_M - 1, -1, -1))
@@ -253,7 +256,7 @@ class TestRankCodes:
 
     def test_out_of_range_code_rejected(self):
         with pytest.raises(InvalidRankingError):
-            ranking_from_code(6, 3)
+            orders_from_codes(6, 3)
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_orders_from_codes_decodes_every_code(self, m):

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -12,29 +11,24 @@ from voteweight import (
     CondorcetSplitSource,
     ConstantUniform,
     DeterministicPositional,
-    FileSource,
     IIDRandomSource,
     RandomizedCopeland,
     RandomizedPositional,
+    Ranking,
     SchemeConfig,
-    SchemeState,
     WinnerPunishingSource,
     anonymize,
     best_voter,
-    expected_loss,
-    make_ranking,
     monte_carlo_regret,
     orient_gap_pair,
-    oracle_expected_round_loss,
     regret,
     run_episode,
     unanimity_witness,
     unanimous,
-    voter_distribution,
 )
 from voteweight.errors import ConfigError, NoWitnessError
 
-from conftest import random_rankings
+from conftest import file_source, random_rankings, voter_rankings
 
 
 def episode(kind="full_info", rule=None, source=None, n=4, m=3, T=50,
@@ -107,7 +101,7 @@ class TestBestVoter:
         lines = [
             {"rankings": [[0, 1], [1, 0]], "losses": [0.0, 0.0]} for _ in range(5)
         ]
-        source = _file_source(lines)
+        source = file_source(lines)
         trace = episode(n=2, T=5, source=source)
         assert best_voter(trace) == (0, 0.0)
 
@@ -159,39 +153,44 @@ class TestMonteCarlo:
         assert mean >= 30 / 4
 
 
+def random_lines(n, m, T, rng):
+    """T file rounds of n uniform rankings over m alternatives and uniform losses."""
+    return [{"rankings": [list(r.order) for r in random_rankings(n, m, rng)],
+             "losses": rng.random(m).tolist()} for _ in range(T)]
+
+
 class TestOracle:
+    """The scheme's expected round loss against the voter distribution it played."""
+
     def test_point_mass_matches_single_voter(self, rng):
         rule = RandomizedPositional("borda")
-        votes = random_rankings(4, 3, rng)
-        ell = rng.random(3)
-        p = np.zeros(4)
-        p[2] = 1.0
-        oracle = oracle_expected_round_loss(rule, votes, ell, p)
-        assert oracle == pytest.approx(
-            expected_loss(rule, unanimous(votes[2]), ell), abs=TOL
-        )
+        lines = random_lines(4, 3, 10, rng)
+        trace = episode("constant", rule=rule, source=file_source(lines), n=4, T=10)
+        for t, line in enumerate(lines):
+            single = rule.evaluate(unanimous(Ranking(tuple(line["rankings"][0]))))
+            assert trace.scheme_loss[t] == pytest.approx(single @ line["losses"], abs=TOL)
 
     def test_decomposing_rule_matches_mixed_profile(self, rng):
         rule = RandomizedPositional("plurality")
-        for _ in range(20):
-            votes = random_rankings(5, 3, rng)
-            ell = rng.random(3)
-            p = rng.random(5) + 1e-3
-            p /= p.sum()
-            oracle = oracle_expected_round_loss(rule, votes, ell, p)
-            mixed = expected_loss(rule, anonymize(votes, p), ell)
-            assert oracle == pytest.approx(mixed, abs=TOL)
+        lines = random_lines(5, 3, 20, rng)
+        trace = episode("deterministic_unilateral", rule=rule, source=file_source(lines),
+                        n=5, T=20)
+        for t, line in enumerate(lines):
+            rankings = [Ranking(tuple(r)) for r in line["rankings"]]
+            mixed = rule.evaluate(anonymize(rankings, trace.probs[t])) @ line["losses"]
+            sampled = trace.probs[t] @ trace.per_voter_loss[t]
+            assert trace.scheme_loss[t] == pytest.approx(sampled, abs=TOL)
+            assert mixed == pytest.approx(sampled, abs=TOL)
 
     def test_condorcet_split_breaks_decomposition(self):
         # on a split round, mixing the profile costs strictly more than
         # averaging over voters: the non-decomposability witness
         rule = RandomizedCopeland()
-        source = CondorcetSplitSource(rule, 3)
-        w = np.full(11, 1 / 11)
-        round_ = source.emit(1, w, np.random.default_rng(0))
-        oracle = oracle_expected_round_loss(rule, round_.rankings, round_.losses, w)
-        mixed = expected_loss(rule, anonymize(round_.rankings, w), round_.losses)
-        assert mixed > oracle + 0.05
+        with pytest.warns(UserWarning):
+            trace = episode("deterministic_unilateral", rule=rule, n=11, T=1,
+                            source=CondorcetSplitSource(rule, 3))
+        assert np.array_equal(trace.probs[0], np.full(11, 1 / 11))
+        assert trace.scheme_loss[0] > trace.probs[0] @ trace.per_voter_loss[0] + 0.05
 
 
 class TestDeterministicMatchesSampledMarginal:
@@ -199,16 +198,12 @@ class TestDeterministicMatchesSampledMarginal:
         # with identical cumulative losses, playing the voter distribution as
         # weights costs exactly the sampled schemes' marginal, for rules that
         # decompose across voters
-        rule = RandomizedPositional("borda")
-        cfg = SchemeConfig("full_info", n=5, horizon=100)
-        for _ in range(20):
-            state = SchemeState(rng.random(5) * 10, 50)
-            p = voter_distribution(state, cfg)
-            votes = random_rankings(5, 3, rng)
-            ell = rng.random(3)
-            sampled_marginal = oracle_expected_round_loss(rule, votes, ell, p)
-            deterministic = expected_loss(rule, anonymize(votes, p), ell)
-            assert abs(sampled_marginal - deterministic) <= TOL
+        source = file_source(random_lines(5, 3, 20, rng))
+        sampled = episode("full_info", source=source, n=5, T=20)
+        deterministic = episode("deterministic_unilateral", source=source, n=5, T=20)
+        assert np.array_equal(sampled.probs, deterministic.probs)
+        marginal = np.einsum("tn,tn->t", sampled.probs, sampled.per_voter_loss)
+        assert np.max(np.abs(marginal - deterministic.scheme_loss)) <= TOL
 
 
 class TestEpisodeCrossCheck:
@@ -220,19 +215,9 @@ class TestEpisodeCrossCheck:
         assert abs(diff.mean()) <= 3 * stderr
 
 
-def _file_source(lines, tmp_dir=None):
-    import tempfile, os
-
-    fd, path = tempfile.mkstemp(suffix=".jsonl")
-    with os.fdopen(fd, "w") as fh:
-        for obj in lines:
-            fh.write(json.dumps(obj) + "\n")
-    return FileSource(path)
-
-
 class TestFileSource:
     def test_round_trip(self):
-        source = _file_source(
+        source = file_source(
             [
                 {"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]},
                 {"rankings": [[1, 0], [0, 1]], "losses": [1.0, 0.0]},
@@ -248,15 +233,15 @@ class TestFileSource:
             {"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]},
             {"rankings": [[1, 0], [0, 1]], "losses": [1.0, 0.0]},
         ] * 3
-        trace = episode(n=2, T=6, source=_file_source(lines))
+        trace = episode(n=2, T=6, source=file_source(lines))
         assert len(trace.scheme_loss) == 6
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
-            _file_source([{"rankings": [[0, 0, 2]], "losses": [0, 0, 0]}])
+            file_source([{"rankings": [[0, 0, 2]], "losses": [0, 0, 0]}])
 
     def test_too_short_rejected(self):
-        source = _file_source([{"rankings": [[0, 1]], "losses": [0.5, 0.5]}])
+        source = file_source([{"rankings": [[0, 1]], "losses": [0.5, 0.5]}])
         with pytest.raises(ConfigError):
             episode(n=1, T=2, source=source)
 
@@ -327,11 +312,10 @@ class TestScalarReference:
     def test_file_episodes_match_reference(self, case, rule, seed):
         n, lines = case
         T = len(lines)
-        source = _file_source(lines)
+        source = file_source(lines)
 
         def round_at(t, weights):
-            m = len(lines[t]["losses"])
-            return [make_ranking(r, m) for r in lines[t]["rankings"]], lines[t]["losses"]
+            return [Ranking(tuple(r)) for r in lines[t]["rankings"]], lines[t]["losses"]
 
         for kind in SCHEME_KINDS:
             scheme = SchemeConfig(kind, n=n, horizon=T)
@@ -359,7 +343,7 @@ class TestScalarReference:
 
             def round_at(t, weights):
                 round_ = source.emit(t + 1, weights, np.random.default_rng(0))
-                return round_.rankings, round_.losses.tolist()
+                return voter_rankings(round_), round_.losses.tolist()
 
             scalar_replay(scheme, rule, trace, round_at)
 

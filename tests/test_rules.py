@@ -28,7 +28,7 @@ from voteweight import (
     unanimous,
 )
 from voteweight.adversaries import random_profile
-from voteweight.core import all_rankings, ranking_from_code
+from voteweight.core import all_rankings
 from voteweight.errors import (
     ConfigError,
     EnumerationRefusedError,
@@ -396,7 +396,7 @@ def scalar_table(rule, width, calls):
         for code in sorted(set(np.ravel(codes).tolist())):
             if (m, code) not in keys:
                 keys[(m, code)] = len(outcomes)
-                rankings.append(ranking_from_code(code, m))
+                rankings.append(all_rankings(m)[code])
                 outcome = rule.evaluate(unanimous(rankings[-1])).tolist()
                 outcomes.append(outcome + [0.0] * (width - m))
         rows.append(np.vectorize(lambda c: keys[(m, c)], otypes=[np.int64])(codes))

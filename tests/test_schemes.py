@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -8,22 +10,26 @@ from voteweight import (
     RandomizedCopeland,
     RandomizedPositional,
     SchemeConfig,
-    SchemeState,
-    act,
     anonymize,
-    full_info_update,
-    initial_state,
-    partial_info_update,
+    exp_weights,
+    run_episode,
     unanimous,
-    voter_distribution,
 )
-from voteweight.errors import ConfigError, EstimatorUndefinedError
+from voteweight import checks
+from voteweight.errors import ConfigError
 
-from conftest import random_rankings, ranking
+from conftest import file_source, random_rankings, ranking
 
 
 def config(kind="full_info", n=3, T=100, eta=None):
     return SchemeConfig(kind, n=n, horizon=T, eta=eta)
+
+
+def play(kind, lines, eta=None, rule=None, seed=0):
+    """`run_episode` over the given file rounds, one round per line."""
+    scheme = config(kind, n=len(lines[0]["rankings"]), T=len(lines), eta=eta)
+    rule = rule or RandomizedPositional("borda")
+    return run_episode(scheme, rule, file_source(lines), len(lines), seed=seed)
 
 
 class TestConfig:
@@ -45,138 +51,149 @@ class TestConfig:
             config("softmax")
 
     def test_bad_eta(self):
-        with pytest.raises(ConfigError):
-            config(eta=-1.0)
+        for eta in (-1.0, 0, math.nan, math.inf, "0.5", True):
+            with pytest.raises(ConfigError, match="eta"):
+                config(eta=eta)
 
 
 class TestVoterDistribution:
+    """The voter distribution the engine plays is `exp_weights` of the cumulative losses."""
+
     def test_first_round_is_uniform(self):
-        cfg = config(n=5)
-        p = voter_distribution(initial_state(cfg), cfg)
-        assert np.allclose(p, 0.2, atol=TOL)
+        assert np.allclose(exp_weights(np.zeros(5), 0.3), 0.2, atol=TOL)
 
     def test_softmax_by_hand(self):
-        cfg = config(n=2, eta=1.0)
-        p = voter_distribution(SchemeState(np.array([0.0, 1.0]), 0), cfg)
+        p = exp_weights(np.array([0.0, 1.0]), 1.0)
         z = 1 + math.exp(-1)
         assert np.allclose(p, [1 / z, math.exp(-1) / z], atol=1e-9)
 
     def test_shift_invariance(self, rng):
-        cfg = config(n=6, eta=0.3)
         cum = rng.random(6) * 5
-        base = voter_distribution(SchemeState(cum, 0), cfg)
-        shifted = voter_distribution(SchemeState(cum + 17.0, 0), cfg)
-        assert np.allclose(base, shifted, atol=TOL)
+        assert np.allclose(exp_weights(cum, 0.3), exp_weights(cum + 17.0, 0.3), atol=TOL)
 
     def test_overflow_safety(self):
-        cfg = config(n=2, eta=1.0)
-        p = voter_distribution(SchemeState(np.array([0.0, 5000.0]), 0), cfg)
+        p = exp_weights(np.array([0.0, 5000.0]), 1.0)
         assert np.isfinite(p).all()
         assert p[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_permutation_equivariance(self, rng):
-        cfg = config(n=5, eta=0.7)
         cum = rng.random(5) * 3
         perm = rng.permutation(5)
-        base = voter_distribution(SchemeState(cum, 0), cfg)
-        permuted = voter_distribution(SchemeState(cum[perm], 0), cfg)
-        assert np.allclose(base[perm], permuted, atol=TOL)
+        assert np.allclose(exp_weights(cum, 0.7)[perm], exp_weights(cum[perm], 0.7), atol=TOL)
 
 
 class TestFullInfoUpdate:
-    def test_borda_increment(self, abc, bac):
-        cfg = config(n=2, T=10)
-        rule = RandomizedPositional("borda")
-        state = full_info_update(
-            initial_state(cfg), cfg, [abc, bac], np.array([1.0, 0.0, 0.5]), rule
-        )
+    def test_borda_increment(self):
         # voter 0 reports abc: (2/3, 1/3, 0) . (1, 0, 0.5) = 2/3
-        assert state.cumulative[0] == pytest.approx(2 / 3, abs=TOL)
-        assert state.t == 1
+        lines = [{"rankings": [[0, 1, 2], [1, 0, 2]], "losses": [1.0, 0.0, 0.5]},
+                 {"rankings": [[0, 1, 2], [1, 0, 2]], "losses": [0.0, 1.0, 0.5]}]
+        trace = play("full_info", lines, eta=1.0)
+        assert trace.per_voter_loss[0, 0] == pytest.approx(2 / 3, abs=TOL)
+        # round 2 plays the softmax of round 1's per-voter losses
+        assert np.allclose(trace.probs[1], exp_weights(trace.per_voter_loss[0], 1.0), atol=TOL)
 
-    def test_zero_losses(self, abc, bac):
-        cfg = config(n=2, T=10)
-        state = full_info_update(
-            initial_state(cfg), cfg, [abc, bac], np.zeros(3),
-            RandomizedPositional("borda"),
-        )
-        assert np.array_equal(state.cumulative, [0.0, 0.0])
-        assert state.t == 1
+    def test_zero_losses(self):
+        lines = [{"rankings": [[0, 1, 2], [1, 0, 2]], "losses": [0.0, 0.0, 0.0]},
+                 {"rankings": [[0, 1, 2], [1, 0, 2]], "losses": [1.0, 0.0, 0.5]}]
+        trace = play("full_info", lines, eta=1.0)
+        assert np.array_equal(trace.per_voter_loss[0], [0.0, 0.0])
+        assert np.array_equal(trace.probs[1], [0.5, 0.5])
 
-    def test_identical_rankings_identical_increments(self, abc, rng):
-        cfg = config(n=3, T=10)
-        state = full_info_update(
-            initial_state(cfg), cfg, [abc, abc, abc], rng.random(3),
-            RandomizedCopeland(),
-        )
-        assert state.cumulative[0] == state.cumulative[1] == state.cumulative[2]
-
-    def test_horizon_guard(self, abc):
-        cfg = config(n=1, T=1)
-        state = SchemeState(np.zeros(1), 1)
-        with pytest.raises(ConfigError):
-            full_info_update(state, cfg, [abc], np.zeros(3), RandomizedCopeland())
+    def test_identical_rankings_identical_increments(self, rng):
+        lines = [{"rankings": [[0, 1, 2]] * 3, "losses": rng.random(3).tolist()}]
+        trace = play("full_info", lines, rule=RandomizedCopeland())
+        assert trace.per_voter_loss[0, 0] == trace.per_voter_loss[0, 1] == trace.per_voter_loss[0, 2]
 
 
 class TestPartialInfoUpdate:
+    @staticmethod
+    def only_chosen_moves(trace, eta, t=0):
+        """Round t+1's probabilities, recomputed from a tally in which only
+        round t's chosen voter moved, by its winner loss over its probability."""
+        c = trace.chosen[t]
+        tally = np.zeros(trace.probs.shape[1])
+        tally[c] = trace.winner_loss[t] / trace.probs[t, c]
+        return tally, exp_weights(tally, eta)
+
     def test_importance_weighting(self):
-        cfg = config("partial_info", n=2, T=10)
-        state = partial_info_update(
-            initial_state(cfg), cfg, chosen=1, observed_loss=0.75,
-            probs=np.array([0.5, 0.5]),
-        )
-        assert np.allclose(state.cumulative, [0.0, 1.5], atol=TOL)
+        lines = [{"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.75, 0.75, 0.75]}] * 2
+        trace = play("partial_info", lines, eta=1.0)
+        tally, want = self.only_chosen_moves(trace, 1.0)
+        assert tally[trace.chosen[0]] == pytest.approx(1.5, abs=TOL)
+        assert np.allclose(trace.probs[1], want, atol=TOL)
 
     def test_zero_observed_loss(self):
-        cfg = config("partial_info", n=2, T=10)
-        state = partial_info_update(
-            initial_state(cfg), cfg, 0, 0.0, np.array([0.5, 0.5])
-        )
-        assert np.array_equal(state.cumulative, [0.0, 0.0])
-        assert state.t == 1
+        lines = [{"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.0, 0.0, 0.0]}] * 2
+        trace = play("partial_info", lines, eta=1.0)
+        assert np.array_equal(trace.probs[1], [0.5, 0.5])
 
     def test_small_probability_blows_up(self):
-        cfg = config("partial_info", n=2, T=10)
-        state = partial_info_update(
-            initial_state(cfg), cfg, 0, 1.0, np.array([0.25, 0.75])
-        )
-        assert np.allclose(state.cumulative, [4.0, 0.0], atol=TOL)
+        lines = [{"rankings": [[0, 1, 2]] * 4, "losses": [1.0, 1.0, 1.0]}] * 2
+        trace = play("partial_info", lines, eta=0.5)
+        tally, want = self.only_chosen_moves(trace, 0.5)
+        assert tally[trace.chosen[0]] == pytest.approx(4.0, abs=TOL)
+        assert np.allclose(trace.probs[1], want, atol=TOL)
 
     def test_touches_exactly_one_entry(self, rng):
-        cfg = config("partial_info", n=6, T=10)
-        before = SchemeState(rng.random(6), 3)
-        after = partial_info_update(before, cfg, 4, 0.5, np.full(6, 1 / 6))
-        changed = before.cumulative != after.cumulative
-        assert changed.sum() == 1 and changed[4]
-
-    def test_zero_probability_rejected(self):
-        cfg = config("partial_info", n=2, T=10)
-        with pytest.raises(EstimatorUndefinedError):
-            partial_info_update(
-                initial_state(cfg), cfg, 0, 0.5, np.array([0.0, 1.0])
-            )
+        # log p moves by the same constant for every voter but the chosen one,
+        # whose tally grows by winner_loss / p[chosen]
+        n, T, eta = 6, 12, 0.5
+        lines = [{"rankings": [list(r.order) for r in random_rankings(n, 3, rng)],
+                  "losses": (0.1 + 0.9 * rng.random(3)).tolist()} for _ in range(T)]
+        trace = play("partial_info", lines, eta=eta)
+        for t in range(T - 1):
+            step = np.log(trace.probs[t + 1]) - np.log(trace.probs[t])
+            c = trace.chosen[t]
+            others = np.delete(step, c)
+            assert np.allclose(others, others[0], atol=1e-9)
+            moved = (others[0] - step[c]) / eta
+            assert moved == pytest.approx(trace.winner_loss[t] / trace.probs[t, c], rel=1e-9)
 
 
 class TestAct:
-    def test_constant_plays_first_voter(self, rng):
-        cfg = config("constant", n=4)
-        weights, chosen = act(SchemeState(np.array([9.0, 0, 0, 0]), 5), cfg, rng)
-        assert np.array_equal(weights, [1, 0, 0, 0])
-        assert chosen is None
+    """The weights each scheme plays, read off `run_episode`'s `probs` and `chosen`."""
 
-    def test_deterministic_unilateral_plays_distribution(self, rng):
-        cfg = config("deterministic_unilateral", n=3)
-        weights, chosen = act(initial_state(cfg), cfg, rng)
-        assert np.allclose(weights, 1 / 3, atol=TOL)
-        assert chosen is None
+    def test_constant_plays_first_voter(self):
+        # voter 0 is the worst voter every round, and constant ignores it
+        lines = [{"rankings": [[0, 1, 2], [1, 0, 2], [2, 1, 0], [1, 2, 0]],
+                  "losses": [1.0, 0.0, 0.0]}] * 5
+        trace = play("constant", lines, rule=RandomizedPositional("plurality"))
+        assert np.array_equal(trace.probs, np.eye(1, 4).repeat(5, axis=0))
+        assert np.array_equal(trace.chosen, np.zeros(5))
 
-    def test_point_mass_distribution_is_deterministic(self, rng):
-        cfg = config("full_info", n=3, eta=1.0)
-        state = SchemeState(np.array([0.0, 1e6, 1e6]), 0)
-        for _ in range(10):
-            weights, chosen = act(state, cfg, rng)
-            assert chosen == 0
-            assert np.array_equal(weights, [1, 0, 0])
+    def test_deterministic_unilateral_plays_distribution(self):
+        lines = [{"rankings": [[0, 1, 2], [1, 0, 2], [2, 1, 0]], "losses": [0.3, 0.6, 0.9]}]
+        trace = play("deterministic_unilateral", lines)
+        assert np.allclose(trace.probs[0], 1 / 3, atol=TOL)
+        assert trace.chosen.tolist() == [-1]
+
+    def test_point_mass_distribution_is_deterministic(self):
+        # after round 1 the weights of voters 1 and 2 are exp(-1e6), exactly 0
+        lines = [{"rankings": [[0, 1, 2], [1, 0, 2], [2, 1, 0]], "losses": [0.0, 1.0, 1.0]}] * 10
+        for seed in range(10):
+            trace = play("full_info", lines, eta=1e6,
+                         rule=RandomizedPositional("plurality"), seed=seed)
+            assert np.array_equal(trace.probs[1:], np.eye(1, 3).repeat(9, axis=0))
+            assert np.array_equal(trace.chosen[1:], np.zeros(9))
+
+
+def _draw_left(weights, u):
+    """`draw` with bisect_left, which can land on a zero weight."""
+    cdf = list(itertools.accumulate(weights))
+    return bisect.bisect_left([x / cdf[-1] for x in cdf], u)
+
+
+class TestEstimatorErrorPath:
+    def test_passes(self):
+        result = checks.check_estimator_error_path(seed=0)
+        assert result.passed, result.detail
+        assert "none chosen" in result.detail
+
+    def test_reports_a_draw_on_zero_weight(self, monkeypatch):
+        monkeypatch.setattr(checks, "draw", _draw_left)
+        result = checks.check_estimator_error_path(seed=0)
+        assert result.passed is False
+        assert "[0.0, 1.0] at u=0.0 drew 0" in result.detail
 
 
 class TestSingleVoterIdentity:
