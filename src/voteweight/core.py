@@ -195,8 +195,8 @@ def validate_losses(losses: Sequence[float] | np.ndarray) -> np.ndarray:
     ell = np.asarray(losses, dtype=float)
     if ell.ndim != 1:
         raise ShapeError(f"losses must be a vector, got shape {ell.shape}")
-    if np.any(ell < 0) or np.any(ell > 1):
-        raise ShapeError("losses must lie in [0, 1]")
+    if not ((ell >= 0) & (ell <= 1)).all():  # both comparisons are false for NaN
+        raise ShapeError(f"losses must lie in [0, 1], got {ell.tolist()}")
     return ell
 
 
@@ -213,8 +213,8 @@ def inverse_cdf(weights: np.ndarray, u) -> np.ndarray:
 
 
 def draw(weights: Sequence[float], u: float) -> int:
-    """:func:`inverse_cdf` for one row of Python floats, with the same
-    arithmetic but none of the per-call cost of array operations."""
+    """:func:`inverse_cdf` for one row of Python floats: the same comparisons,
+    log k divisions and none of the per-call cost of array operations."""
     cdf = list(itertools.accumulate(weights))
-    return bisect.bisect_right([x / cdf[-1] for x in cdf], u)
+    return bisect.bisect_right(cdf, u, key=lambda x: x / cdf[-1])
 

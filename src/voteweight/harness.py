@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,13 +167,15 @@ class FileSource:
                     obj = json.loads(line)
                     losses.append(validate_losses(obj["losses"]))
                     m = check_alternatives(len(losses[-1]))
-                    orders = np.asarray(obj["rankings"], dtype=np.int64)
+                    orders = np.asarray(obj["rankings"])  # not int64: that truncates 1.5 and true
                     shape = (len(codes[0]) if codes else len(orders), m)
                     if orders.shape != shape:
                         raise ShapeError(f"rankings of shape {orders.shape}, expected {shape}")
-                    if np.any(np.sort(orders, axis=1) != np.arange(m)):
-                        raise InvalidRankingError(f"rankings must permute 0..{m - 1}")
-                except (KeyError, TypeError, ValueError) as exc:
+                    if (orders.dtype.kind != "i" or (np.sort(orders, axis=1) != np.arange(m)).any()
+                            or ("t" in line or "f" in line)  # no t or f, no true or false
+                            and bool in map(type, chain(*obj["rankings"]))):
+                        raise InvalidRankingError(f"rankings must permute 0..{m - 1} as integers")
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad round: {exc}") from exc
                 ms.append(m)
                 codes.append(rank_codes(orders))
@@ -285,23 +289,28 @@ def _play_oblivious(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u
 
 def _play_sequential(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u):
     """EXP3 on oblivious rounds, one round at a time since the update depends
-    on the sampled voter. Per-round work is on Python floats: at n in the
-    tens, array calls would cost more than their work."""
+    on the sampled voter, on Python floats: at n in the tens, array calls cost
+    more than their work. Each round moves one voter's z (-eta * cumulative),
+    so z, max(z) and w = exp(z - max(z)) carry over; winners are drawn from
+    table rows' CDFs normalized once, as :func:`draw` does."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
     (idx, L), losses = _index_rounds(table, rounds, n), rounds.losses
+    cdfs = [[x / c[-1] for x in c] for c in map(list, map(accumulate, table.outcomes))]
     probs = np.zeros((T, n))
     chosen, winner = [], []
-    cumulative = [0.0] * n
+    cumulative, z, top, w = [0.0] * n, [-0.0] * n, -0.0, [1.0] * n  # -0.0 is 0.0 * -eta
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
-        z = [x * -eta for x in cumulative]
-        top = max(z)
-        w = [math.exp(x - top) for x in z]
         total = sum(w)
         probs[t] = p = [x / total for x in w]
         c = draw(p, u_voter)
         chosen.append(c)
-        winner.append(draw(table.outcomes[idx[t, c]], u_winner))
-        cumulative[c] += float(losses[t, winner[-1]]) / p[c]
+        winner.append(bisect_right(cdfs[idx.item(t, c)], u_winner))
+        cumulative[c] += losses.item(t, winner[-1]) / p[c]
+        held, z[c] = z[c] == top, cumulative[c] * -eta
+        if held and top != (top := max(z)):  # the chosen voter held the max, and it moved
+            w = [math.exp(x - top) for x in z]
+        else:
+            w[c] = math.exp(z[c] - top)
     rows = np.arange(T)
     chosen, winner = np.array(chosen), np.array(winner)
     return L, probs, chosen, winner, L[rows, chosen], losses[rows, winner]

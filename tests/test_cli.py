@@ -242,6 +242,27 @@ class TestSimulate:
             if key in str(overrides.get(section)):
                 assert key in err
 
+    @pytest.mark.parametrize("bad", [
+        {"rankings": [[0, 1, 2]] * 4, "losses": [float("nan"), 0.5, 1.0]},
+        {"rankings": [[1.5, 0, 2]] + [[0, 1, 2]] * 3, "losses": [0.0, 0.5, 1.0]},
+        {"rankings": [[True, False, 2]] + [[0, 1, 2]] * 3, "losses": [0.0, 0.5, 1.0]},
+        {"rankings": [[0, 1, 2]] * 4, "losses": [10**400, 0.5, 1.0]},
+    ], ids=["nan_loss", "float_rank_id", "bool_rank_id", "loss_past_float_range"])
+    def test_bad_file_line_is_named_and_writes_nothing(self, tmp_path, capsys, bad):
+        seq = tmp_path / "rounds.jsonl"
+        good = {"rankings": [[0, 1, 2]] * 4, "losses": [0.0, 0.5, 1.0]}
+        seq.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        cfg = write_config(
+            tmp_path,
+            rule={"kind": "randomized_copeland"},
+            source={"kind": "file", "path": str(seq)},
+            T=2,
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        assert f"{seq}:2: bad round: " in capsys.readouterr().err
+
     def test_file_line_with_one_alternative_writes_nothing(self, tmp_path):
         seq = tmp_path / "rounds.jsonl"
         lines = [{"rankings": [[0, 1]] * 4, "losses": [0.5, 0.5]},

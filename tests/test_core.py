@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -224,6 +226,21 @@ class TestSample:
         fresh = np.random.default_rng(99)
         for u in (stale.random(), fresh.random()):
             assert inverse_cdf(dist, u) == draw(dist.tolist(), u) == 0
+
+    def test_draw_matches_normalized_cdf_at_every_boundary(self, rng):
+        # draw divides only the entries its bisection visits; the result must
+        # be the bisection of the whole normalized list, ulp for ulp
+        for _ in range(300):
+            weights = (rng.random(7) * (rng.random(7) < 0.7)).tolist()
+            if not any(weights):
+                continue
+            cdf = list(itertools.accumulate(weights))
+            normalized = [x / cdf[-1] for x in cdf]
+            for q in normalized:
+                for u in (math.nextafter(q, 0.0), q, math.nextafter(q, 1.0)):
+                    if u < 1.0:
+                        expected = bisect.bisect_right(normalized, u)
+                        assert draw(weights, u) == expected == inverse_cdf(np.array(weights), u)
 
     def test_monte_carlo_frequency(self, rng):
         draws = 10**5

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 import warnings
 
@@ -27,6 +29,8 @@ from voteweight import (
     unanimous,
 )
 from voteweight.errors import ConfigError, NoWitnessError
+from voteweight.harness import OutcomeTable, _index_rounds
+from voteweight.schemes import SCHEME_KINDS
 
 from conftest import file_source, random_rankings, voter_rankings
 
@@ -240,6 +244,30 @@ class TestFileSource:
         with pytest.raises(ConfigError):
             file_source([{"rankings": [[0, 0, 2]], "losses": [0, 0, 0]}])
 
+    @pytest.mark.parametrize("rankings", [
+        [[1.5, 0, 2], [0, 1, 2]],
+        [[1.0, 0, 2], [0, 1, 2]],
+        [[True, False, 2], [0, 1, 2]],
+        [[0, 1, 2], [False, True, 2]],
+        [["1", "0", "2"], [0, 1, 2]],
+        [[10**30, 0, 2], [0, 1, 2]],
+    ], ids=["float", "integral_float", "bool", "bool_in_second_voter", "string", "huge"])
+    def test_non_integer_rank_ids_rejected(self, rankings):
+        good = {"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]}
+        with pytest.raises(ConfigError, match=r"\.jsonl:2: bad round: rankings must permute"):
+            file_source([good, {"rankings": rankings, "losses": [0.1, 0.2, 0.3]}])
+
+    def test_true_outside_the_rankings_accepted(self):
+        source = file_source([{"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3],
+                               "note": "true", "flag": False}])
+        assert source.recorded.codes.tolist() == [[0, 5]]
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, -0.1, 1.5])
+    def test_out_of_range_losses_rejected(self, bad):
+        good = {"rankings": [[0, 1], [1, 0]], "losses": [0.5, 0.5]}
+        with pytest.raises(ConfigError, match=r"\.jsonl:2: bad round: losses must lie in \[0, 1\]"):
+            file_source([good, {"rankings": [[0, 1], [1, 0]], "losses": [bad, 0.5]}])
+
     def test_too_short_rejected(self):
         source = file_source([{"rankings": [[0, 1]], "losses": [0.5, 0.5]}])
         with pytest.raises(ConfigError):
@@ -283,7 +311,76 @@ def scalar_replay(scheme, rule, trace, round_at):
             cumulative = [a + b for a, b in zip(cumulative, per_voter)]
 
 
-SCHEME_KINDS = ("full_info", "partial_info", "deterministic_unilateral", "constant")
+def _list_draw(weights, u):
+    """`draw` as a bisection of the whole normalized CDF list."""
+    cdf = list(itertools.accumulate(weights))
+    return bisect.bisect_right([x / cdf[-1] for x in cdf], u)
+
+
+def recomputed_exp3(scheme, table, rounds, u):
+    """EXP3 that re-derives the whole softmax and both CDFs every round: the
+    engine's round loop before it kept its weights across rounds, verbatim
+    but for its draw, which is `_list_draw`."""
+    T, n, eta = len(u), scheme.n, scheme.learning_rate
+    (idx, L), losses = _index_rounds(table, rounds, n), rounds.losses
+    probs = np.zeros((T, n))
+    chosen, winner = [], []
+    cumulative = [0.0] * n
+    for t, (u_voter, u_winner) in enumerate(u.tolist()):
+        z = [x * -eta for x in cumulative]
+        top = max(z)
+        w = [math.exp(x - top) for x in z]
+        total = sum(w)
+        probs[t] = p = [x / total for x in w]
+        c = _list_draw(p, u_voter)
+        chosen.append(c)
+        winner.append(_list_draw(table.outcomes[idx[t, c]], u_winner))
+        cumulative[c] += float(losses[t, winner[-1]]) / p[c]
+    rows = np.arange(T)
+    chosen, winner = np.array(chosen), np.array(winner)
+    return L, probs, chosen, winner, L[rows, chosen], losses[rows, winner]
+
+
+TRACE_COLUMNS = ("per_voter_loss", "probs", "chosen", "winner", "scheme_loss", "winner_loss")
+
+
+class TestSequentialKernel:
+    """The EXP3 engine keeps z, max(z) and the weights across rounds; every
+    column must equal the recomputing loop's bit for bit."""
+
+    def assert_matches_recomputed(self, n, source, T, eta, seed=3):
+        scheme = SchemeConfig("partial_info", n=n, horizon=T, eta=eta)
+        rule = RandomizedPositional("borda")
+        trace = run_episode(scheme, rule, source, T, seed=seed)
+        rng = np.random.default_rng(seed)
+        rounds = source.rounds(T, rng)
+        expected = recomputed_exp3(scheme, OutcomeTable(rule, source.m), rounds,
+                                   rng.random((T, 2)))
+        for column, want in zip(TRACE_COLUMNS, expected):
+            assert np.array_equal(getattr(trace, column), want), column
+        return trace
+
+    @pytest.mark.parametrize("eta", [None, 50.0, 1e6])
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
+    def test_iid_rounds(self, n, eta):
+        self.assert_matches_recomputed(n, IIDRandomSource(n, 3), 400, eta)
+
+    @pytest.mark.parametrize("eta", [None, 50.0, 1e6])
+    def test_mixed_m_file_rounds(self, eta):
+        rng = np.random.default_rng(8)
+        lines = [random_lines(6, 2 + t % 4, 1, rng)[0] for t in range(60)]
+        self.assert_matches_recomputed(6, file_source(lines), 60, eta)
+
+    @pytest.mark.parametrize("eta", [None, 50.0, 1e6])
+    def test_zero_losses_keep_every_voter_at_the_max(self, eta):
+        rng = np.random.default_rng(9)
+        lines = random_lines(5, 3, 80, rng)
+        for line in lines:
+            line["losses"] = [0.0] * 3
+        trace = self.assert_matches_recomputed(5, file_source(lines), 80, eta)
+        assert np.all(trace.probs == 0.2)
+
+
 REFERENCE_RULES = (
     RandomizedPositional("borda"),
     RandomizedPositional("plurality"),

@@ -223,24 +223,8 @@ class TestSingleVoterIdentity:
 
 
 class TestEstimatorMoments:
-    def test_unbiased_mean_and_second_moment(self, rng):
+    def test_unbiased_mean_and_second_moment(self):
         # fixed round; draw (voter, winner) pairs and check the estimator sums
-        n, m, draws = 5, 3, 10**5
-        rule = RandomizedPositional("borda")
-        votes = random_rankings(n, m, rng)
-        ell = rng.random(m)
-        p = rng.random(n) + 1e-3
-        p /= p.sum()
-        dists = np.array([rule.evaluate(unanimous(v)) for v in votes])
-        exact = float(p @ (dists @ ell))
-
-        voters = rng.choice(n, size=draws, p=p)
-        u = rng.random(draws)
-        winners = (np.cumsum(dists, axis=1)[voters] < u[:, None]).sum(axis=1)
-        first = ell[winners]
-        second = ell[winners] ** 2 / p[voters]
-
-        stderr = first.std(ddof=1) / math.sqrt(draws)
-        assert abs(first.mean() - exact) <= 3 * stderr
-        second_stderr = second.std(ddof=1) / math.sqrt(draws)
-        assert second.mean() <= n + 3 * second_stderr
+        stats = checks.estimator_monte_carlo(seed=12345, samples=10**5)
+        assert abs(stats["mean"] - stats["exact"]) <= 3 * stats["stderr"]
+        assert stats["second_moment"] <= stats["n"] + 3 * stats["second_stderr"]
