@@ -5,14 +5,14 @@ schemes, worst-case adversary constructions, and a regret-measuring harness.
 """
 
 from .adversaries import (
+    CondorcetSplitSource,
     GapPair,
     PartitionResult,
     RoundChallenge,
-    condorcet_split_round,
+    WinnerPunishingSource,
     majority_prefix_partition,
     orient_gap_pair,
     top_two_ranking,
-    winner_punishing_round,
 )
 from .core import (
     TOL,
@@ -23,12 +23,10 @@ from .core import (
     unanimous,
 )
 from .harness import (
-    CondorcetSplitSource,
     FileSource,
     IIDRandomSource,
     Rounds,
     Trace,
-    WinnerPunishingSource,
     best_voter,
     monte_carlo_regret,
     regret,

@@ -1,8 +1,10 @@
 """Round generators: worst-case constructions against deterministic weighting
 schemes, plus the random rankings and profiles the checks and tests fuzz with.
 
-The worst-case generators are adaptive: they consume the weight vector the
-scheme just played and only then emit the round.
+The worst-case sources are adaptive: ``emit(weights)`` consumes the weight
+vector the scheme just played and only then builds the round. ``m`` is the
+number of alternatives a source emits; sources hold no per-episode state, so
+one instance serves every trial.
 """
 
 from __future__ import annotations
@@ -13,11 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TOL, AnonymousProfile, Ranking, anonymize, as_weights, group_profile, unanimous
-from .errors import (
-    HypothesisViolatedError,
-    NoWitnessError,
-)
-from .rules import VotingRule, condorcet_winner
+from .errors import ConfigError, HypothesisViolatedError, NoWitnessError
+from .rules import RandomizedCopeland, VotingRule, condorcet_winner, unanimity_witness
 
 
 @dataclass(frozen=True)
@@ -26,15 +25,15 @@ class RoundChallenge:
     ``representatives[groups[i]]``, and ``losses`` holds a loss per alternative.
 
     ``groups`` is an int64 array of length n. An adaptive round names only a
-    few distinct rankings, so per-voter work is array indexing. ``profile`` is
-    the weighted profile of the weights the round answers (None when it was
-    drawn without weights); the engine reuses it for deterministic weights.
+    few distinct rankings, so per-voter work is array indexing. ``outcome``
+    is the rule's outcome under the weights the round answers; the engine
+    draws the winner from it and reuses it for deterministic weights.
     """
 
     groups: np.ndarray
     representatives: tuple[Ranking, ...]
     losses: np.ndarray
-    profile: Optional[AnonymousProfile] = None
+    outcome: np.ndarray
 
     @property
     def m(self) -> int:
@@ -107,65 +106,87 @@ def orient_gap_pair(rule: VotingRule, m: int) -> GapPair:
     return GapPair(y, x, t_yx, t_xy)
 
 
-def winner_punishing_round(
-    weights: Sequence[float] | np.ndarray,
-    rule: VotingRule,
-    witness: tuple[Ranking, Ranking],
-) -> RoundChallenge:
-    """Adversarial round for a deterministic rule that is not constant on
-    unanimous profiles: voter 0 reports one witness ranking, everyone else the
-    other, and whatever wins under the played weights gets loss 1.
+class WinnerPunishingSource:
+    """Adaptive worst case for deterministic rules (config token: "thm3").
 
-    The scheme's loss is exactly 1 while at least one voter's unanimous
-    outcome differs from the winner and so incurs loss 0.
+    Voter 0 reports one witness ranking, everyone else the other, and
+    whatever wins under the played weights gets loss 1. The scheme's loss is
+    exactly 1 while at least one voter's unanimous outcome differs from the
+    winner and so incurs loss 0.
     """
-    if not rule.deterministic:
-        raise NoWitnessError("winner punishment requires a deterministic rule")
-    groups = (np.arange(len(weights)) > 0).astype(np.int64)
-    profile = group_profile(groups, witness, weights)
-    losses = np.zeros(witness[0].m)
-    losses[int(np.argmax(rule.evaluate(profile)))] = 1.0
-    return RoundChallenge(groups, witness, losses, profile)
+
+    def __init__(self, rule: VotingRule, m: int):
+        if not rule.deterministic:
+            raise NoWitnessError("winner punishment requires a deterministic rule")
+        witness = unanimity_witness(rule, m)
+        if witness is None:
+            raise NoWitnessError("rule is constant on unanimous profiles")
+        self.rule = rule
+        self.witness = witness
+        self.m = m
+
+    def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
+        groups = (np.arange(len(weights)) > 0).astype(np.int64)
+        outcome = self.rule.evaluate(group_profile(groups, self.witness, weights))
+        losses = np.zeros(self.m)
+        losses[int(np.argmax(outcome))] = 1.0
+        return RoundChallenge(groups, self.witness, losses, outcome)
 
 
-def condorcet_split_round(
-    weights: Sequence[float] | np.ndarray,
-    pair: GapPair,
-    delta: float,
-) -> RoundChallenge:
-    """Adversarial round for a rule whose Condorcet winner leads by `delta`.
+class CondorcetSplitSource:
+    """Adaptive worst case for Condorcet-leaning rules (config token: "thm5").
 
     The heavy block ranks a over b, the rest rank b over a; losses are 1 on a,
     0 on b, and 1/2 elsewhere. a is then a Condorcet winner under the played
-    weights, so the rule must over-select the loss-1 alternative.
+    weights, so a rule whose Condorcet winner leads by `delta` must
+    over-select the loss-1 alternative. `delta` is the rule's guaranteed
+    selection gap. Built-in values: 2/(m(m-1)) for randomized Copeland and 1
+    for deterministic rules; any other rule needs an explicit delta.
     """
-    n = len(weights)
-    if n < 2 * (3.0 / (2.0 * delta) + 1.0):
-        raise HypothesisViolatedError(
-            f"need n >= 2(3/(2 delta) + 1) = {2 * (3 / (2 * delta) + 1):.3f}, got {n}"
-        )
-    w, total = as_weights(weights)
-    part = majority_prefix_partition(w)
-    groups = np.ones(n, dtype=np.int64)
-    groups[part.heavy] = 0
-    blocks = (pair.top_ab, pair.top_ba)
-    profile = group_profile(groups, blocks, w)
-    losses = np.full(pair.top_ab.m, 0.5)
-    losses[pair.a] = 1.0
-    losses[pair.b] = 0.0
 
-    if condorcet_winner(profile) != pair.a:
-        raise HypothesisViolatedError(f"{pair.a} is not the Condorcet winner of the split")
-    # Case split on how far the heavy block overshoots half the total weight.
-    if part.heavy_weight >= (0.5 + delta / 3.0) * total:
-        bounded = len(part.heavy) <= 3.0 / (2.0 * delta) + 1.0 + TOL
-    else:
-        bounded = len(part.heavy) < n * (0.5 + delta / 3.0) + TOL
-    if not bounded:
-        raise HypothesisViolatedError(
-            f"heavy block of {len(part.heavy)} voters breaks its size bound"
-        )
-    return RoundChallenge(groups, blocks, losses, profile)
+    def __init__(self, rule: VotingRule, m: int, delta: Optional[float] = None):
+        if delta is None:
+            if isinstance(rule, RandomizedCopeland):
+                delta = 2.0 / (m * (m - 1))
+            elif rule.deterministic:
+                delta = 1.0
+            else:
+                raise ConfigError("no built-in gap for this rule; supply delta")
+        if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not 0 < delta <= 1:
+            raise ConfigError(f"delta is a selection gap in (0, 1], got {delta!r}")
+        self.rule = rule
+        self.delta = delta
+        self.pair = orient_gap_pair(rule, m)
+        self.m = m
+
+    def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
+        n, delta, pair = len(weights), self.delta, self.pair
+        if n < 2 * (3.0 / (2.0 * delta) + 1.0):
+            raise HypothesisViolatedError(
+                f"need n >= 2(3/(2 delta) + 1) = {2 * (3 / (2 * delta) + 1):.3f}, got {n}"
+            )
+        w, total = as_weights(weights)
+        part = majority_prefix_partition(w)
+        groups = np.ones(n, dtype=np.int64)
+        groups[part.heavy] = 0
+        blocks = (pair.top_ab, pair.top_ba)
+        profile = group_profile(groups, blocks, w)
+        losses = np.full(self.m, 0.5)
+        losses[pair.a] = 1.0
+        losses[pair.b] = 0.0
+
+        if condorcet_winner(profile) != pair.a:
+            raise HypothesisViolatedError(f"{pair.a} is not the Condorcet winner of the split")
+        # Case split on how far the heavy block overshoots half the total weight.
+        if part.heavy_weight >= (0.5 + delta / 3.0) * total:
+            bounded = len(part.heavy) <= 3.0 / (2.0 * delta) + 1.0 + TOL
+        else:
+            bounded = len(part.heavy) < n * (0.5 + delta / 3.0) + TOL
+        if not bounded:
+            raise HypothesisViolatedError(
+                f"heavy block of {len(part.heavy)} voters breaks its size bound"
+            )
+        return RoundChallenge(groups, blocks, losses, self.rule.evaluate(profile))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversaries import (
+    CondorcetSplitSource,
+    WinnerPunishingSource,
     majority_prefix_partition,
     random_distribution,
     random_profile,
@@ -21,14 +23,7 @@ from .adversaries import (
 )
 from .core import TOL, anonymize, draw, inverse_cdf, unanimous
 from .errors import HypothesisViolatedError
-from .harness import (
-    CondorcetSplitSource,
-    IIDRandomSource,
-    WinnerPunishingSource,
-    best_voter,
-    regret,
-    run_episode,
-)
+from .harness import IIDRandomSource, best_voter, regret, run_episode
 from .rules import (
     RandomizedCopeland,
     RandomizedPositional,

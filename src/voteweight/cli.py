@@ -13,15 +13,14 @@ from typing import Optional
 
 import numpy as np
 
+from .adversaries import CondorcetSplitSource, WinnerPunishingSource
 from .checks import SUITES, run_suite
 from .core import check_alternatives
-from .errors import VoteWeightError
+from .errors import ConfigError, VoteWeightError
 from .harness import (
-    CondorcetSplitSource,
     FileSource,
     IIDRandomSource,
     Trace,
-    WinnerPunishingSource,
     monte_carlo_regret,
     regret,
     run_episode,
@@ -33,6 +32,14 @@ from .schemes import SchemeConfig
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _whole(value, key: str) -> int:
+    """A config count or seed as an int: JSON true and false, and floats that
+    are not whole numbers (infinity and NaN included), are refused."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _build_source(spec: dict, rule, n: int, m: int):
@@ -73,11 +80,11 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
 
     # Everything is validated and computed before any output is written.
     try:
-        n = int(cfg["n"])
-        m = check_alternatives(int(cfg["m"]))
-        T = int(cfg["T"])
-        seed = int(cfg.get("seed", 0))
-        trials = int(cfg.get("trials", 1))
+        n = _whole(cfg["n"], "n")
+        m = check_alternatives(_whole(cfg["m"], "m"))
+        T = _whole(cfg["T"], "T")
+        seed = _whole(cfg.get("seed", 0), "seed")
+        trials = _whole(cfg.get("trials", 1), "trials")
         rule = rule_from_spec(cfg["rule"])
         scheme_spec = cfg.get("scheme", {})
         scheme = SchemeConfig(

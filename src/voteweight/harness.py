@@ -25,13 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adversaries import (
-    GapPair,
-    RoundChallenge,
-    condorcet_split_round,
-    orient_gap_pair,
-    winner_punishing_round,
-)
 from .core import (
     check_alternatives,
     draw,
@@ -40,13 +33,8 @@ from .core import (
     rank_codes,
     validate_losses,
 )
-from .errors import ConfigError, InvalidRankingError, NoWitnessError, ShapeError
-from .rules import (
-    OutcomeTable,
-    RandomizedCopeland,
-    VotingRule,
-    unanimity_witness,
-)
+from .errors import ConfigError, InvalidRankingError, ShapeError
+from .rules import OutcomeTable, VotingRule
 from .schemes import SchemeConfig, exp_weights
 
 
@@ -69,8 +57,6 @@ class Trace:
     winner: np.ndarray
     scheme_loss: np.ndarray
     winner_loss: np.ndarray
-    config: dict
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -84,52 +70,9 @@ class Rounds:
 
 
 # ---------------------------------------------------------------------------
-# Round sources: oblivious ones return all T rounds from ``rounds(T, rng)``,
-# adaptive ones answer each round's weights from ``emit(t, weights, rng)``.
-# ``m`` is the most alternatives a source emits. Sources hold no per-episode
-# state, so one instance serves every trial.
-
-
-class WinnerPunishingSource:
-    """Adaptive worst case for deterministic rules (config token: "thm3")."""
-
-    def __init__(self, rule: VotingRule, m: int):
-        witness = unanimity_witness(rule, m)
-        if witness is None:
-            raise NoWitnessError("rule is constant on unanimous profiles")
-        self.rule = rule
-        self.witness = witness
-        self.m = m
-
-    def emit(self, t: int, weights: np.ndarray, rng: np.random.Generator) -> RoundChallenge:
-        return winner_punishing_round(weights, self.rule, self.witness)
-
-
-class CondorcetSplitSource:
-    """Adaptive worst case for Condorcet-leaning rules (config token: "thm5").
-
-    `delta` is the rule's guaranteed Condorcet-winner selection gap. Built-in
-    values: 2/(m(m-1)) for randomized Copeland and 1 for deterministic rules;
-    any other rule needs an explicit delta.
-    """
-
-    def __init__(self, rule: VotingRule, m: int, delta: Optional[float] = None):
-        if delta is None:
-            if isinstance(rule, RandomizedCopeland):
-                delta = 2.0 / (m * (m - 1))
-            elif rule.deterministic:
-                delta = 1.0
-            else:
-                raise ConfigError("no built-in gap for this rule; supply delta")
-        if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not 0 < delta <= 1:
-            raise ConfigError(f"delta is a selection gap in (0, 1], got {delta!r}")
-        self.rule = rule
-        self.delta = delta
-        self.pair: GapPair = orient_gap_pair(rule, m)
-        self.m = m
-
-    def emit(self, t: int, weights: np.ndarray, rng: np.random.Generator) -> RoundChallenge:
-        return condorcet_split_round(weights, self.pair, self.delta)
+# Oblivious round sources: ``rounds(T, rng)`` returns all T rounds at once.
+# ``m`` is the most alternatives a source emits. The adaptive sources, which
+# answer each round's weights from ``emit(weights)``, live in `adversaries`.
 
 
 class IIDRandomSource:
@@ -165,15 +108,17 @@ class FileSource:
                     continue
                 try:
                     obj = json.loads(line)
+                    booleans = "t" in line or "f" in line  # no t or f, no true or false
                     losses.append(validate_losses(obj["losses"]))
+                    if booleans and bool in map(type, obj["losses"]):
+                        raise ShapeError("losses must be numbers, not true or false")
                     m = check_alternatives(len(losses[-1]))
                     orders = np.asarray(obj["rankings"])  # not int64: that truncates 1.5 and true
                     shape = (len(codes[0]) if codes else len(orders), m)
                     if orders.shape != shape:
                         raise ShapeError(f"rankings of shape {orders.shape}, expected {shape}")
                     if (orders.dtype.kind != "i" or (np.sort(orders, axis=1) != np.arange(m)).any()
-                            or ("t" in line or "f" in line)  # no t or f, no true or false
-                            and bool in map(type, chain(*obj["rankings"]))):
+                            or booleans and bool in map(type, chain(*obj["rankings"]))):
                         raise InvalidRankingError(f"rankings must permute 0..{m - 1} as integers")
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad round: {exc}") from exc
@@ -231,20 +176,10 @@ def run_episode(
     u = rng.random((T, 2))
     table = OutcomeTable(rule, source.m)
     if rounds is None:
-        columns = _play_adaptive(scheme, table, source, u, rng)
-    elif scheme.kind == "partial_info":
-        columns = _play_sequential(scheme, table, rounds, u)
-    else:
-        columns = _play_oblivious(scheme, table, rounds, u)
-    config_echo = {
-        "scheme": scheme.kind,
-        "n": scheme.n,
-        "T": T,
-        "eta": scheme.learning_rate,
-        "feedback": scheme.feedback,
-        "rule": repr(rule),
-    }
-    return Trace(*columns, config=config_echo, seed=seed)
+        return Trace(*_play_adaptive(scheme, table, source, u))
+    if scheme.kind == "partial_info":
+        return Trace(*_play_sequential(scheme, table, rounds, u))
+    return Trace(*_play_oblivious(scheme, table, rounds, u))
 
 
 def _index_rounds(table: OutcomeTable, rounds: Rounds, n: int):
@@ -295,7 +230,7 @@ def _play_sequential(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, 
     table rows' CDFs normalized once, as :func:`draw` does."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
     (idx, L), losses = _index_rounds(table, rounds, n), rounds.losses
-    cdfs = [[x / c[-1] for x in c] for c in map(list, map(accumulate, table.outcomes))]
+    cdfs = [[x / c[-1] for x in c] for c in map(list, map(accumulate, table.U.tolist()))]
     probs = np.zeros((T, n))
     chosen, winner = [], []
     cumulative, z, top, w = [0.0] * n, [-0.0] * n, -0.0, [1.0] * n  # -0.0 is 0.0 * -eta
@@ -316,10 +251,11 @@ def _play_sequential(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, 
     return L, probs, chosen, winner, L[rows, chosen], losses[rows, winner]
 
 
-def _play_adaptive(scheme: SchemeConfig, table: OutcomeTable, source, u, rng):
+def _play_adaptive(scheme: SchemeConfig, table: OutcomeTable, source, u):
     """Round-by-round play against a source that answers the played weights.
-    A round is a few voter groups: each voter's loss is its group's, and
-    deterministic weights reuse the profile the source built from them."""
+    A round is a few voter groups: each voter's loss is its group's, and the
+    winner is drawn from the outcome the source found under those weights,
+    which for a sampled voter's basis vector is that voter's table row."""
     T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
     L, probs, losses = np.zeros((T, n)), np.zeros((T, n)), np.zeros((T, table.width))
     chosen, winner, scheme_loss = [], [], []
@@ -331,23 +267,21 @@ def _play_adaptive(scheme: SchemeConfig, table: OutcomeTable, source, u, rng):
         else:
             p[:] = exp_weights(cumulative, eta)
             c = -1 if kind == "deterministic_unilateral" else int(inverse_cdf(p, u_voter))
-        challenge = source.emit(t + 1, p if c < 0 else np.eye(1, n, c)[0], rng)
+        challenge = source.emit(p if c < 0 else np.eye(1, n, c)[0])
         if len(challenge.groups) != n:
             raise ConfigError(f"round {t + 1} has {len(challenge.groups)} voters, not {n}")
         losses[t, : challenge.m] = challenge.losses
-        loss_t = losses[t].tolist()
         rows = [table.row(challenge.m, r.code) for r in challenge.representatives]
-        L[t] = np.array([table.loss(k, loss_t) for k in rows])[challenge.groups]
+        L[t] = table.voter_losses(np.array(rows), losses[t])[challenge.groups]
+        outcome = challenge.outcome.tolist()
         if c < 0:  # deterministic weights reach the rule as one weighted profile
-            outcome = table.rule.evaluate(challenge.profile).tolist()
-            scheme_loss.append(float(np.dot(outcome, loss_t[: len(outcome)])))
+            scheme_loss.append(float(np.dot(outcome, losses[t, : len(outcome)])))
         else:
-            outcome = table.outcomes[rows[challenge.groups[c]]]
             scheme_loss.append(L[t, c])
         chosen.append(c)
         winner.append(draw(outcome, u_winner))
         if kind == "partial_info":
-            cumulative[c] += loss_t[winner[-1]] / p[c]
+            cumulative[c] += losses[t, winner[-1]] / p[c]
         elif kind != "constant":
             cumulative += L[t]
     winner = np.array(winner)

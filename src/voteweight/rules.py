@@ -9,7 +9,6 @@ score ties by smallest alternative id.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -379,26 +378,18 @@ def rule_from_spec(spec: dict) -> VotingRule:
 class OutcomeTable:
     """The rule's outcome on each distinct unanimous profile an episode meets.
 
-    Row k of `U` (and of the same values as Python lists, `outcomes`) is
-    f(unanimous(rankings[k])), zero-padded to `width` alternatives. Rows are
-    keyed by (m, rank code), so one table serves rounds with different
-    alternative counts and evaluates the rule once per key.
+    Row k of `U` is f(unanimous(rankings[k])), zero-padded to `width`
+    alternatives. Rows are keyed by (m, rank code), so one table serves rounds
+    with different alternative counts and evaluates the rule once per key.
     """
 
     def __init__(self, rule: VotingRule, width: int):
         self.rule = rule
         self.width = width
-        self.outcomes: list[list[float]] = []
+        self.U = np.zeros((0, width))
         self._rankings: list[Ranking] = []
         self._pending: list[np.ndarray] = []  # decoded orders of rows past _rankings
         self._rows: dict[tuple[int, int], int] = {}
-        self._U = np.zeros((0, width))
-
-    @property
-    def U(self) -> np.ndarray:
-        if len(self._U) < len(self.outcomes):
-            self._U = np.array(self.outcomes)
-        return self._U
 
     @property
     def rankings(self) -> list[Ranking]:
@@ -422,23 +413,15 @@ class OutcomeTable:
         padded[:, :m] = self.rule.unanimous_outcomes(orders)
         self._rows.update({(m, c): len(self._rows) + i for i, c in enumerate(new)})
         self._pending.append(orders)
-        self.outcomes += padded.tolist()
+        self.U = np.concatenate((self.U, padded))
         rows = np.array([self._rows[(m, c)] for c in distinct.tolist()], dtype=np.int64)
         return rows[inverse].reshape(np.shape(codes))
-
-    def loss(self, k: int, losses: Sequence[float]) -> float:
-        """Row k's expected loss under `losses`, with the arithmetic of
-        :meth:`voter_losses` but on Python floats."""
-        total = 0.0
-        for q, ell in zip(self.outcomes[k], losses):
-            total += q * ell
-        return total
 
     def voter_losses(self, idx: np.ndarray, losses: np.ndarray) -> np.ndarray:
         """U[idx] . losses over the last axis of `losses`, summed over the
         alternatives in order so that scalar replays match exactly."""
         out = np.zeros(np.shape(idx))
-        for k in range(self.U.shape[1]):
+        for k in range(self.width):
             out += self.U[idx, k] * losses[..., k, None]
         return out
 

@@ -5,21 +5,21 @@ import pytest
 
 from voteweight import (
     TOL,
+    CondorcetSplitSource,
     DeterministicPositional,
     IIDRandomSource,
     RandomizedCopeland,
+    RandomizedPositional,
+    WinnerPunishingSource,
     anonymize,
-    condorcet_split_round,
     condorcet_winner,
     majority_prefix_partition,
     orient_gap_pair,
     top_two_ranking,
     unanimity_witness,
     unanimous,
-    winner_punishing_round,
 )
 from voteweight import checks
-from voteweight.adversaries import GapPair
 from voteweight.errors import (
     DegenerateWeightsError,
     HypothesisViolatedError,
@@ -35,33 +35,39 @@ class TestWinnerPunishingRound:
     def setup_method(self):
         self.rule = DeterministicPositional("plurality")
         self.witness = unanimity_witness(self.rule, 3)
+        self.source = WinnerPunishingSource(self.rule, 3)
 
     def test_majority_weight_picks_second_ranking(self):
-        round_ = winner_punishing_round([1, 1, 1], self.rule, self.witness)
+        round_ = self.source.emit([1, 1, 1])
         assert voter_rankings(round_) == (ranking(0, 1, 2), ranking(1, 0, 2), ranking(1, 0, 2))
         # 2/3 of the weight puts b on top, so b wins and is punished
         assert np.array_equal(round_.losses, [0, 1, 0])
 
     def test_dominant_first_voter(self):
-        round_ = winner_punishing_round([10, 1, 1], self.rule, self.witness)
+        round_ = self.source.emit([10, 1, 1])
         assert np.array_equal(round_.losses, [1, 0, 0])
 
     def test_scheme_loss_is_one_and_some_voter_escapes(self, rng):
         for _ in range(20):
             w = rng.random(4) + 1e-3
-            round_ = winner_punishing_round(w, self.rule, self.witness)
+            round_ = self.source.emit(w)
             rankings = voter_rankings(round_)
-            assert self.rule.evaluate(anonymize(rankings, w)) @ round_.losses == 1.0
+            outcome = self.rule.evaluate(anonymize(rankings, w))
+            assert np.array_equal(round_.outcome, outcome)
+            assert outcome @ round_.losses == 1.0
             voter = voter_losses(self.rule, rankings, round_.losses)
             assert voter.sum() <= len(w) - 1
 
     def test_randomized_rule_rejected(self):
         with pytest.raises(NoWitnessError):
-            winner_punishing_round([1, 1], ConstantUniform(), self.witness)
+            WinnerPunishingSource(ConstantUniform(), 3)
+        # randomized Borda has a witness pair, but it is rejected all the same
+        with pytest.raises(NoWitnessError, match="deterministic"):
+            WinnerPunishingSource(RandomizedPositional("borda"), 3)
 
     def test_groups_are_voter_zero_against_the_rest(self, rng):
         for n in (1, 2, 30):
-            round_ = winner_punishing_round(rng.random(n) + 1e-3, self.rule, self.witness)
+            round_ = self.source.emit(rng.random(n) + 1e-3)
             assert round_.groups.dtype == np.int64
             assert round_.groups.tolist() == [0] + [1] * (n - 1)
             assert round_.representatives == self.witness
@@ -167,19 +173,22 @@ class TestCondorcetSplitRound:
     def setup_method(self):
         self.rule = RandomizedCopeland()
         self.delta = 1 / 3
-        self.pair = orient_gap_pair(self.rule, 3)
+        self.source = CondorcetSplitSource(self.rule, 3, self.delta)
+        self.pair = self.source.pair
 
     def test_uniform_eleven_voters(self):
-        round_ = condorcet_split_round(np.ones(11), self.pair, self.delta)
+        round_ = self.source.emit(np.ones(11))
         n_heavy = sum(r == self.pair.top_ab for r in voter_rankings(round_))
         assert n_heavy == 6
         assert np.array_equal(round_.losses, [1.0, 0.0, 0.5])
 
     def test_scheme_loss_and_average_gap(self):
         w = np.ones(11)
-        round_ = condorcet_split_round(w, self.pair, self.delta)
+        round_ = self.source.emit(w)
         rankings = voter_rankings(round_)
-        scheme_loss = self.rule.evaluate(anonymize(rankings, w)) @ round_.losses
+        outcome = self.rule.evaluate(anonymize(rankings, w))
+        assert np.array_equal(round_.outcome, outcome)
+        scheme_loss = outcome @ round_.losses
         assert scheme_loss == pytest.approx(2 / 3, abs=TOL)
         avg = voter_losses(self.rule, rankings, round_.losses).mean()
         assert avg == pytest.approx(0.5 + 1 / 66, abs=TOL)
@@ -189,13 +198,13 @@ class TestCondorcetSplitRound:
     def test_condorcet_winner_holds_for_random_weights(self, rng):
         for _ in range(50):
             w = rng.random(11) + 1e-3
-            round_ = condorcet_split_round(w, self.pair, self.delta)
+            round_ = self.source.emit(w)
             assert condorcet_winner(anonymize(voter_rankings(round_), w)) == self.pair.a
 
     def test_per_round_gap_for_random_weights(self, rng):
         for _ in range(50):
             w = rng.random(11) + 1e-3
-            round_ = condorcet_split_round(w, self.pair, self.delta)
+            round_ = self.source.emit(w)
             rankings = voter_rankings(round_)
             scheme_loss = self.rule.evaluate(anonymize(rankings, w)) @ round_.losses
             avg = voter_losses(self.rule, rankings, round_.losses).mean()
@@ -203,12 +212,12 @@ class TestCondorcetSplitRound:
 
     def test_too_few_voters_rejected(self):
         with pytest.raises(HypothesisViolatedError):
-            condorcet_split_round(np.ones(5), self.pair, self.delta)
+            self.source.emit(np.ones(5))
 
     def test_groups_are_the_heavy_block(self, rng):
         for n in (11, 1001):
             w = rng.random(n) + 1e-3
-            round_ = condorcet_split_round(w, self.pair, self.delta)
+            round_ = self.source.emit(w)
             heavy = np.sort(majority_prefix_partition(w).heavy)
             assert round_.groups.dtype == np.int64
             assert np.array_equal(np.flatnonzero(round_.groups == 0), heavy)

@@ -88,7 +88,7 @@ class TestSimulate:
                               [2 / 3, 1e17], [0.0, 1e-5], [0.3, 0.2]])
         T, n = per_voter.shape
         trace = Trace(per_voter, np.full((T, n), 1 / n), np.zeros(T, dtype=int),
-                      np.zeros(T, dtype=int), scheme_loss, scheme_loss, config={}, seed=0)
+                      np.zeros(T, dtype=int), scheme_loss, scheme_loss)
         cli._write_trace_csv(tmp_path / "fast.csv", trace)
         reference_trace_csv(tmp_path / "reference.csv", trace)
         written = (tmp_path / "fast.csv").read_bytes()
@@ -225,11 +225,18 @@ class TestSimulate:
              "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
             {"source": {"kind": "thm5", "delta": "0.5"}, "rule": {"kind": "randomized_copeland"},
              "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
+            {"T": float("inf")},
+            {"T": 2.7},
+            {"n": True},
+            {"m": 3.5},
+            {"seed": float("nan")},
+            {"trials": True},
         ],
         ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
              "unknown_feedback", "nan_eta", "eta_string", "eta_bool", "nan_in_summary",
              "zero_trials", "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
-             "thm5_string_delta"],
+             "thm5_string_delta", "infinite_T", "fractional_T", "bool_n", "fractional_m",
+             "nan_seed", "bool_trials"],
     )
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -247,7 +254,8 @@ class TestSimulate:
         {"rankings": [[1.5, 0, 2]] + [[0, 1, 2]] * 3, "losses": [0.0, 0.5, 1.0]},
         {"rankings": [[True, False, 2]] + [[0, 1, 2]] * 3, "losses": [0.0, 0.5, 1.0]},
         {"rankings": [[0, 1, 2]] * 4, "losses": [10**400, 0.5, 1.0]},
-    ], ids=["nan_loss", "float_rank_id", "bool_rank_id", "loss_past_float_range"])
+        {"rankings": [[0, 1, 2]] * 4, "losses": [True, 0.5, False]},
+    ], ids=["nan_loss", "float_rank_id", "bool_rank_id", "loss_past_float_range", "bool_loss"])
     def test_bad_file_line_is_named_and_writes_nothing(self, tmp_path, capsys, bad):
         seq = tmp_path / "rounds.jsonl"
         good = {"rankings": [[0, 1, 2]] * 4, "losses": [0.0, 0.5, 1.0]}

@@ -18,6 +18,7 @@ from voteweight import (
     RandomizedPositional,
     Ranking,
     SchemeConfig,
+    VotingRule,
     WinnerPunishingSource,
     anonymize,
     best_voter,
@@ -69,8 +70,24 @@ class TestRunEpisode:
             episode("deterministic_unilateral", feedback="partial")
 
     def test_winner_punishing_needs_non_constant_rule(self):
-        with pytest.raises(NoWitnessError):
-            WinnerPunishingSource(ConstantUniform(), 3)
+        class FirstAlternative(VotingRule):
+            deterministic = True
+
+            def evaluate(self, profile):
+                return np.eye(profile.m)[0]
+
+        with pytest.raises(NoWitnessError, match="constant"):
+            WinnerPunishingSource(FirstAlternative(), 3)
+
+    def test_deterministic_winner_punishing_evaluates_once_per_round(self):
+        # the source's outcome is the scheme's: the engine never re-evaluates it
+        rule, T = DeterministicPositional("plurality"), 50
+        source = WinnerPunishingSource(rule, 3)
+        calls, evaluate = [], rule.evaluate
+        rule.evaluate = lambda profile: calls.append(profile) or evaluate(profile)
+        with pytest.warns(UserWarning):
+            episode("deterministic_unilateral", rule=rule, source=source, T=T)
+        assert len(calls) == T
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, 1.5, math.nan, math.inf, "0.5", True])
     def test_condorcet_split_needs_a_gap_in_unit_interval(self, delta):
@@ -325,6 +342,7 @@ def recomputed_exp3(scheme, table, rounds, u):
     (idx, L), losses = _index_rounds(table, rounds, n), rounds.losses
     probs = np.zeros((T, n))
     chosen, winner = [], []
+    outcomes = table.U.tolist()
     cumulative = [0.0] * n
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
         z = [x * -eta for x in cumulative]
@@ -334,7 +352,7 @@ def recomputed_exp3(scheme, table, rounds, u):
         probs[t] = p = [x / total for x in w]
         c = _list_draw(p, u_voter)
         chosen.append(c)
-        winner.append(_list_draw(table.outcomes[idx[t, c]], u_winner))
+        winner.append(_list_draw(outcomes[idx[t, c]], u_winner))
         cumulative[c] += float(losses[t, winner[-1]]) / p[c]
     rows = np.arange(T)
     chosen, winner = np.array(chosen), np.array(winner)
@@ -439,7 +457,7 @@ class TestScalarReference:
                 trace = run_episode(scheme, rule, source, 40, seed=5)
 
             def round_at(t, weights):
-                round_ = source.emit(t + 1, weights, np.random.default_rng(0))
+                round_ = source.emit(weights)
                 return voter_rankings(round_), round_.losses.tolist()
 
             scalar_replay(scheme, rule, trace, round_at)

@@ -420,13 +420,12 @@ class TestOutcomeTable:
                 rows.append(np.array([table.row(m, int(codes[0]))]))
             else:
                 rows.append(table.index(m, codes))
-            if i == 2:  # the lazy rankings and U must keep up with later batches
-                assert len(table.rankings) == len(table.U) == len(table.outcomes)
+            if i == 2:  # the lazy rankings must keep up with later batches
+                assert len(table.rankings) == len(table.U)
         want_rows, want_outcomes, want_rankings = scalar_table(rule, width, calls)
         for got, want in zip(rows, want_rows):
             assert np.array_equal(got, want)
-        assert table.outcomes == want_outcomes
-        assert np.array_equal(table.U, np.array(want_outcomes))
+        assert table.U.tolist() == want_outcomes
         assert table.rankings == want_rankings
 
 
