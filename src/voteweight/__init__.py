@@ -44,9 +44,9 @@ from .rules import (
     VotingRule,
     condorcet_winner,
     copeland_scores,
-    pairwise_weight,
+    pairwise_statistic,
     position_selector,
-    positional_scores,
+    profile_statistic,
     rule_from_spec,
     unanimity_witness,
 )

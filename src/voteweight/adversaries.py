@@ -4,7 +4,9 @@ schemes, plus the random rankings and profiles the checks and tests fuzz with.
 The worst-case sources are adaptive: ``emit(weights)`` consumes the weight
 vector the scheme just played and only then builds the round. ``m`` is the
 number of alternatives a source emits; sources hold no per-episode state, so
-one instance serves every trial.
+one instance serves every trial. A round has two voter groups: its outcome is
+decided on the two group masses (each summed in voter order) times the groups'
+statistics, computed once per source; two masses add alike in either order.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, AnonymousProfile, Ranking, anonymize, as_weights, group_profile, unanimous
+from .core import TOL, AnonymousProfile, Ranking, anonymize, as_weights
 from .errors import ConfigError, HypothesisViolatedError, NoWitnessError
-from .rules import RandomizedCopeland, VotingRule, condorcet_winner, unanimity_witness
+from .rules import (RandomizedCopeland, VotingRule, condorcet_winner, pairwise_statistic,
+                    unanimity_witness, weighted_statistic)
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,7 @@ def orient_gap_pair(rule: VotingRule, m: int) -> GapPair:
     x, y = 0, 1
     t_xy = top_two_ranking(x, y, m)
     t_yx = top_two_ranking(y, x, m)
-    d_xy = rule.evaluate(unanimous(t_xy))
-    d_yx = rule.evaluate(unanimous(t_yx))
+    d_xy, d_yx = rule.unanimous_outcomes(np.array([t_xy.order, t_yx.order]))
     gap_xy = float(d_xy[x] - d_xy[y])
     gap_yx = float(d_yx[y] - d_yx[x])
     if gap_yx >= gap_xy:
@@ -124,10 +126,13 @@ class WinnerPunishingSource:
         self.rule = rule
         self.witness = witness
         self.m = m
+        self._stat = rule.statistic(np.array([r.order for r in witness]))
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
         groups = (np.arange(len(weights)) > 0).astype(np.int64)
-        outcome = self.rule.evaluate(group_profile(groups, self.witness, weights))
+        w, total = as_weights(weights)
+        stat = weighted_statistic(np.bincount(groups, weights=w) / total, self._stat)
+        outcome = self.rule.decide(stat, self.m)
         losses = np.zeros(self.m)
         losses[int(np.argmax(outcome))] = 1.0
         return RoundChallenge(groups, self.witness, losses, outcome)
@@ -158,6 +163,9 @@ class CondorcetSplitSource:
         self.delta = delta
         self.pair = orient_gap_pair(rule, m)
         self.m = m
+        # Each block's pairwise statistic, for the Condorcet check, then the rule's.
+        blocks = np.array([self.pair.top_ab.order, self.pair.top_ba.order])
+        self._stat = np.concatenate((pairwise_statistic(blocks), rule.statistic(blocks)), axis=1)
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
         n, delta, pair = len(weights), self.delta, self.pair
@@ -169,13 +177,12 @@ class CondorcetSplitSource:
         part = majority_prefix_partition(w)
         groups = np.ones(n, dtype=np.int64)
         groups[part.heavy] = 0
-        blocks = (pair.top_ab, pair.top_ba)
-        profile = group_profile(groups, blocks, w)
+        stat = weighted_statistic(np.bincount(groups, weights=w) / total, self._stat)
         losses = np.full(self.m, 0.5)
         losses[pair.a] = 1.0
         losses[pair.b] = 0.0
 
-        if condorcet_winner(profile) != pair.a:
+        if condorcet_winner(stat[: self.m * self.m]) != pair.a:
             raise HypothesisViolatedError(f"{pair.a} is not the Condorcet winner of the split")
         # Case split on how far the heavy block overshoots half the total weight.
         if part.heavy_weight >= (0.5 + delta / 3.0) * total:
@@ -186,7 +193,8 @@ class CondorcetSplitSource:
             raise HypothesisViolatedError(
                 f"heavy block of {len(part.heavy)} voters breaks its size bound"
             )
-        return RoundChallenge(groups, blocks, losses, self.rule.evaluate(profile))
+        outcome = self.rule.decide(stat[self.m * self.m:], self.m)
+        return RoundChallenge(groups, (pair.top_ab, pair.top_ba), losses, outcome)
 
 
 # ---------------------------------------------------------------------------

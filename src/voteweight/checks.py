@@ -30,7 +30,8 @@ from .rules import (
     condorcet_winner,
     copeland_scores,
     duple_mixture_copeland,
-    positional_scores,
+    pairwise_statistic,
+    profile_statistic,
     unilateral_mixture_positional,
     validate_scores,
 )
@@ -113,10 +114,12 @@ def check_score_conservation(seed: int, profiles: int) -> CheckResult:
         m = int(rng.integers(2, 7))
         profile = random_profile(m, rng)
         s = np.sort(rng.random(m))[::-1] + np.array([1.0] + [0.0] * (m - 1))
+        scores = profile_statistic(RandomizedPositional(s).statistic, profile)
+        pairwise = profile_statistic(pairwise_statistic, profile)
         worst = max(
             worst,
-            abs(float(positional_scores(profile, s).sum()) - float(s.sum())),
-            abs(float(copeland_scores(profile).sum()) - m * (m - 1) / 2),
+            abs(float(scores.sum()) - float(s.sum())),
+            abs(float(copeland_scores(pairwise).sum()) - m * (m - 1) / 2),
         )
     return CheckResult("score_conservation", worst <= TOL, f"max deviation {worst:.3e}")
 
@@ -131,7 +134,7 @@ def check_condorcet_gap(seed: int, profiles: int) -> CheckResult:
     while found < profiles:
         m = int(rng.integers(3, 6))
         profile = random_profile(m, rng)
-        winner = condorcet_winner(profile)
+        winner = condorcet_winner(profile_statistic(pairwise_statistic, profile))
         if winner is None:
             continue
         found += 1

@@ -15,8 +15,8 @@ import numpy as np
 
 from .adversaries import CondorcetSplitSource, WinnerPunishingSource
 from .checks import SUITES, run_suite
-from .core import check_alternatives
-from .errors import ConfigError, VoteWeightError
+from .core import check_alternatives, whole_number
+from .errors import VoteWeightError
 from .harness import (
     FileSource,
     IIDRandomSource,
@@ -32,14 +32,6 @@ from .schemes import SchemeConfig
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _whole(value, key: str) -> int:
-    """A config count or seed as an int: JSON true and false, and floats that
-    are not whole numbers (infinity and NaN included), are refused."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _build_source(spec: dict, rule, n: int, m: int):
@@ -80,11 +72,11 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
 
     # Everything is validated and computed before any output is written.
     try:
-        n = _whole(cfg["n"], "n")
-        m = check_alternatives(_whole(cfg["m"], "m"))
-        T = _whole(cfg["T"], "T")
-        seed = _whole(cfg.get("seed", 0), "seed")
-        trials = _whole(cfg.get("trials", 1), "trials")
+        n = whole_number(cfg["n"], "n")
+        m = check_alternatives(whole_number(cfg["m"], "m"))
+        T = whole_number(cfg["T"], "T")
+        seed = whole_number(cfg.get("seed", 0), "seed")
+        trials = whole_number(cfg.get("trials", 1), "trials")
         rule = rule_from_spec(cfg["rule"])
         scheme_spec = cfg.get("scheme", {})
         scheme = SchemeConfig(

@@ -13,11 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateWeightsError,
     EnumerationRefusedError,
     InvalidRankingError,
@@ -40,6 +41,16 @@ def check_alternatives(m: int) -> int:
     return m
 
 
+def whole_number(value, key: str) -> int:
+    """A config count, seed or index as an int: JSON true and false, strings,
+    negative numbers and floats that are not whole numbers (infinity and NaN
+    included) are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer() or value < 0):
+        raise ConfigError(f"{key} must be a non-negative whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Ranking:
     """A strict linear order over alternatives {0, ..., m-1}, best first."""
@@ -56,18 +67,6 @@ class Ranking:
     @property
     def m(self) -> int:
         return len(self.order)
-
-    @cached_property
-    def positions(self) -> tuple[int, ...]:
-        """positions[a] is the 0-based position of alternative a."""
-        pos = [0] * len(self.order)
-        for rank, a in enumerate(self.order):
-            pos[a] = rank
-        return tuple(pos)
-
-    def prefers(self, a: int, b: int) -> bool:
-        """True iff a is ranked strictly above b."""
-        return self.positions[a] < self.positions[b]
 
     @cached_property
     def code(self) -> int:
@@ -136,9 +135,6 @@ class AnonymousProfile:
             total += frac
         if not abs(total - 1.0) <= TOL:  # a NaN total fails too
             raise ShapeError(f"profile mass sums to {total}, expected 1")
-
-    def items(self) -> Iterable[tuple[Ranking, float]]:
-        return self.mass.items()
 
 
 def unanimous(ranking: Ranking) -> AnonymousProfile:

@@ -2,13 +2,16 @@
 and mixtures, in deterministic and randomized forms.
 
 Every rule maps an :class:`~voteweight.core.AnonymousProfile` to a probability
-vector over alternatives. Deterministic rules return a point mass and break
-score ties by smallest alternative id.
+vector over alternatives through a linear statistic of it: ``statistic(orders)``
+gives each ranking's vector, a profile's statistic is their mass-weighted sum,
+and ``decide`` maps that sum to the outcome. Deterministic rules return a point
+mass and break score ties by smallest alternative id.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,7 +22,7 @@ from .core import (
     Ranking,
     all_rankings,
     orders_from_codes,
-    unanimous,
+    whole_number,
 )
 from .errors import ConfigError, InvalidPairError, ShapeError
 
@@ -61,65 +64,64 @@ def validate_scores(s: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Score computations
+# Statistics: a rule sees a weighted profile only through the weighted sum of
+# one statistic vector per ranking.
 
 
-def positional_scores(profile: AnonymousProfile, s: np.ndarray) -> np.ndarray:
-    """Per-alternative score: sum over rankings of mass * score-of-position."""
-    if len(s) != profile.m:
-        raise ShapeError(f"{len(s)} scores for a profile with m={profile.m}")
-    scores = np.zeros(profile.m)
-    for ranking, frac in profile.items():
-        scores[list(ranking.order)] += frac * s
-    return scores
+def pairwise_statistic(orders: np.ndarray) -> np.ndarray:
+    """Row i, read as an (m, m) matrix, is 1 at [a, b] when ``orders[i]`` ranks
+    a strictly above b; weighted, it is the mass preferring a over b."""
+    # Orders have no ties, so a stable sort gives the same positions, and it
+    # maps less of numpy's code into memory than the default sort does.
+    pos = np.argsort(orders, axis=1, kind="stable")
+    above = pos[:, :, None] < pos[:, None, :]
+    return above.reshape(len(orders), orders.shape[1] ** 2).astype(float)
 
 
-def pairwise_weight(profile: AnonymousProfile, a: int, b: int) -> float:
-    """Total profile mass of rankings placing a strictly above b."""
-    if a == b:
-        raise InvalidPairError(f"pairwise weight needs distinct alternatives, got {a}")
-    return sum(frac for ranking, frac in profile.items() if ranking.prefers(a, b))
+def weighted_statistic(mass: np.ndarray, stat: np.ndarray, rows=None) -> np.ndarray:
+    """The sum over g of ``mass[..., g] * stat[rows[..., g]]`` (``stat[g]``
+    without rows), added in g order from 0.0, as a loop over a profile adds:
+    a sum that meets a threshold or ties an argmax there does so here too."""
+    out = np.zeros(np.shape(mass)[:-1] + stat.shape[1:])
+    for g in range(np.shape(mass)[-1]):
+        out += mass[..., g, None] * stat[g if rows is None else rows[..., g]]
+    return out
 
 
-def _pairwise_matrix(profile: AnonymousProfile) -> np.ndarray:
-    """P[a, b] = mass preferring a over b (diagonal zero)."""
-    m = profile.m
-    mat = np.zeros((m, m))
-    for ranking, frac in profile.items():
-        pos = np.array(ranking.positions)
-        mat += frac * (pos[:, None] < pos[None, :])
-    return mat
+def profile_statistic(statistic: Callable[[np.ndarray], np.ndarray],
+                      profile: AnonymousProfile) -> np.ndarray:
+    """A profile's weighted statistic, for a statistic of orders such as a
+    rule's :meth:`VotingRule.statistic` or :func:`pairwise_statistic`."""
+    orders = np.array([ranking.order for ranking in profile.mass])
+    return weighted_statistic(np.array(list(profile.mass.values())), statistic(orders))
 
 
-def copeland_scores(profile: AnonymousProfile) -> np.ndarray:
-    """Pairwise wins plus half a point per exact pairwise tie."""
-    mat = _pairwise_matrix(profile)
-    scores = np.zeros(profile.m)
-    # Each pair is decided once from one side, like a duple, so rounding in
-    # the two masses can never leave a pair with no winner.
-    for a, b in itertools.combinations(range(profile.m), 2):
-        if mat[a, b] > 0.5:
-            scores[a] += 1.0
-        elif mat[a, b] < 0.5:
-            scores[b] += 1.0
-        else:
-            scores[[a, b]] += 0.5
-    return scores
+def copeland_scores(pairwise: np.ndarray) -> np.ndarray:
+    """Pairwise wins plus half a point per exact tie, from weighted pairwise
+    statistics (..., m*m). Each pair is decided once from one side, like a
+    duple, so rounding in the two masses can never leave a pair with no
+    winner. A loop over Python floats: one round has only a few pairs."""
+    m = math.isqrt(pairwise.shape[-1])
+    pairs = list(itertools.combinations(range(m), 2))
+    rows = []
+    for mass in pairwise.reshape(-1, m * m).tolist():
+        rows.append([0.0] * m)
+        for a, b in pairs:
+            win = 1.0 if mass[a * m + b] > 0.5 else 0.0 if mass[a * m + b] < 0.5 else 0.5
+            rows[-1][a] += win
+            rows[-1][b] += 1.0 - win
+    return np.array(rows).reshape(pairwise.shape[:-1] + (m,))
 
 
-def condorcet_winner(profile: AnonymousProfile) -> Optional[int]:
-    """The alternative strictly beating all others pairwise, if any."""
-    mat = _pairwise_matrix(profile)
-    for a in range(profile.m):
-        if all(mat[a, b] > 0.5 for b in range(profile.m) if b != a):
+def condorcet_winner(pairwise: np.ndarray) -> Optional[int]:
+    """The alternative strictly beating all others in one weighted pairwise
+    statistic (m*m,), if any."""
+    m = math.isqrt(len(pairwise))
+    mass = np.reshape(pairwise, (m, m)).tolist()
+    for a in range(m):
+        if all(mass[a][b] > 0.5 for b in range(m) if b != a):
             return a
     return None
-
-
-def _point_mass(index: int, m: int) -> np.ndarray:
-    out = np.zeros(m)
-    out[index] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +129,25 @@ def _point_mass(index: int, m: int) -> np.ndarray:
 
 
 class VotingRule:
-    """Base class; subclasses implement :meth:`evaluate`."""
+    """Base class; subclasses implement :meth:`statistic` and :meth:`decide`."""
 
     deterministic: bool = False
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
+    def statistic(self, orders: np.ndarray) -> np.ndarray:
+        """Row i is the statistic of ``orders[i]``, for a (k, m) array of orders."""
         raise NotImplementedError
+
+    def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
+        """The outcomes (..., m) of weighted statistics over m alternatives."""
+        raise NotImplementedError
+
+    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
+        return self.decide(profile_statistic(self.statistic, profile), profile.m)
 
     def unanimous_outcomes(self, orders: np.ndarray) -> np.ndarray:
         """Row i is the outcome on the unanimous profile of ``orders[i]``, for a
-        (k, m) array of orders. Overrides must match this loop bit for bit."""
-        rows = [self.evaluate(unanimous(Ranking(tuple(o)))) for o in orders.tolist()]
-        return np.array(rows).reshape(orders.shape)
+        (k, m) array of orders: that profile's statistic is the order's own."""
+        return self.decide(self.statistic(orders), orders.shape[1])
 
     def is_distribution_over_unilaterals(self) -> bool:
         """True when the rule decomposes across voters' individual rankings.
@@ -152,6 +161,8 @@ class VotingRule:
 
 
 class _Positional(VotingRule):
+    """The statistic is the score vector s scattered onto each order."""
+
     def __init__(self, scores: Sequence[float] | np.ndarray | str):
         if isinstance(scores, str):
             if scores not in _SCORE_FAMILIES:
@@ -171,14 +182,10 @@ class _Positional(VotingRule):
             )
         return self._scores
 
-    def unanimous_outcomes(self, orders: np.ndarray) -> np.ndarray:
-        """Each order's unanimous scores are s scattered onto its alternatives."""
-        s = self.score_vector(orders.shape[1])
+    def statistic(self, orders: np.ndarray) -> np.ndarray:
         scores = np.zeros(orders.shape)
-        np.put_along_axis(scores, orders, s, axis=1)
-        if self.deterministic:
-            return np.eye(len(s))[np.argmax(scores, axis=1)]
-        return scores / float(s.sum())
+        np.put_along_axis(scores, orders, self.score_vector(orders.shape[1]), axis=1)
+        return scores
 
     def __repr__(self) -> str:
         tag = self._family if self._family is not None else list(self._scores)
@@ -190,18 +197,16 @@ class DeterministicPositional(_Positional):
 
     deterministic = True
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
-        scores = positional_scores(profile, self.score_vector(profile.m))
-        return _point_mass(int(np.argmax(scores)), profile.m)
+    def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
+        return np.eye(m)[np.argmax(stat, axis=-1)]
 
 
 class RandomizedPositional(_Positional):
     """Each alternative wins with probability proportional to its score."""
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
-        s = self.score_vector(profile.m)
+    def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         # The normalizer is the constant ||s||_1, not the realized score sum.
-        return positional_scores(profile, s) / float(s.sum())
+        return stat / float(self.score_vector(m).sum())
 
     def is_distribution_over_unilaterals(self) -> bool:
         return True
@@ -211,31 +216,35 @@ class DeterministicCopeland(VotingRule):
     """Point mass on the highest Copeland score, smallest id on ties."""
 
     deterministic = True
+    statistic = staticmethod(pairwise_statistic)
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
-        return _point_mass(int(np.argmax(copeland_scores(profile))), profile.m)
+    def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
+        return np.eye(m)[np.argmax(copeland_scores(stat), axis=-1)]
 
 
 class RandomizedCopeland(VotingRule):
     """Each alternative wins with probability proportional to its Copeland score."""
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
-        m = profile.m
-        return copeland_scores(profile) / (m * (m - 1) / 2)
+    statistic = staticmethod(pairwise_statistic)
+
+    def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
+        return copeland_scores(stat) / (m * (m - 1) / 2)
 
 
 class Unilateral(VotingRule):
-    """Pick a ranking with its profile mass and apply a fixed selector to it."""
+    """Pick a ranking with its profile mass and apply a fixed selector to it;
+    the statistic is the one-hot of the selected alternative."""
 
     def __init__(self, selector: Callable[[Ranking], int], name: str = "unilateral"):
         self.selector = selector
         self.name = name
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
-        probs = np.zeros(profile.m)
-        for ranking, frac in profile.items():
-            probs[self.selector(ranking)] += frac
-        return probs
+    def statistic(self, orders: np.ndarray) -> np.ndarray:
+        picks = [self.selector(Ranking(tuple(order))) for order in orders.tolist()]
+        return np.eye(orders.shape[1])[picks]
+
+    def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
+        return stat
 
     def is_distribution_over_unilaterals(self) -> bool:
         return True
@@ -246,11 +255,18 @@ class Unilateral(VotingRule):
 
 def position_selector(k: int) -> Callable[[Ranking], int]:
     """Selector returning the alternative ranked at 0-based position k."""
-    return lambda ranking: ranking.order[k]
+
+    def select(ranking: Ranking) -> int:
+        if k >= ranking.m:
+            raise ConfigError(f"unilateral position={k} needs m > {k}, got m={ranking.m}")
+        return ranking.order[k]
+
+    return select
 
 
 class Duple(VotingRule):
-    """Award the pairwise majority winner among {a, b}; split 50/50 on a tie."""
+    """Award the pairwise majority winner among {a, b}; split 50/50 on a tie.
+    The statistic is the indicator of a above b."""
 
     def __init__(self, a: int, b: int):
         if a == b:
@@ -258,23 +274,26 @@ class Duple(VotingRule):
         self.a = a
         self.b = b
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
-        probs = np.zeros(profile.m)
-        w = pairwise_weight(profile, self.a, self.b)
-        if w > 0.5:
-            probs[self.a] = 1.0
-        elif w < 0.5:
-            probs[self.b] = 1.0
-        else:
-            probs[self.a] = probs[self.b] = 0.5
-        return probs
+    def statistic(self, orders: np.ndarray) -> np.ndarray:
+        for field, x in (("a", self.a), ("b", self.b)):
+            if x >= orders.shape[1]:
+                raise ConfigError(f"duple {field}={x} needs m > {x}, got m={orders.shape[1]}")
+        pos = np.argsort(orders, axis=1, kind="stable")
+        return (pos[:, [self.a]] < pos[:, [self.b]]).astype(float)
+
+    def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
+        win = np.where(stat[..., 0] > 0.5, 1.0, np.where(stat[..., 0] < 0.5, 0.0, 0.5))
+        out = np.zeros(stat.shape[:-1] + (m,))
+        out[..., self.a], out[..., self.b] = win, 1.0 - win
+        return out
 
     def __repr__(self) -> str:
         return f"Duple({self.a}, {self.b})"
 
 
 class Mixture(VotingRule):
-    """Probability-weighted average of component rules."""
+    """Probability-weighted average of component rules; the statistic is the
+    concatenation of the components' statistics."""
 
     def __init__(self, components: Sequence[tuple[VotingRule, float]]):
         total = sum(q for _, q in components)
@@ -282,10 +301,15 @@ class Mixture(VotingRule):
             raise ShapeError(f"mixture probabilities must sum to 1, got {total}")
         self.components = list(components)
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
-        out = np.zeros(profile.m)
+    def statistic(self, orders: np.ndarray) -> np.ndarray:
+        return np.concatenate([rule.statistic(orders) for rule, _ in self.components], axis=1)
+
+    def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
+        out, lo = np.zeros(stat.shape[:-1] + (m,)), 0
         for rule, q in self.components:
-            out += q * rule.evaluate(profile)
+            hi = lo + rule.statistic(np.zeros((0, m), dtype=np.int64)).shape[1]  # its width
+            out += q * rule.decide(stat[..., lo:hi], m)
+            lo = hi
         return out
 
     def is_distribution_over_unilaterals(self) -> bool:
@@ -293,10 +317,14 @@ class Mixture(VotingRule):
 
 
 class ConstantUniform(VotingRule):
-    """Ignore the profile entirely and return the uniform distribution."""
+    """Ignore the profile entirely and return the uniform distribution; the
+    statistic is empty."""
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
-        return np.full(profile.m, 1.0 / profile.m)
+    def statistic(self, orders: np.ndarray) -> np.ndarray:
+        return np.zeros((len(orders), 0))
+
+    def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
+        return np.full(stat.shape[:-1] + (m,), 1.0 / m)
 
     def is_distribution_over_unilaterals(self) -> bool:
         # A constant rule is a mixture of constant-selector unilaterals.
@@ -364,10 +392,10 @@ def rule_from_spec(spec: dict) -> VotingRule:
     if kind == "constant_uniform":
         return ConstantUniform()
     if kind == "duple":
-        return Duple(int(spec["a"]), int(spec["b"]))
+        return Duple(whole_number(spec["a"], "a"), whole_number(spec["b"], "b"))
     if kind == "unilateral":
-        return Unilateral(position_selector(int(spec["position"])),
-                          name=f"position_{spec['position']}")
+        position = whole_number(spec["position"], "position")
+        return Unilateral(position_selector(position), name=f"position_{position}")
     raise ConfigError(f"unknown rule kind {kind!r}")
 
 
@@ -378,25 +406,16 @@ def rule_from_spec(spec: dict) -> VotingRule:
 class OutcomeTable:
     """The rule's outcome on each distinct unanimous profile an episode meets.
 
-    Row k of `U` is f(unanimous(rankings[k])), zero-padded to `width`
-    alternatives. Rows are keyed by (m, rank code), so one table serves rounds
-    with different alternative counts and evaluates the rule once per key.
+    Row k of `U` is the outcome on row k's unanimous profile, zero-padded to
+    `width` alternatives. Rows are keyed by (m, rank code), so one table serves
+    rounds with different alternative counts and evaluates the rule once per key.
     """
 
     def __init__(self, rule: VotingRule, width: int):
         self.rule = rule
         self.width = width
         self.U = np.zeros((0, width))
-        self._rankings: list[Ranking] = []
-        self._pending: list[np.ndarray] = []  # decoded orders of rows past _rankings
         self._rows: dict[tuple[int, int], int] = {}
-
-    @property
-    def rankings(self) -> list[Ranking]:
-        """Row k's ranking, built on first use: only weighted profiles need it."""
-        while self._pending:
-            self._rankings += [Ranking(tuple(o)) for o in self._pending.pop(0).tolist()]
-        return self._rankings
 
     def row(self, m: int, code: int) -> int:
         """Table row of one rank code over m alternatives."""
@@ -412,7 +431,6 @@ class OutcomeTable:
         padded = np.zeros((len(new), self.width))
         padded[:, :m] = self.rule.unanimous_outcomes(orders)
         self._rows.update({(m, c): len(self._rows) + i for i, c in enumerate(new)})
-        self._pending.append(orders)
         self.U = np.concatenate((self.U, padded))
         rows = np.array([self._rows[(m, c)] for c in distinct.tolist()], dtype=np.int64)
         return rows[inverse].reshape(np.shape(codes))

@@ -15,6 +15,8 @@ from voteweight import (
     condorcet_winner,
     majority_prefix_partition,
     orient_gap_pair,
+    pairwise_statistic,
+    profile_statistic,
     top_two_ranking,
     unanimity_witness,
     unanimous,
@@ -158,9 +160,9 @@ class TestOrientGapPair:
     def test_biased_rule_flips_orientation(self):
         # a rule whose unanimous outcome always favors alternative 1
         class Favors1(ConstantUniform):
-            def evaluate(self, profile):
-                out = np.full(profile.m, 0.1)
-                out[1] += 1 - out.sum()
+            def decide(self, stat, m):
+                out = np.full(stat.shape[:-1] + (m,), 0.1)
+                out[..., 1] += 1 - out.sum(axis=-1)
                 return out
 
         pair = orient_gap_pair(Favors1(), 3)
@@ -199,7 +201,8 @@ class TestCondorcetSplitRound:
         for _ in range(50):
             w = rng.random(11) + 1e-3
             round_ = self.source.emit(w)
-            assert condorcet_winner(anonymize(voter_rankings(round_), w)) == self.pair.a
+            profile = anonymize(voter_rankings(round_), w)
+            assert condorcet_winner(profile_statistic(pairwise_statistic, profile)) == self.pair.a
 
     def test_per_round_gap_for_random_weights(self, rng):
         for _ in range(50):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,12 +232,19 @@ class TestSimulate:
             {"m": 3.5},
             {"seed": float("nan")},
             {"trials": True},
+            {"T": "7"},
+            {"n": "4"},
+            {"m": "3"},
+            {"seed": "0"},
+            {"trials": "1"},
+            {"seed": -1},
         ],
         ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
              "unknown_feedback", "nan_eta", "eta_string", "eta_bool", "nan_in_summary",
              "zero_trials", "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
              "thm5_string_delta", "infinite_T", "fractional_T", "bool_n", "fractional_m",
-             "nan_seed", "bool_trials"],
+             "nan_seed", "bool_trials", "string_T", "string_n", "string_m", "string_seed",
+             "string_trials", "negative_seed"],
     )
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -248,6 +256,27 @@ class TestSimulate:
         for key, section in (("delta", "source"), ("eta", "scheme")):
             if key in str(overrides.get(section)):
                 assert key in err
+
+    @pytest.mark.parametrize("rule, message", [
+        ({"kind": "unilateral", "position": 5}, "position=5 needs m > 5"),
+        ({"kind": "duple", "a": 0, "b": 7}, "b=7 needs m > 7"),
+        ({"kind": "duple", "a": 1.9, "b": 0}, "a must be a non-negative whole number"),
+        ({"kind": "unilateral", "position": -1}, "position must be a non-negative whole"),
+        ({"kind": "duple", "a": -1, "b": 0}, "a must be a non-negative whole number"),
+        ({"kind": "duple", "a": "1", "b": 0}, "a must be a non-negative whole number"),
+    ], ids=["position_past_m", "duple_b_past_m", "fractional_a", "negative_position",
+            "negative_a", "string_a"])
+    @pytest.mark.parametrize("kind", ["full_info", "deterministic_unilateral"])
+    def test_bad_rule_index_writes_nothing(self, tmp_path, capsys, rule, message, kind):
+        cfg = write_config(tmp_path, rule=rule, source={"kind": "iid_random"},
+                           scheme={"kind": kind})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a duple does not decompose
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("bad", [
         {"rankings": [[0, 1, 2]] * 4, "losses": [float("nan"), 0.5, 1.0]},

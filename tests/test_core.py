@@ -13,6 +13,7 @@ from voteweight import (
     RandomizedPositional,
     Ranking,
     anonymize,
+    pairwise_statistic,
     rank_codes,
     unanimous,
 )
@@ -40,13 +41,12 @@ class TestMakeRanking:
     def test_identity_permutation(self):
         r = Ranking((0, 1, 2))
         assert r.order == (0, 1, 2)
-        assert r.positions[0] == 0
+        assert r.m == 3
 
     def test_transposition_positions(self):
-        r = Ranking((1, 0, 2))
-        assert r.positions[1] == 0
-        assert r.positions[0] == 1
-        assert r.prefers(1, 0)
+        # 1 above 0 above 2, read from the pairwise statistic
+        above = pairwise_statistic(np.array([Ranking((1, 0, 2)).order])).reshape(3, 3)
+        assert above.tolist() == [[0, 0, 1], [1, 0, 1], [0, 0, 0]]
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(InvalidRankingError):

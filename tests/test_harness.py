@@ -18,7 +18,6 @@ from voteweight import (
     RandomizedPositional,
     Ranking,
     SchemeConfig,
-    VotingRule,
     WinnerPunishingSource,
     anonymize,
     best_voter,
@@ -70,24 +69,25 @@ class TestRunEpisode:
             episode("deterministic_unilateral", feedback="partial")
 
     def test_winner_punishing_needs_non_constant_rule(self):
-        class FirstAlternative(VotingRule):
+        class FirstAlternative(ConstantUniform):
             deterministic = True
 
-            def evaluate(self, profile):
-                return np.eye(profile.m)[0]
+            def decide(self, stat, m):
+                return np.eye(m)[np.zeros(stat.shape[:-1], dtype=int)]
 
         with pytest.raises(NoWitnessError, match="constant"):
             WinnerPunishingSource(FirstAlternative(), 3)
 
     def test_deterministic_winner_punishing_evaluates_once_per_round(self):
-        # the source's outcome is the scheme's: the engine never re-evaluates it
+        # the source's outcome is the scheme's: the engine never decides a
+        # weighted statistic of its own (2-d statistics are table builds)
         rule, T = DeterministicPositional("plurality"), 50
         source = WinnerPunishingSource(rule, 3)
-        calls, evaluate = [], rule.evaluate
-        rule.evaluate = lambda profile: calls.append(profile) or evaluate(profile)
+        calls, decide = [], rule.decide
+        rule.decide = lambda stat, m: calls.append(stat.ndim) or decide(stat, m)
         with pytest.warns(UserWarning):
             episode("deterministic_unilateral", rule=rule, source=source, T=T)
-        assert len(calls) == T
+        assert calls.count(1) == T
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, 1.5, math.nan, math.inf, "0.5", True])
     def test_condorcet_split_needs_a_gap_in_unit_interval(self, delta):
