@@ -29,7 +29,6 @@ from .core import (
     check_alternatives,
     draw,
     inverse_cdf,
-    orders_from_codes,
     rank_codes,
     validate_losses,
 )
@@ -213,34 +212,24 @@ def _play_oblivious(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u
         if table.rule.is_distribution_over_unilaterals():
             outcome = np.einsum("tn,tnk->tk", probs, table.U[idx])
         else:
-            outcome = _weighted_outcomes(table.rule, rounds, probs)
+            outcome = _weighted_outcomes(table, rounds.m, idx, probs)
         scheme_loss = np.einsum("tk,tk->t", outcome, rounds.losses)
     winner = inverse_cdf(outcome, u[:, 1])
     return L, probs, chosen, winner, scheme_loss, rounds.losses[rows, winner]
 
 
-def _weighted_outcomes(rule: VotingRule, rounds: Rounds, probs: np.ndarray) -> np.ndarray:
-    """Each round's outcome with voter i weighted by ``probs[t, i]``, from one
-    batched statistic and one ``decide`` per alternative count. Voters with one
-    ranking form a group whose weight is summed in voter order, and the groups
-    are added in order of their first positive-weight voter: the order in which
-    a loop over the round's weighted profile adds them, so ties break alike."""
-    outcome = np.zeros(rounds.losses.shape)
-    for m in set(rounds.m.tolist()):
-        codes, w = rounds.codes[rounds.m == m], probs[rounds.m == m]
-        distinct, groups = np.unique(codes, return_inverse=True)
-        keyed = np.arange(len(codes))[:, None] * len(distinct) + groups.reshape(codes.shape)
-        keys, first, key_of = np.unique(keyed[w > 0], return_index=True, return_inverse=True)
-        order = np.argsort(first)  # by round, then by first voter
-        sums, keys = np.bincount(key_of, weights=w[w > 0])[order], keys[order]
-        t = keys // len(distinct)
-        g = np.arange(len(keys)) - np.searchsorted(t, t)  # place within its round
-        mass = np.zeros((len(codes), g.max() + 1))
-        mass[t, g] = sums / w.sum(axis=1)[t]
-        group = np.zeros(mass.shape, dtype=np.int64)
-        group[t, g] = keys % len(distinct)
-        stat = rule.statistic(orders_from_codes(distinct, m))
-        outcome[rounds.m == m, :m] = rule.decide(weighted_statistic(mass, stat, group), m)
+def _weighted_outcomes(table: OutcomeTable, ms: np.ndarray, idx, probs) -> np.ndarray:
+    """Each round's outcome with voter i, on table row ``idx[t, i]``, weighted
+    by ``probs[t, i]``. As in a loop over the round's weighted profile, a row's
+    weight is summed in voter order and the rows' statistics are added in order
+    of their first positive-weight voter, so ties break alike."""
+    outcome = np.zeros((len(ms), table.width))
+    for t, m in enumerate(ms.tolist()):
+        rows, group = np.unique(idx[t], return_inverse=True)
+        mass = np.bincount(group, weights=probs[t]) / probs[t].sum()
+        support = list(dict.fromkeys(group[probs[t] > 0].tolist()))
+        stat = np.array([table.stats[r] for r in rows[support].tolist()])
+        outcome[t, :m] = table.rule.decide(weighted_statistic(mass[support], stat), m)
     return outcome
 
 

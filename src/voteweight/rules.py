@@ -78,14 +78,11 @@ def pairwise_statistic(orders: np.ndarray) -> np.ndarray:
     return above.reshape(len(orders), orders.shape[1] ** 2).astype(float)
 
 
-def weighted_statistic(mass: np.ndarray, stat: np.ndarray, rows=None) -> np.ndarray:
-    """The sum over g of ``mass[..., g] * stat[rows[..., g]]`` (``stat[g]``
-    without rows), added in g order from 0.0, as a loop over a profile adds:
-    a sum that meets a threshold or ties an argmax there does so here too."""
-    out = np.zeros(np.shape(mass)[:-1] + stat.shape[1:])
-    for g in range(np.shape(mass)[-1]):
-        out += mass[..., g, None] * stat[g if rows is None else rows[..., g]]
-    return out
+def weighted_statistic(mass: np.ndarray, stat: np.ndarray) -> np.ndarray:
+    """The sum over g of ``mass[g] * stat[g]``, added in g order, as a loop
+    over a profile adds: a sum that meets a threshold or ties an argmax there
+    does so here too. A running sum adds in sequence; a plain sum may not."""
+    return np.add.accumulate(mass[:, None] * stat)[-1]
 
 
 def profile_statistic(statistic: Callable[[np.ndarray], np.ndarray],
@@ -278,8 +275,7 @@ class Duple(VotingRule):
         for field, x in (("a", self.a), ("b", self.b)):
             if x >= orders.shape[1]:
                 raise ConfigError(f"duple {field}={x} needs m > {x}, got m={orders.shape[1]}")
-        pos = np.argsort(orders, axis=1, kind="stable")
-        return (pos[:, [self.a]] < pos[:, [self.b]]).astype(float)
+        return pairwise_statistic(orders)[:, [self.a * orders.shape[1] + self.b]]
 
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         win = np.where(stat[..., 0] > 0.5, 1.0, np.where(stat[..., 0] < 0.5, 0.0, 0.5))
@@ -300,14 +296,18 @@ class Mixture(VotingRule):
         if abs(total - 1.0) > TOL or any(q < 0 for _, q in components):
             raise ShapeError(f"mixture probabilities must sum to 1, got {total}")
         self.components = list(components)
+        self._ends: dict[int, list[int]] = {}  # m -> each component's last column
 
     def statistic(self, orders: np.ndarray) -> np.ndarray:
-        return np.concatenate([rule.statistic(orders) for rule, _ in self.components], axis=1)
+        parts = [rule.statistic(orders) for rule, _ in self.components]
+        self._ends[orders.shape[1]] = np.cumsum([p.shape[1] for p in parts]).tolist()
+        return np.concatenate(parts, axis=1)
 
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
+        if m not in self._ends:  # a statistic over m alternatives records the widths
+            self.statistic(np.zeros((0, m), dtype=np.int64))
         out, lo = np.zeros(stat.shape[:-1] + (m,)), 0
-        for rule, q in self.components:
-            hi = lo + rule.statistic(np.zeros((0, m), dtype=np.int64)).shape[1]  # its width
+        for (rule, q), hi in zip(self.components, self._ends[m]):
             out += q * rule.decide(stat[..., lo:hi], m)
             lo = hi
         return out
@@ -407,7 +407,7 @@ class OutcomeTable:
     """The rule's outcome on each distinct unanimous profile an episode meets.
 
     Row k of `U` is the outcome on row k's unanimous profile, zero-padded to
-    `width` alternatives. Rows are keyed by (m, rank code), so one table serves
+    `width` alternatives, and ``stats[k]`` is that profile's statistic. Rows are keyed by (m, rank code), so one table serves
     rounds with different alternative counts and evaluates the rule once per key.
     """
 
@@ -415,6 +415,7 @@ class OutcomeTable:
         self.rule = rule
         self.width = width
         self.U = np.zeros((0, width))
+        self.stats: list[np.ndarray] = []  # row k's statistic, for weighted rounds
         self._rows: dict[tuple[int, int], int] = {}
 
     def row(self, m: int, code: int) -> int:
@@ -427,9 +428,10 @@ class OutcomeTable:
         Codes new to the table are decoded and evaluated in one rule call."""
         distinct, inverse = np.unique(codes, return_inverse=True)
         new = [c for c in distinct.tolist() if (m, c) not in self._rows]
-        orders = orders_from_codes(new, m)
+        stat = self.rule.statistic(orders_from_codes(new, m))
+        self.stats.extend(stat)
         padded = np.zeros((len(new), self.width))
-        padded[:, :m] = self.rule.unanimous_outcomes(orders)
+        padded[:, :m] = self.rule.decide(stat, m)
         self._rows.update({(m, c): len(self._rows) + i for i, c in enumerate(new)})
         self.U = np.concatenate((self.U, padded))
         rows = np.array([self._rows[(m, c)] for c in distinct.tolist()], dtype=np.int64)

@@ -29,7 +29,8 @@ from voteweight import (
 )
 from voteweight import core
 from voteweight.core import all_rankings, group_profile
-from voteweight.harness import Rounds, _weighted_outcomes
+from voteweight.harness import _weighted_outcomes
+from voteweight.rules import OutcomeTable
 
 from test_rules import SHIPPED_RULES
 
@@ -177,15 +178,16 @@ class TestTieExactReference:
     def test_decide_matches_the_old_loops(self, case):
         m, reps, groups, weights = case
         codes = rank_codes([[reps[g].order for g in row] for row in groups.tolist()])
-        batch = Rounds(np.full(len(groups), m), codes, np.zeros((len(groups), m)))
         profiles = [group_profile(g, reps, w) for g, w in zip(groups, weights)]
         for name, make in RULES.items():
             rule = make(m)
-            batched = _weighted_outcomes(rule, batch, weights)
+            table = OutcomeTable(rule, m)
+            weighted = _weighted_outcomes(table, np.full(len(groups), m), table.index(m, codes),
+                                         weights)
             for t, profile in enumerate(profiles):
                 want = old_evaluate(rule, profile)
                 assert np.array_equal(rule.evaluate(profile), want), name
-                assert np.array_equal(batched[t], want), name
+                assert np.array_equal(weighted[t], want), name
         for profile in profiles:
             got = condorcet_winner(profile_statistic(pairwise_statistic, profile))
             assert got == old_condorcet_winner(profile)
