@@ -14,14 +14,7 @@ from .adversaries import (
     orient_gap_pair,
     top_two_ranking,
 )
-from .core import (
-    TOL,
-    AnonymousProfile,
-    Ranking,
-    anonymize,
-    rank_codes,
-    unanimous,
-)
+from .core import TOL, Ranking, rank_codes
 from .harness import (
     FileSource,
     IIDRandomSource,
@@ -44,6 +37,7 @@ from .rules import (
     VotingRule,
     condorcet_winner,
     copeland_scores,
+    group_statistic,
     pairwise_statistic,
     position_selector,
     profile_statistic,

@@ -5,8 +5,8 @@ The worst-case sources are adaptive: ``emit(weights)`` consumes the weight
 vector the scheme just played and only then builds the round. ``m`` is the
 number of alternatives a source emits; sources hold no per-episode state, so
 one instance serves every trial. A round has two voter groups: its outcome is
-decided on the two group masses (each summed in voter order) times the groups'
-statistics, computed once per source; two masses add alike in either order.
+decided on :func:`~voteweight.rules.group_statistic` of the groups' statistics,
+computed once per source, under the played weights.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, AnonymousProfile, Ranking, anonymize, as_weights
+from .core import TOL, Ranking, as_weights
 from .errors import ConfigError, HypothesisViolatedError, NoWitnessError
-from .rules import (RandomizedCopeland, VotingRule, condorcet_winner, pairwise_statistic,
-                    unanimity_witness, weighted_statistic)
+from .rules import (RandomizedCopeland, VotingRule, condorcet_winner, group_statistic,
+                    pairwise_statistic, unanimity_witness)
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,11 @@ class RoundChallenge:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """Split of the voters into a heavy majority block and the rest."""
+    """Split of the voters into a heavy majority block and the rest; its weight and the total."""
 
     heavy: np.ndarray
     heavy_weight: float
+    total: float
 
 
 def majority_prefix_partition(weights: Sequence[float] | np.ndarray) -> PartitionResult:
@@ -64,7 +65,7 @@ def majority_prefix_partition(weights: Sequence[float] | np.ndarray) -> Partitio
         raise HypothesisViolatedError(
             f"prefix of {len(heavy)} voters carries {acc}, under its share of {total}"
         )
-    return PartitionResult(heavy, acc)
+    return PartitionResult(heavy, acc, total)
 
 
 def top_two_ranking(x: int, y: int, m: int) -> Ranking:
@@ -113,8 +114,8 @@ class WinnerPunishingSource:
 
     Voter 0 reports one witness ranking, everyone else the other, and
     whatever wins under the played weights gets loss 1. The scheme's loss is
-    exactly 1 while at least one voter's unanimous outcome differs from the
-    winner and so incurs loss 0.
+    exactly 1 while at least one voter's own outcome (its ranking carrying all
+    the weight) differs from the winner and so incurs loss 0.
     """
 
     def __init__(self, rule: VotingRule, m: int):
@@ -122,7 +123,7 @@ class WinnerPunishingSource:
             raise NoWitnessError("winner punishment requires a deterministic rule")
         witness = unanimity_witness(rule, m)
         if witness is None:
-            raise NoWitnessError("rule is constant on unanimous profiles")
+            raise NoWitnessError("rule is constant when one ranking carries all the weight")
         self.rule = rule
         self.witness = witness
         self.m = m
@@ -130,9 +131,7 @@ class WinnerPunishingSource:
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
         groups = (np.arange(len(weights)) > 0).astype(np.int64)
-        w, total = as_weights(weights)
-        stat = weighted_statistic(np.bincount(groups, weights=w) / total, self._stat)
-        outcome = self.rule.decide(stat, self.m)
+        outcome = self.rule.decide(group_statistic(self._stat, groups, weights), self.m)
         losses = np.zeros(self.m)
         losses[int(np.argmax(outcome))] = 1.0
         return RoundChallenge(groups, self.witness, losses, outcome)
@@ -173,11 +172,10 @@ class CondorcetSplitSource:
             raise HypothesisViolatedError(
                 f"need n >= 2(3/(2 delta) + 1) = {2 * (3 / (2 * delta) + 1):.3f}, got {n}"
             )
-        w, total = as_weights(weights)
-        part = majority_prefix_partition(w)
+        part = majority_prefix_partition(weights)
         groups = np.ones(n, dtype=np.int64)
         groups[part.heavy] = 0
-        stat = weighted_statistic(np.bincount(groups, weights=w) / total, self._stat)
+        stat = group_statistic(self._stat, groups, weights)
         losses = np.full(self.m, 0.5)
         losses[pair.a] = 1.0
         losses[pair.b] = 0.0
@@ -185,7 +183,7 @@ class CondorcetSplitSource:
         if condorcet_winner(stat[: self.m * self.m]) != pair.a:
             raise HypothesisViolatedError(f"{pair.a} is not the Condorcet winner of the split")
         # Case split on how far the heavy block overshoots half the total weight.
-        if part.heavy_weight >= (0.5 + delta / 3.0) * total:
+        if part.heavy_weight >= (0.5 + delta / 3.0) * part.total:
             bounded = len(part.heavy) <= 3.0 / (2.0 * delta) + 1.0 + TOL
         else:
             bounded = len(part.heavy) < n * (0.5 + delta / 3.0) + TOL
@@ -201,18 +199,16 @@ class CondorcetSplitSource:
 # Fuzzing helpers shared by the verification suites and tests
 
 
-def random_rankings(n: int, m: int, rng: np.random.Generator) -> list[Ranking]:
-    """n independent uniform rankings over m alternatives."""
-    return [Ranking(tuple(int(a) for a in rng.permutation(m))) for _ in range(n)]
+def random_rankings(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n, m) orders of n independent uniform rankings over m alternatives."""
+    return np.array([rng.permutation(m) for _ in range(n)])
 
 
 def random_profile(
     m: int, rng: np.random.Generator, support: int = 5
-) -> AnonymousProfile:
-    """Random sparse profile: `support` random rankings with random weights."""
-    rankings = random_rankings(support, m, rng)
-    weights = rng.random(support) + 1e-3
-    return anonymize(rankings, weights)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random profile as (orders, weights): `support` voters, random positive weights."""
+    return random_rankings(support, m, rng), rng.random(support) + 1e-3
 
 
 def random_distribution(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,6 +9,7 @@ the constructions guarantee.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,11 @@ from .adversaries import (
     random_profile,
     random_rankings,
 )
-from .core import TOL, anonymize, draw, inverse_cdf, unanimous
+from .core import TOL, draw, inverse_cdf
 from .errors import HypothesisViolatedError
 from .harness import IIDRandomSource, best_voter, regret, run_episode
 from .rules import (
+    DeterministicPositional,
     RandomizedCopeland,
     RandomizedPositional,
     condorcet_winner,
@@ -62,10 +64,9 @@ def check_single_voter_decomposition(seed: int, profiles: int) -> CheckResult:
         for _ in range(profiles):
             votes = random_rankings(n, m, rng)
             p = random_distribution(n, rng)
-            mixed = rule.evaluate(anonymize(votes, p))
-            averaged = sum(
-                p[i] * rule.evaluate(unanimous(votes[i])) for i in range(n)
-            )
+            mixed = rule.evaluate(votes, p)
+            alone = rule.unanimous_outcomes(votes)
+            averaged = sum(p[i] * alone[i] for i in range(n))
             worst = max(worst, float(np.max(np.abs(mixed - averaged))))
     return CheckResult(
         "single_voter_decomposition", worst <= TOL, f"max deviation {worst:.3e}"
@@ -80,8 +81,8 @@ def check_duple_decomposition(seed: int, profiles: int) -> CheckResult:
         profile = random_profile(m, rng)
         dev = np.max(
             np.abs(
-                RandomizedCopeland().evaluate(profile)
-                - duple_mixture_copeland(m).evaluate(profile)
+                RandomizedCopeland().evaluate(*profile)
+                - duple_mixture_copeland(m).evaluate(*profile)
             )
         )
         worst = max(worst, float(dev))
@@ -97,8 +98,8 @@ def check_unilateral_decomposition(seed: int, profiles: int) -> CheckResult:
         profile = random_profile(m, rng)
         dev = np.max(
             np.abs(
-                RandomizedPositional(s).evaluate(profile)
-                - unilateral_mixture_positional(s).evaluate(profile)
+                RandomizedPositional(s).evaluate(*profile)
+                - unilateral_mixture_positional(s).evaluate(*profile)
             )
         )
         worst = max(worst, float(dev))
@@ -114,8 +115,8 @@ def check_score_conservation(seed: int, profiles: int) -> CheckResult:
         m = int(rng.integers(2, 7))
         profile = random_profile(m, rng)
         s = np.sort(rng.random(m))[::-1] + np.array([1.0] + [0.0] * (m - 1))
-        scores = profile_statistic(RandomizedPositional(s).statistic, profile)
-        pairwise = profile_statistic(pairwise_statistic, profile)
+        scores = profile_statistic(RandomizedPositional(s).statistic, *profile)
+        pairwise = profile_statistic(pairwise_statistic, *profile)
         worst = max(
             worst,
             abs(float(scores.sum()) - float(s.sum())),
@@ -134,11 +135,11 @@ def check_condorcet_gap(seed: int, profiles: int) -> CheckResult:
     while found < profiles:
         m = int(rng.integers(3, 6))
         profile = random_profile(m, rng)
-        winner = condorcet_winner(profile_statistic(pairwise_statistic, profile))
+        winner = condorcet_winner(profile_statistic(pairwise_statistic, *profile))
         if winner is None:
             continue
         found += 1
-        dist = rule.evaluate(profile)
+        dist = rule.evaluate(*profile)
         others = np.delete(dist, winner)
         slack = float(dist[winner] - others.max()) - 2.0 / (m * (m - 1))
         worst_slack = min(worst_slack, slack)
@@ -168,7 +169,7 @@ def estimator_monte_carlo(
     ell = rng.random(m)
     p = random_distribution(n, rng)
 
-    dists = np.array([rule.evaluate(unanimous(v)) for v in votes])
+    dists = rule.unanimous_outcomes(votes)
     exact = float(p @ (dists @ ell))
 
     voters = rng.choice(n, size=samples, p=p)
@@ -243,8 +244,6 @@ def check_estimator_error_path(seed: int) -> CheckResult:
 
 
 def check_winner_punishing(seed: int) -> CheckResult:
-    from .rules import DeterministicPositional
-
     n, T = 4, 200
     rule = DeterministicPositional("plurality")
     scheme = SchemeConfig("constant", n=n, horizon=T)
@@ -275,14 +274,12 @@ def check_prefix_bound(seed: int, profiles: int) -> CheckResult:
 
 
 def check_condorcet_split(seed: int) -> CheckResult:
-    import warnings as _warnings
-
     n, m, T = 11, 3, 200
     rule = RandomizedCopeland()
     delta = 2.0 / (m * (m - 1))
     scheme = SchemeConfig("deterministic_unilateral", n=n, horizon=T)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         trace = run_episode(
             scheme, rule, CondorcetSplitSource(rule, m, delta), T, seed=seed
         )

@@ -16,7 +16,7 @@ import numpy as np
 from .adversaries import CondorcetSplitSource, WinnerPunishingSource
 from .checks import SUITES, run_suite
 from .core import check_alternatives, whole_number
-from .errors import VoteWeightError
+from .errors import ConfigError, VoteWeightError
 from .harness import (
     FileSource,
     IIDRandomSource,
@@ -77,6 +77,14 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
         T = whole_number(cfg["T"], "T")
         seed = whole_number(cfg.get("seed", 0), "seed")
         trials = whole_number(cfg.get("trials", 1), "trials")
+        paths = {key: cfg.get(key, default) for key, default in (
+            ("out_dir", "."), ("trace_csv", "trace.csv"), ("summary_json", "summary.json"))}
+        for key, path in paths.items():
+            if not isinstance(path, str) or not path:
+                raise ConfigError(f"{key} must be a non-empty path, got {path!r}")
+        destination = out_dir or paths["out_dir"]
+        trace_path = os.path.join(destination, paths["trace_csv"])
+        summary_path = os.path.join(destination, paths["summary_json"])
         rule = rule_from_spec(cfg["rule"])
         scheme_spec = cfg.get("scheme", {})
         scheme = SchemeConfig(
@@ -112,10 +120,7 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    destination = out_dir or cfg.get("out_dir", ".")
     os.makedirs(destination, exist_ok=True)
-    trace_path = os.path.join(destination, cfg.get("trace_csv", "trace.csv"))
-    summary_path = os.path.join(destination, cfg.get("summary_json", "summary.json"))
     _write_trace_csv(trace_path, first)
     with open(summary_path, "w") as fh:
         fh.write(summary_text + "\n")
@@ -126,6 +131,9 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
 
 
 def cmd_verify(suite: str, seed: int, profiles: int) -> int:
+    if profiles < 1:  # a check over no profiles would pass on nothing
+        print(f"error: --profiles must be at least 1, got {profiles}", file=sys.stderr)
+        return 1
     try:
         results = run_suite(suite, seed=seed, profiles=profiles)
     except ValueError as exc:

@@ -1,9 +1,11 @@
-"""Core election values: rankings, anonymous profiles, losses, distributions.
+"""Core election values: rankings and their rank codes, weights, losses and
+draws.
 
 Alternatives are round-local integers ``0..m-1``. Positions within a ranking
-are 0-based, so the most preferred alternative has position 0. All types here
-are immutable values after construction; draws take uniforms the caller
-supplies.
+are 0-based, so the most preferred alternative has position 0. A weighted
+profile is the voters' orders plus a weight vector (see
+:func:`~voteweight.rules.group_statistic`). All types here are immutable
+values after construction; draws take uniforms the caller supplies.
 """
 
 from __future__ import annotations
@@ -112,36 +114,6 @@ def orders_from_codes(codes, m: int) -> np.ndarray:
     return orders
 
 
-@dataclass(frozen=True)
-class AnonymousProfile:
-    """Sparse distribution over rankings: mass[r] is the weight fraction on r.
-
-    Support size is bounded by the number of voters; the profile is never
-    materialized over all m! rankings.
-    """
-
-    mass: dict[Ranking, float]
-    m: int
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        for ranking, frac in self.mass.items():
-            if ranking.m != self.m:
-                raise ShapeError(
-                    f"ranking over {ranking.m} alternatives in a profile with m={self.m}"
-                )
-            if frac < 0:
-                raise ShapeError(f"negative mass {frac} on {ranking.order}")
-            total += frac
-        if not abs(total - 1.0) <= TOL:  # a NaN total fails too
-            raise ShapeError(f"profile mass sums to {total}, expected 1")
-
-
-def unanimous(ranking: Ranking) -> AnonymousProfile:
-    """The profile placing all weight on a single ranking."""
-    return AnonymousProfile({ranking: 1.0}, ranking.m)
-
-
 def as_weights(weights: Sequence[float] | np.ndarray) -> tuple[np.ndarray, float]:
     """The weights as floats and their total, which must be positive and finite."""
     w = np.asarray(weights, dtype=float)
@@ -151,39 +123,6 @@ def as_weights(weights: Sequence[float] | np.ndarray) -> tuple[np.ndarray, float
     if not 0 < total < math.inf:
         raise DegenerateWeightsError("total weight must be positive and finite")
     return w, total
-
-
-def anonymize(
-    rankings: Sequence[Ranking], weights: Sequence[float] | np.ndarray
-) -> AnonymousProfile:
-    """Collapse a vote profile and weight vector into weight fractions.
-
-    Identical rankings merge; the result is invariant to voter permutation
-    and to positive rescaling of the weights.
-    """
-    ids: dict[Ranking, int] = {}
-    groups = [ids.setdefault(ranking, len(ids)) for ranking in rankings]
-    if len({ranking.m for ranking in ids}) > 1:
-        raise ShapeError("all rankings in a round must share one alternative set")
-    return group_profile(groups, list(ids), weights)
-
-
-def group_profile(
-    groups: Sequence[int] | np.ndarray,
-    representatives: Sequence[Ranking],
-    weights: Sequence[float] | np.ndarray,
-) -> AnonymousProfile:
-    """:func:`anonymize` for voter i reporting ``representatives[groups[i]]`` (distinct,
-    over one alternative set) with no per-voter hashing: group weights are summed in
-    voter order, and the support follows each group's first positive-weight voter."""
-    g = np.asarray(groups, dtype=np.int64)
-    w, total = as_weights(weights)
-    if len(g) != len(w):
-        raise ShapeError(f"{len(g)} rankings but {len(w)} weights")
-    m = representatives[g[0]].m
-    sums = np.bincount(g, weights=w)
-    support = dict.fromkeys(g[w > 0].tolist())
-    return AnonymousProfile({representatives[k]: sums[k] / total for k in support}, m)
 
 
 def validate_losses(losses: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ class EnumerationRefusedError(VoteWeightError, ValueError):
 
 
 class NoWitnessError(VoteWeightError, ValueError):
-    """The rule is constant on unanimous profiles, so no witness pair exists."""
+    """A rule constant when one ranking carries all the weight has no witness pair."""
 
 
 class HypothesisViolatedError(VoteWeightError, ValueError):

@@ -33,7 +33,7 @@ from .core import (
     validate_losses,
 )
 from .errors import ConfigError, InvalidRankingError, ShapeError
-from .rules import OutcomeTable, VotingRule, weighted_statistic
+from .rules import OutcomeTable, VotingRule, group_statistic
 from .schemes import SchemeConfig, exp_weights
 
 
@@ -41,7 +41,7 @@ from .schemes import SchemeConfig, exp_weights
 class Trace:
     """One episode as columns; row t holds round t + 1.
 
-    ``per_voter_loss`` (T, n) is each voter's unanimous-profile expected loss
+    ``per_voter_loss`` (T, n) is each voter's expected loss with all the weight
     and ``probs`` (T, n) the distribution over voters the scheme played (a
     point mass on voter 0 for ``constant``). ``chosen`` (T,) is the voter
     drawn from it, or -1 when the distribution itself is the weight vector;
@@ -220,16 +220,12 @@ def _play_oblivious(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u
 
 def _weighted_outcomes(table: OutcomeTable, ms: np.ndarray, idx, probs) -> np.ndarray:
     """Each round's outcome with voter i, on table row ``idx[t, i]``, weighted
-    by ``probs[t, i]``. As in a loop over the round's weighted profile, a row's
-    weight is summed in voter order and the rows' statistics are added in order
-    of their first positive-weight voter, so ties break alike."""
+    by ``probs[t, i]``: the rows are the round's groups."""
     outcome = np.zeros((len(ms), table.width))
     for t, m in enumerate(ms.tolist()):
         rows, group = np.unique(idx[t], return_inverse=True)
-        mass = np.bincount(group, weights=probs[t]) / probs[t].sum()
-        support = list(dict.fromkeys(group[probs[t] > 0].tolist()))
-        stat = np.array([table.stats[r] for r in rows[support].tolist()])
-        outcome[t, :m] = table.rule.decide(weighted_statistic(mass[support], stat), m)
+        stat = np.array([table.stats[r] for r in rows.tolist()])
+        outcome[t, :m] = table.rule.decide(group_statistic(stat, group, probs[t]), m)
     return outcome
 
 

@@ -1,9 +1,10 @@
 """Anonymous voting rules: positional scoring, Copeland, unilaterals, duples,
 and mixtures, in deterministic and randomized forms.
 
-Every rule maps an :class:`~voteweight.core.AnonymousProfile` to a probability
-vector over alternatives through a linear statistic of it: ``statistic(orders)``
-gives each ranking's vector, a profile's statistic is their mass-weighted sum,
+Every rule maps a weighted profile, voters' orders plus their weights, to a
+probability vector over alternatives through a linear statistic of it:
+``statistic(orders)`` gives each ranking's vector, the profile's statistic is
+their mass-weighted sum (:func:`group_statistic`, the one place that forms it),
 and ``decide`` maps that sum to the outcome. Deterministic rules return a point
 mass and break score ties by smallest alternative id.
 """
@@ -16,15 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    TOL,
-    AnonymousProfile,
-    Ranking,
-    all_rankings,
-    orders_from_codes,
-    whole_number,
-)
-from .errors import ConfigError, InvalidPairError, ShapeError
+from .core import TOL, Ranking, all_rankings, as_weights, orders_from_codes, whole_number
+from .errors import ConfigError, InvalidPairError, InvalidRankingError, ShapeError
 
 # ---------------------------------------------------------------------------
 # Score vectors
@@ -78,19 +72,33 @@ def pairwise_statistic(orders: np.ndarray) -> np.ndarray:
     return above.reshape(len(orders), orders.shape[1] ** 2).astype(float)
 
 
-def weighted_statistic(mass: np.ndarray, stat: np.ndarray) -> np.ndarray:
-    """The sum over g of ``mass[g] * stat[g]``, added in g order, as a loop
-    over a profile adds: a sum that meets a threshold or ties an argmax there
-    does so here too. A running sum adds in sequence; a plain sum may not."""
+def group_statistic(stat: np.ndarray, groups, weights) -> np.ndarray:
+    """The weighted statistic when voter i reports the ranking whose statistic is
+    ``stat[groups[i]]``. Group masses are summed in voter order and the groups
+    added in order of their first positive-weight voter, as a loop over the
+    voters adds: a sum that meets a threshold or ties an argmax there does so
+    here too. Two terms add alike in either order and a zero mass adds +0, so
+    two groups skip the ordering."""
+    g = np.asarray(groups, dtype=np.int64)
+    w, total = as_weights(weights)
+    if len(g) != len(w):
+        raise ShapeError(f"{len(g)} rankings but {len(w)} weights")
+    mass = np.bincount(g, weights=w, minlength=len(stat)) / total
+    if len(stat) > 2:
+        first = list(dict.fromkeys(g[w > 0].tolist()))
+        mass, stat = mass[first], stat[first]
     return np.add.accumulate(mass[:, None] * stat)[-1]
 
 
-def profile_statistic(statistic: Callable[[np.ndarray], np.ndarray],
-                      profile: AnonymousProfile) -> np.ndarray:
-    """A profile's weighted statistic, for a statistic of orders such as a
-    rule's :meth:`VotingRule.statistic` or :func:`pairwise_statistic`."""
-    orders = np.array([ranking.order for ranking in profile.mass])
-    return weighted_statistic(np.array(list(profile.mass.values())), statistic(orders))
+def profile_statistic(statistic: Callable[[np.ndarray], np.ndarray], orders,
+                      weights) -> np.ndarray:
+    """The weighted statistic of voters' ``orders`` (n, m) under ``weights``, for a
+    statistic of orders such as :func:`pairwise_statistic`; equal rows are one group."""
+    orders = np.asarray(orders)
+    if orders.ndim != 2 or (np.sort(orders, axis=1) != np.arange(orders.shape[1])).any():
+        raise InvalidRankingError("orders must be rows permuting 0..m-1 for one m")
+    distinct, groups = np.unique(orders, axis=0, return_inverse=True)
+    return group_statistic(statistic(distinct), groups.reshape(-1), weights)
 
 
 def copeland_scores(pairwise: np.ndarray) -> np.ndarray:
@@ -138,11 +146,16 @@ class VotingRule:
         """The outcomes (..., m) of weighted statistics over m alternatives."""
         raise NotImplementedError
 
-    def evaluate(self, profile: AnonymousProfile) -> np.ndarray:
-        return self.decide(profile_statistic(self.statistic, profile), profile.m)
+    def width(self, m: int) -> int:
+        """The length of the statistic over m alternatives."""
+        return m
+
+    def evaluate(self, orders, weights) -> np.ndarray:
+        """The outcome of voters' ``orders`` (n, m) under ``weights`` (n,)."""
+        return self.decide(profile_statistic(self.statistic, orders, weights), np.shape(orders)[1])
 
     def unanimous_outcomes(self, orders: np.ndarray) -> np.ndarray:
-        """Row i is the outcome on the unanimous profile of ``orders[i]``, for a
+        """Row i is the outcome when ``orders[i]`` carries all the weight, for a
         (k, m) array of orders: that profile's statistic is the order's own."""
         return self.decide(self.statistic(orders), orders.shape[1])
 
@@ -215,6 +228,9 @@ class DeterministicCopeland(VotingRule):
     deterministic = True
     statistic = staticmethod(pairwise_statistic)
 
+    def width(self, m: int) -> int:
+        return m * m
+
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         return np.eye(m)[np.argmax(copeland_scores(stat), axis=-1)]
 
@@ -223,6 +239,9 @@ class RandomizedCopeland(VotingRule):
     """Each alternative wins with probability proportional to its Copeland score."""
 
     statistic = staticmethod(pairwise_statistic)
+
+    def width(self, m: int) -> int:
+        return m * m
 
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         return copeland_scores(stat) / (m * (m - 1) / 2)
@@ -277,6 +296,9 @@ class Duple(VotingRule):
                 raise ConfigError(f"duple {field}={x} needs m > {x}, got m={orders.shape[1]}")
         return pairwise_statistic(orders)[:, [self.a * orders.shape[1] + self.b]]
 
+    def width(self, m: int) -> int:
+        return 1
+
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         win = np.where(stat[..., 0] > 0.5, 1.0, np.where(stat[..., 0] < 0.5, 0.0, 0.5))
         out = np.zeros(stat.shape[:-1] + (m,))
@@ -296,21 +318,17 @@ class Mixture(VotingRule):
         if abs(total - 1.0) > TOL or any(q < 0 for _, q in components):
             raise ShapeError(f"mixture probabilities must sum to 1, got {total}")
         self.components = list(components)
-        self._ends: dict[int, list[int]] = {}  # m -> each component's last column
 
     def statistic(self, orders: np.ndarray) -> np.ndarray:
-        parts = [rule.statistic(orders) for rule, _ in self.components]
-        self._ends[orders.shape[1]] = np.cumsum([p.shape[1] for p in parts]).tolist()
-        return np.concatenate(parts, axis=1)
+        return np.concatenate([rule.statistic(orders) for rule, _ in self.components], axis=1)
+
+    def width(self, m: int) -> int:
+        return sum(rule.width(m) for rule, _ in self.components)
 
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
-        if m not in self._ends:  # a statistic over m alternatives records the widths
-            self.statistic(np.zeros((0, m), dtype=np.int64))
-        out, lo = np.zeros(stat.shape[:-1] + (m,)), 0
-        for (rule, q), hi in zip(self.components, self._ends[m]):
-            out += q * rule.decide(stat[..., lo:hi], m)
-            lo = hi
-        return out
+        ends = np.cumsum([rule.width(m) for rule, _ in self.components])
+        parts = np.split(stat, ends[:-1], axis=-1)
+        return sum(q * rule.decide(part, m) for (rule, q), part in zip(self.components, parts))
 
     def is_distribution_over_unilaterals(self) -> bool:
         return all(rule.is_distribution_over_unilaterals() for rule, _ in self.components)
@@ -322,6 +340,9 @@ class ConstantUniform(VotingRule):
 
     def statistic(self, orders: np.ndarray) -> np.ndarray:
         return np.zeros((len(orders), 0))
+
+    def width(self, m: int) -> int:
+        return 0
 
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         return np.full(stat.shape[:-1] + (m,), 1.0 / m)
@@ -354,10 +375,10 @@ def unilateral_mixture_positional(s: Sequence[float] | np.ndarray) -> Mixture:
 
 
 def unanimity_witness(rule: VotingRule, m: int) -> Optional[tuple[Ranking, Ranking]]:
-    """Two rankings whose unanimous profiles get different outcomes, if any.
+    """Two rankings whose outcomes differ when each carries all the weight.
 
-    Enumerates all m! unanimous profiles, so m is capped at 8. Returns None
-    when the rule is constant on unanimous profiles.
+    Enumerates all m! rankings, so m is capped at 8. Returns None when every
+    ranking alone gets the same outcome.
     """
     rankings = all_rankings(m)
     orders = np.array([r.order for r in rankings])
@@ -404,11 +425,13 @@ def rule_from_spec(spec: dict) -> VotingRule:
 
 
 class OutcomeTable:
-    """The rule's outcome on each distinct unanimous profile an episode meets.
+    """The rule's outcome on each distinct ranking an episode meets, when that
+    ranking carries all the weight.
 
-    Row k of `U` is the outcome on row k's unanimous profile, zero-padded to
-    `width` alternatives, and ``stats[k]`` is that profile's statistic. Rows are keyed by (m, rank code), so one table serves
-    rounds with different alternative counts and evaluates the rule once per key.
+    Row k of `U` is row k's outcome, zero-padded to `width` alternatives, and
+    ``stats[k]`` is its statistic. Rows are keyed by (m, rank code), so one table
+    serves rounds with different alternative counts and evaluates the rule once
+    per key.
     """
 
     def __init__(self, rule: VotingRule, width: int):

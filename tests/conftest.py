@@ -5,7 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from voteweight import FileSource, Ranking, unanimous
+from voteweight import FileSource, Ranking
 # re-exported for the test modules
 from voteweight.adversaries import random_rankings  # noqa: F401
 
@@ -19,6 +19,16 @@ def ranking(*order):
     return Ranking(tuple(order))
 
 
+def orders_of(rankings):
+    """The (n, m) orders of a sequence of rankings, as `evaluate` takes them."""
+    return np.array([r.order for r in rankings])
+
+
+def alone(ranking):
+    """The profile in which one ranking carries all the weight, as (orders, weights)."""
+    return [ranking.order], [1.0]
+
+
 def voter_rankings(challenge):
     """One ranking per voter of an adversary's grouped round."""
     return tuple(challenge.representatives[g] for g in challenge.groups.tolist())
@@ -26,7 +36,7 @@ def voter_rankings(challenge):
 
 def voter_losses(rule, rankings, losses):
     """Each voter's expected loss if its ranking carried all the weight."""
-    return np.array([float(rule.evaluate(unanimous(r)) @ losses) for r in rankings])
+    return np.array([float(rule.evaluate(*alone(r)) @ losses) for r in rankings])
 
 
 def file_source(lines):

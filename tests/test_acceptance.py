@@ -188,7 +188,7 @@ class TestConservation:
         for _ in range(1000):
             profile = random_profile(int(rng.integers(2, 6)), rng)
             for rule in rules:
-                dist = rule.evaluate(profile)
+                dist = rule.evaluate(*profile)
                 worst = max(worst, abs(float(dist.sum()) - 1.0))
                 assert np.all(dist >= -TOL)
         report(

@@ -11,7 +11,6 @@ from voteweight import (
     RandomizedCopeland,
     RandomizedPositional,
     WinnerPunishingSource,
-    anonymize,
     condorcet_winner,
     majority_prefix_partition,
     orient_gap_pair,
@@ -19,7 +18,6 @@ from voteweight import (
     profile_statistic,
     top_two_ranking,
     unanimity_witness,
-    unanimous,
 )
 from voteweight import checks
 from voteweight.errors import (
@@ -30,7 +28,7 @@ from voteweight.errors import (
 )
 from voteweight.rules import ConstantUniform
 
-from conftest import ranking, voter_losses, voter_rankings
+from conftest import alone, orders_of, ranking, voter_losses, voter_rankings
 
 
 class TestWinnerPunishingRound:
@@ -54,7 +52,7 @@ class TestWinnerPunishingRound:
             w = rng.random(4) + 1e-3
             round_ = self.source.emit(w)
             rankings = voter_rankings(round_)
-            outcome = self.rule.evaluate(anonymize(rankings, w))
+            outcome = self.rule.evaluate(orders_of(rankings), w)
             assert np.array_equal(round_.outcome, outcome)
             assert outcome @ round_.losses == 1.0
             voter = voter_losses(self.rule, rankings, round_.losses)
@@ -158,7 +156,7 @@ class TestOrientGapPair:
         assert top_two_ranking(2, 0, 4) == ranking(2, 0, 1, 3)
 
     def test_biased_rule_flips_orientation(self):
-        # a rule whose unanimous outcome always favors alternative 1
+        # a rule whose outcome for a ranking alone always favors alternative 1
         class Favors1(ConstantUniform):
             def decide(self, stat, m):
                 out = np.full(stat.shape[:-1] + (m,), 0.1)
@@ -166,8 +164,8 @@ class TestOrientGapPair:
                 return out
 
         pair = orient_gap_pair(Favors1(), 3)
-        d_ba = Favors1().evaluate(unanimous(pair.top_ba))
-        d_ab = Favors1().evaluate(unanimous(pair.top_ab))
+        d_ba = Favors1().evaluate(*alone(pair.top_ba))
+        d_ab = Favors1().evaluate(*alone(pair.top_ab))
         assert d_ba[pair.b] - d_ba[pair.a] >= d_ab[pair.a] - d_ab[pair.b]
 
 
@@ -188,7 +186,7 @@ class TestCondorcetSplitRound:
         w = np.ones(11)
         round_ = self.source.emit(w)
         rankings = voter_rankings(round_)
-        outcome = self.rule.evaluate(anonymize(rankings, w))
+        outcome = self.rule.evaluate(orders_of(rankings), w)
         assert np.array_equal(round_.outcome, outcome)
         scheme_loss = outcome @ round_.losses
         assert scheme_loss == pytest.approx(2 / 3, abs=TOL)
@@ -201,15 +199,15 @@ class TestCondorcetSplitRound:
         for _ in range(50):
             w = rng.random(11) + 1e-3
             round_ = self.source.emit(w)
-            profile = anonymize(voter_rankings(round_), w)
-            assert condorcet_winner(profile_statistic(pairwise_statistic, profile)) == self.pair.a
+            profile = orders_of(voter_rankings(round_)), w
+            assert condorcet_winner(profile_statistic(pairwise_statistic, *profile)) == self.pair.a
 
     def test_per_round_gap_for_random_weights(self, rng):
         for _ in range(50):
             w = rng.random(11) + 1e-3
             round_ = self.source.emit(w)
             rankings = voter_rankings(round_)
-            scheme_loss = self.rule.evaluate(anonymize(rankings, w)) @ round_.losses
+            scheme_loss = self.rule.evaluate(orders_of(rankings), w) @ round_.losses
             avg = voter_losses(self.rule, rankings, round_.losses).mean()
             assert scheme_loss - avg >= self.delta / 6 - TOL
 

@@ -238,13 +238,17 @@ class TestSimulate:
             {"seed": "0"},
             {"trials": "1"},
             {"seed": -1},
+            {"trace_csv": 5},
+            {"summary_json": 5},
+            {"out_dir": 5},
         ],
         ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
              "unknown_feedback", "nan_eta", "eta_string", "eta_bool", "nan_in_summary",
              "zero_trials", "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
              "thm5_string_delta", "infinite_T", "fractional_T", "bool_n", "fractional_m",
              "nan_seed", "bool_trials", "string_T", "string_n", "string_m", "string_seed",
-             "string_trials", "negative_seed"],
+             "string_trials", "negative_seed", "trace_csv_int", "summary_json_int",
+             "out_dir_int"],
     )
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -300,6 +304,14 @@ class TestSimulate:
         assert not out.exists()
         assert f"{seq}:2: bad round: " in capsys.readouterr().err
 
+    def test_config_out_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys):
+        # without --out-dir, the config's own out_dir is the destination
+        cfg = write_config(tmp_path, out_dir=5)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        assert capsys.readouterr().err.startswith("error: out_dir must be")
+
     def test_file_line_with_one_alternative_writes_nothing(self, tmp_path):
         seq = tmp_path / "rounds.jsonl"
         lines = [{"rankings": [[0, 1]] * 4, "losses": [0.5, 0.5]},
@@ -331,3 +343,11 @@ class TestVerify:
         assert main(["verify", "--suite", "adversaries", "--profiles", "50"]) == 0
         out = capsys.readouterr().out
         assert "condorcet_split_gap" in out
+
+    @pytest.mark.parametrize("profiles", ["0", "-3"])
+    def test_no_profiles_is_a_usage_error(self, capsys, profiles):
+        # checks over no profiles would pass on nothing
+        assert main(["verify", "--suite", "all", "--profiles", profiles]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--profiles" in captured.err

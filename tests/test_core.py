@@ -12,18 +12,16 @@ from voteweight import (
     ConstantUniform,
     RandomizedPositional,
     Ranking,
-    anonymize,
+    group_statistic,
     pairwise_statistic,
+    profile_statistic,
     rank_codes,
-    unanimous,
 )
 from voteweight.core import (
     MAX_M,
-    AnonymousProfile,
     all_rankings,
     check_alternatives,
     draw,
-    group_profile,
     inverse_cdf,
     orders_from_codes,
 )
@@ -34,7 +32,7 @@ from voteweight.errors import (
     ShapeError,
 )
 
-from conftest import file_source, random_rankings, ranking
+from conftest import alone, file_source, orders_of, random_rankings, ranking
 
 
 class TestMakeRanking:
@@ -62,52 +60,58 @@ class TestMakeRanking:
             file_source([{"rankings": [[0, 1]], "losses": [0.0, 0.0, 0.0]}])
 
 
+def mass_statistic(m):
+    """A statistic whose weighted sum is the profile's weight fraction on each
+    rank code: the one-hot of the code."""
+    return lambda orders: np.eye(math.factorial(m))[rank_codes(orders)]
+
+
 class TestAnonymize:
+    """Equal orders merge into one group carrying their weight fraction."""
+
     def test_unanimous_profile(self, abc):
-        profile = anonymize([abc, abc], [1, 1])
-        assert profile.mass == {abc: 1.0}
+        mass = profile_statistic(mass_statistic(3), orders_of([abc, abc]), [1, 1])
+        assert np.array_equal(mass, np.eye(6)[abc.code])
 
     def test_weight_fractions(self, abc, bca):
-        profile = anonymize([abc, bca, bca, bca], [1, 1, 1, 1])
-        assert profile.mass[abc] == pytest.approx(0.25, abs=TOL)
-        assert profile.mass[bca] == pytest.approx(0.75, abs=TOL)
+        mass = profile_statistic(mass_statistic(3), orders_of([abc, bca, bca, bca]), [1, 1, 1, 1])
+        assert mass[abc.code] == pytest.approx(0.25, abs=TOL)
+        assert mass[bca.code] == pytest.approx(0.75, abs=TOL)
 
     def test_zero_total_weight(self, abc, bca):
         with pytest.raises(DegenerateWeightsError):
-            anonymize([abc, bca], [0, 0])
+            profile_statistic(mass_statistic(3), orders_of([abc, bca]), [0, 0])
 
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 8), m=st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
     def test_mass_sums_to_one(self, seed, n, m):
         rng = np.random.default_rng(seed)
-        rankings = random_rankings(n, m, rng)
+        orders = random_rankings(n, m, rng)
         weights = rng.random(n) + 1e-6
-        profile = anonymize(rankings, weights)
-        assert abs(sum(profile.mass.values()) - 1.0) <= TOL
+        mass = profile_statistic(mass_statistic(m), orders, weights)
+        assert abs(mass.sum() - 1.0) <= TOL
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_voter_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
-        rankings = random_rankings(6, 3, rng)
+        orders = random_rankings(6, 3, rng)
         weights = rng.random(6) + 1e-6
         perm = rng.permutation(6)
-        base = anonymize(rankings, weights)
-        shuffled = anonymize([rankings[i] for i in perm], weights[perm])
-        assert set(base.mass) == set(shuffled.mass)
-        for r in base.mass:
-            assert base.mass[r] == pytest.approx(shuffled.mass[r], abs=TOL)
+        base = profile_statistic(mass_statistic(3), orders, weights)
+        shuffled = profile_statistic(mass_statistic(3), orders[perm], weights[perm])
+        assert np.array_equal(base > 0, shuffled > 0)
+        assert np.allclose(base, shuffled, rtol=0, atol=TOL)
 
     @given(seed=st.integers(0, 10**6), scale=st.floats(1e-3, 1e3))
     @settings(max_examples=40, deadline=None)
     def test_rescaling_invariance(self, seed, scale):
         rng = np.random.default_rng(seed)
-        rankings = random_rankings(5, 3, rng)
+        orders = random_rankings(5, 3, rng)
         weights = rng.random(5) + 1e-6
-        base = anonymize(rankings, weights)
-        scaled = anonymize(rankings, weights * scale)
-        for r in base.mass:
-            assert base.mass[r] == pytest.approx(scaled.mass[r], abs=1e-9)
+        base = profile_statistic(mass_statistic(3), orders, weights)
+        scaled = profile_statistic(mass_statistic(3), orders, weights * scale)
+        assert np.allclose(base, scaled, rtol=0, atol=1e-9)
 
 
 def reference_anonymize(rankings, weights):
@@ -124,7 +128,18 @@ def reference_anonymize(rankings, weights):
     return mass
 
 
+def reference_statistic(statistic, rankings, weights):
+    """The weighted statistic as a plain loop over the merged rankings of
+    :func:`reference_anonymize`, in order of their first positive-weight voter."""
+    acc = 0.0
+    for ranking, frac in reference_anonymize(rankings, weights).items():
+        acc = acc + frac * statistic(np.array([ranking.order]))[0]
+    return acc
+
+
 class TestGroupProfile:
+    """The weighted statistic against the loop over voters, bit for bit."""
+
     @given(
         seed=st.integers(0, 10**6),
         n=st.integers(1, 300),
@@ -134,66 +149,79 @@ class TestGroupProfile:
     @settings(max_examples=60, deadline=None)
     def test_matches_voter_loop(self, seed, n, m, zero_first):
         rng = np.random.default_rng(seed)
-        # few distinct rankings, so most are repeated
-        reps = random_rankings(int(rng.integers(1, 7)), m, rng)
-        reps = list(dict.fromkeys(reps))
+        # few distinct rankings, so most are repeated; a statistic of random
+        # floats, so the order the groups are added in shows in the sum
+        k = int(rng.integers(1, min(7, math.factorial(m) + 1)))
+        codes = rng.choice(math.factorial(m), size=k, replace=False)
+        reps = [all_rankings(m)[c] for c in codes.tolist()]
+        table = rng.random((math.factorial(m), 4))
+        statistic = lambda orders: table[rank_codes(orders)]  # noqa: E731
         groups = rng.integers(0, len(reps), size=n)
         weights = rng.random(n) * (rng.random(n) < 0.8)
         if zero_first:
             weights[0] = 0.0
         weights[-1] += 1e-3
         rankings = [reps[k] for k in groups]
-        want = reference_anonymize(rankings, weights)
-        for profile in (group_profile(groups, reps, weights), anonymize(rankings, weights)):
-            assert list(profile.mass) == list(want)
-            assert all(profile.mass[r] == want[r] for r in want)
+        want = reference_statistic(statistic, rankings, weights)
+        assert np.array_equal(profile_statistic(statistic, orders_of(rankings), weights), want)
+        assert np.array_equal(group_statistic(statistic(orders_of(reps)), groups, weights), want)
 
-    def test_support_follows_first_positive_voter(self, abc, bca):
-        profile = group_profile([0, 1, 0], [abc, bca], [0.0, 1.0, 3.0])
-        assert list(profile.mass) == [bca, abc]
-        assert profile.mass == {bca: 0.25, abc: 0.75}
+    def test_support_follows_first_positive_voter(self, abc, bca, cab):
+        mass = profile_statistic(mass_statistic(3), orders_of([abc, bca, abc]), [0.0, 1.0, 3.0])
+        assert mass[bca.code] == 0.25 and mass[abc.code] == 0.75
+        # 1e16 and -1e16 cancel only when added before 1: bca, then cab, then abc
+        values = np.zeros((6, 1))
+        values[[abc.code, bca.code, cab.code], 0] = 1.0, 1e16, -1e16
+        statistic = lambda orders: values[rank_codes(orders)]  # noqa: E731
+        rankings = [abc, bca, cab, abc]
+        got = profile_statistic(statistic, orders_of(rankings), [0.0, 1.0, 1.0, 1.0])
+        assert got.tolist() == [1 / 3]
+        assert np.array_equal(got, reference_statistic(statistic, rankings, [0.0, 1.0, 1.0, 1.0]))
 
     def test_existing_errors_still_raise(self, abc, bca):
+        stat = pairwise_statistic(orders_of([abc, bca]))
         with pytest.raises(DegenerateWeightsError):
-            group_profile([0, 1], [abc, bca], [-1.0, 2.0])
+            group_statistic(stat, [0, 1], [-1.0, 2.0])
         with pytest.raises(DegenerateWeightsError):
-            group_profile([0, 1], [abc, bca], [0.0, 0.0])
+            group_statistic(stat, [0, 1], [0.0, 0.0])
         with pytest.raises(ShapeError):
-            group_profile([0, 1], [abc, bca], [1.0])
-        with pytest.raises(ShapeError):
-            group_profile([0, 1], [abc, ranking(1, 0)], [1.0, 1.0])
+            group_statistic(stat, [0, 1], [1.0])
         with pytest.raises(DegenerateWeightsError):
-            anonymize([abc, bca], [-1.0, 2.0])
+            profile_statistic(pairwise_statistic, orders_of([abc, bca]), [-1.0, 2.0])
         with pytest.raises(ShapeError):
-            anonymize([abc, bca], [1.0])
-        with pytest.raises(ShapeError):
-            anonymize([abc, ranking(1, 0)], [1.0, 0.0])
+            profile_statistic(pairwise_statistic, orders_of([abc, bca]), [1.0])
+        # every row must permute the same alternatives 0..m-1
+        with pytest.raises(InvalidRankingError):
+            profile_statistic(pairwise_statistic, [[0, 1, 2], [1, 0, 3]], [1.0, 0.0])
+        with pytest.raises(ValueError):
+            profile_statistic(pairwise_statistic, [abc.order, ranking(1, 0).order], [1.0, 0.0])
 
     def test_nan_weight_rejected(self, abc, bca):
         with pytest.raises(DegenerateWeightsError):
-            anonymize([abc, bca], [math.nan, 1.0])
+            profile_statistic(pairwise_statistic, orders_of([abc, bca]), [math.nan, 1.0])
 
-    def test_nan_mass_rejected(self, abc):
-        with pytest.raises(ShapeError):
-            AnonymousProfile({abc: math.nan}, 3)
+    def test_nan_mass_rejected(self, abc, bca):
+        # an infinite weight would make a NaN mass (inf / inf)
+        with pytest.raises(DegenerateWeightsError):
+            profile_statistic(pairwise_statistic, orders_of([abc, bca]), [math.inf, 1.0])
 
 
 class TestExpectedLoss:
     """The expected loss of a rule's pick is its outcome dotted with the losses."""
 
     def test_dot_product_by_hand(self, abc):
-        # randomized Borda on the unanimous profile gives (2/3, 1/3, 0)
+        # randomized Borda with all the weight on abc gives (2/3, 1/3, 0)
         rule = RandomizedPositional("borda")
-        loss = rule.evaluate(unanimous(abc)) @ np.array([1.0, 0.0, 0.5])
+        loss = rule.evaluate(*alone(abc)) @ np.array([1.0, 0.0, 0.5])
         assert loss == pytest.approx(2 / 3, abs=TOL)
 
     def test_zero_losses(self, abc, bca):
-        profile = anonymize([abc, bca], [1, 2])
-        assert ConstantUniform().evaluate(profile) @ np.zeros(3) == 0.0
+        outcome = ConstantUniform().evaluate(orders_of([abc, bca]), [1, 2])
+        assert outcome @ np.zeros(3) == 0.0
 
     def test_point_mass_distribution(self, abc):
         rule = RandomizedPositional("plurality")
-        loss = rule.evaluate(unanimous(abc)) @ np.array([0.7, 0.1, 0.2])
+        loss = rule.evaluate(*alone(abc)) @ np.array([0.7, 0.1, 0.2])
         assert loss == pytest.approx(0.7, abs=TOL)
 
     def test_shape_mismatch(self):
@@ -206,7 +234,7 @@ class TestExpectedLoss:
     def test_linearity_in_losses(self, seed, alpha):
         rng = np.random.default_rng(seed)
         outcome = RandomizedPositional("borda").evaluate(
-            anonymize(random_rankings(4, 3, rng), rng.random(4) + 1e-6))
+            random_rankings(4, 3, rng), rng.random(4) + 1e-6)
         l1, l2 = rng.random(3), rng.random(3)
         combined = outcome @ (alpha * l1 + (1 - alpha) * l2)
         split = alpha * (outcome @ l1) + (1 - alpha) * (outcome @ l2)

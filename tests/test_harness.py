@@ -19,20 +19,18 @@ from voteweight import (
     Ranking,
     SchemeConfig,
     WinnerPunishingSource,
-    anonymize,
     best_voter,
     monte_carlo_regret,
     orient_gap_pair,
     regret,
     run_episode,
     unanimity_witness,
-    unanimous,
 )
 from voteweight.errors import ConfigError, NoWitnessError
 from voteweight.harness import OutcomeTable, _index_rounds
 from voteweight.schemes import SCHEME_KINDS
 
-from conftest import file_source, random_rankings, voter_rankings
+from conftest import alone, file_source, orders_of, random_rankings, voter_rankings
 
 
 def episode(kind="full_info", rule=None, source=None, n=4, m=3, T=50,
@@ -176,7 +174,7 @@ class TestMonteCarlo:
 
 def random_lines(n, m, T, rng):
     """T file rounds of n uniform rankings over m alternatives and uniform losses."""
-    return [{"rankings": [list(r.order) for r in random_rankings(n, m, rng)],
+    return [{"rankings": random_rankings(n, m, rng).tolist(),
              "losses": rng.random(m).tolist()} for _ in range(T)]
 
 
@@ -188,7 +186,7 @@ class TestOracle:
         lines = random_lines(4, 3, 10, rng)
         trace = episode("constant", rule=rule, source=file_source(lines), n=4, T=10)
         for t, line in enumerate(lines):
-            single = rule.evaluate(unanimous(Ranking(tuple(line["rankings"][0]))))
+            single = rule.evaluate(line["rankings"][:1], [1.0])
             assert trace.scheme_loss[t] == pytest.approx(single @ line["losses"], abs=TOL)
 
     def test_decomposing_rule_matches_mixed_profile(self, rng):
@@ -197,8 +195,7 @@ class TestOracle:
         trace = episode("deterministic_unilateral", rule=rule, source=file_source(lines),
                         n=5, T=20)
         for t, line in enumerate(lines):
-            rankings = [Ranking(tuple(r)) for r in line["rankings"]]
-            mixed = rule.evaluate(anonymize(rankings, trace.probs[t])) @ line["losses"]
+            mixed = rule.evaluate(line["rankings"], trace.probs[t]) @ line["losses"]
             sampled = trace.probs[t] @ trace.per_voter_loss[t]
             assert trace.scheme_loss[t] == pytest.approx(sampled, abs=TOL)
             assert mixed == pytest.approx(sampled, abs=TOL)
@@ -309,17 +306,17 @@ def scalar_replay(scheme, rule, trace, round_at):
         per_voter = []
         for r in rankings:
             acc = 0.0
-            for q, loss in zip(rule.evaluate(unanimous(r)).tolist(), ell):
+            for q, loss in zip(rule.evaluate(*alone(r)).tolist(), ell):
                 acc += q * loss
             per_voter.append(acc)
         assert trace.per_voter_loss[t].tolist() == per_voter
         if scheme.kind == "deterministic_unilateral":
             assert c == -1
             # the played weights: a rule with ties is discontinuous in them
-            outcome = rule.evaluate(anonymize(rankings, trace.probs[t]))
+            outcome = rule.evaluate(orders_of(rankings), trace.probs[t])
         else:
             assert p[c] > 0 and (c == 0 or scheme.kind != "constant")
-            outcome = rule.evaluate(unanimous(rankings[c]))
+            outcome = rule.evaluate(*alone(rankings[c]))
         assert abs(trace.scheme_loss[t] - float(outcome @ ell)) <= TOL
         assert outcome[win] > 0 and trace.winner_loss[t] == ell[win]
         if scheme.kind == "partial_info":
@@ -486,7 +483,7 @@ class TestScalarReference:
         def punishing_round(t, weights):
             rankings = [witness[0]] + [witness[1]] * (len(weights) - 1)
             ell = [0.0] * 3
-            ell[int(np.argmax(plurality.evaluate(anonymize(rankings, weights))))] = 1.0
+            ell[int(np.argmax(plurality.evaluate(orders_of(rankings), weights)))] = 1.0
             return rankings, ell
 
         cases = [

@@ -10,15 +10,13 @@ from voteweight import (
     RandomizedCopeland,
     RandomizedPositional,
     SchemeConfig,
-    anonymize,
     exp_weights,
     run_episode,
-    unanimous,
 )
 from voteweight import checks
 from voteweight.errors import ConfigError
 
-from conftest import file_source, random_rankings, ranking
+from conftest import alone, file_source, orders_of, random_rankings, ranking
 
 
 def config(kind="full_info", n=3, T=100, eta=None):
@@ -138,7 +136,7 @@ class TestPartialInfoUpdate:
         # log p moves by the same constant for every voter but the chosen one,
         # whose tally grows by winner_loss / p[chosen]
         n, T, eta = 6, 12, 0.5
-        lines = [{"rankings": [list(r.order) for r in random_rankings(n, 3, rng)],
+        lines = [{"rankings": random_rankings(n, 3, rng).tolist(),
                   "losses": (0.1 + 0.9 * rng.random(3)).tolist()} for _ in range(T)]
         trace = play("partial_info", lines, eta=eta)
         for t in range(T - 1):
@@ -197,27 +195,19 @@ class TestEstimatorErrorPath:
 
 
 class TestSingleVoterIdentity:
-    def test_mixing_equals_averaging(self, rng):
+    def test_mixing_equals_averaging(self):
         # evaluating the p-weighted profile must equal averaging over voters,
-        # for rules that decompose across voters
-        rule = RandomizedPositional("borda")
-        for _ in range(30):
-            votes = random_rankings(5, 4, rng)
-            p = rng.random(5) + 1e-3
-            p /= p.sum()
-            mixed = rule.evaluate(anonymize(votes, p))
-            averaged = sum(p[i] * rule.evaluate(unanimous(votes[i])) for i in range(5))
-            assert np.max(np.abs(mixed - averaged)) <= TOL
+        # for rules that decompose across voters (the `verify` check)
+        result = checks.check_single_voter_decomposition(seed=12345, profiles=30)
+        assert result.passed, result.detail
 
     def test_copeland_does_not_decompose(self):
         # the identity fails for randomized Copeland: a known witness
         rule = RandomizedCopeland()
         votes = [ranking(0, 1, 2), ranking(1, 0, 2)]
         p = np.array([0.6, 0.4])
-        mixed = rule.evaluate(anonymize(votes, p))
-        averaged = p[0] * rule.evaluate(unanimous(votes[0])) + p[1] * rule.evaluate(
-            unanimous(votes[1])
-        )
+        mixed = rule.evaluate(orders_of(votes), p)
+        averaged = p[0] * rule.evaluate(*alone(votes[0])) + p[1] * rule.evaluate(*alone(votes[1]))
         assert np.max(np.abs(mixed - averaged)) > 0.05
         assert not rule.is_distribution_over_unilaterals()
 

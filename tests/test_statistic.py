@@ -2,6 +2,7 @@
 replaced: every outcome must equal the old loop's bit for bit, ties included."""
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -27,18 +28,29 @@ from voteweight import (
     rank_codes,
     run_episode,
 )
-from voteweight import core
-from voteweight.core import all_rankings, group_profile
+from voteweight import adversaries, harness, rules
+from voteweight.core import all_rankings
 from voteweight.harness import _weighted_outcomes
 from voteweight.rules import OutcomeTable
 
+from conftest import orders_of
+from test_core import reference_anonymize
 from test_rules import SHIPPED_RULES
 
 
 # ---------------------------------------------------------------------------
 # The per-rule loops on an AnonymousProfile before rules became a statistic
 # plus a decision, kept verbatim as the reference (``prefers`` and
-# ``positions`` were Ranking methods).
+# ``positions`` were Ranking methods). They read only a profile's ``mass``
+# ({Ranking: fraction}, in order of first positive-weight voter) and ``m``.
+
+Profile = namedtuple("Profile", "mass m")
+
+
+def reference_profile(groups, reps, weights):
+    """The profile of voter i reporting ``reps[groups[i]]``, merged by the
+    plain loop over the voters."""
+    return Profile(reference_anonymize([reps[g] for g in groups], weights), reps[0].m)
 
 
 def positions(ranking):
@@ -177,8 +189,9 @@ class TestTieExactReference:
     @settings(max_examples=150, deadline=None)
     def test_decide_matches_the_old_loops(self, case):
         m, reps, groups, weights = case
-        codes = rank_codes([[reps[g].order for g in row] for row in groups.tolist()])
-        profiles = [group_profile(g, reps, w) for g, w in zip(groups, weights)]
+        orders = np.array([orders_of([reps[g] for g in row]) for row in groups.tolist()])
+        codes = rank_codes(orders)
+        profiles = [reference_profile(g, reps, w) for g, w in zip(groups, weights)]
         for name, make in RULES.items():
             rule = make(m)
             table = OutcomeTable(rule, m)
@@ -186,10 +199,10 @@ class TestTieExactReference:
                                          weights)
             for t, profile in enumerate(profiles):
                 want = old_evaluate(rule, profile)
-                assert np.array_equal(rule.evaluate(profile), want), name
+                assert np.array_equal(rule.evaluate(orders[t], weights[t]), want), name
                 assert np.array_equal(weighted[t], want), name
-        for profile in profiles:
-            got = condorcet_winner(profile_statistic(pairwise_statistic, profile))
+        for t, profile in enumerate(profiles):
+            got = condorcet_winner(profile_statistic(pairwise_statistic, orders[t], weights[t]))
             assert got == old_condorcet_winner(profile)
 
     def test_uniform_even_split_is_an_exact_half(self):
@@ -197,12 +210,13 @@ class TestTieExactReference:
         # they disagree on carries exactly 0.5
         reps = [all_rankings(3)[0], all_rankings(3)[-1]]
         groups, w = np.arange(12) % 2, np.ones(12)
-        profile = group_profile(groups, reps, w)
+        profile = reference_profile(groups, reps, w)
+        orders = orders_of([reps[g] for g in groups])
         assert pairwise_matrix(profile)[0, 2] == 0.5
         for rule in (DeterministicCopeland(), RandomizedCopeland(), Duple(0, 2), Duple(2, 0),
                      DeterministicPositional("borda")):
-            assert np.array_equal(rule.evaluate(profile), old_evaluate(rule, profile))
-        assert np.array_equal(Duple(0, 2).evaluate(profile), [0.5, 0.0, 0.5])
+            assert np.array_equal(rule.evaluate(orders, w), old_evaluate(rule, profile))
+        assert np.array_equal(Duple(0, 2).evaluate(orders, w), [0.5, 0.0, 0.5])
 
     @pytest.mark.parametrize("rule, m, n", [
         (RandomizedCopeland(), 3, 11), (RandomizedCopeland(), 3, 12),
@@ -213,7 +227,7 @@ class TestTieExactReference:
         rng = np.random.default_rng(7)
         for w in [np.ones(n)] + [rng.random(n) + 1e-3 for _ in range(30)]:
             round_ = source.emit(w)
-            profile = group_profile(round_.groups, round_.representatives, w)
+            profile = reference_profile(round_.groups, round_.representatives, w)
             assert np.array_equal(round_.outcome, old_evaluate(rule, profile))
 
     @pytest.mark.parametrize("rule", [DeterministicPositional("plurality"),
@@ -224,22 +238,33 @@ class TestTieExactReference:
         for w in [np.ones(4), np.ones(5), np.array([1.0, 0.0, 1.0])] + [
                 rng.random(6) for _ in range(30)]:
             round_ = source.emit(w)
-            profile = group_profile(round_.groups, round_.representatives, w)
+            profile = reference_profile(round_.groups, round_.representatives, w)
             assert np.array_equal(round_.outcome, old_evaluate(rule, profile))
 
 
 class TestNoProfilesOnTheEngine:
-    """Deterministic weights reach the rule as a weighted statistic: no round
-    builds an AnonymousProfile."""
+    """Deterministic weights reach the rule as one grouped statistic of the
+    round's groups or table rows: no round groups voters' orders again
+    (``profile_statistic``) or calls ``evaluate``."""
 
     @pytest.fixture
     def no_profiles(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("an AnonymousProfile was built")
+        def refuse(*args):
+            raise AssertionError("a round grouped voters' orders")
 
-        monkeypatch.setattr(core.AnonymousProfile, "__post_init__", refuse)
+        for module in (rules, harness, adversaries):
+            monkeypatch.setattr(module, "profile_statistic", refuse, raising=False)
+        monkeypatch.setattr(rules.VotingRule, "evaluate", refuse)
         with pytest.raises(AssertionError):
-            core.unanimous(all_rankings(3)[0])
+            RandomizedCopeland().evaluate([[0, 1, 2]], [1.0])
+        calls = []
+        for module in (harness, adversaries):
+            def counted(*args, grouped=module.group_statistic):
+                calls.append(1)
+                return grouped(*args)
+
+            monkeypatch.setattr(module, "group_statistic", counted)
+        return calls
 
     @pytest.mark.parametrize("rule, m, n", [
         (RandomizedCopeland(), 3, 11), (RandomizedCopeland(), 3, 1001),
@@ -250,6 +275,7 @@ class TestNoProfilesOnTheEngine:
         with pytest.warns(UserWarning):
             run_episode(SchemeConfig("deterministic_unilateral", n=n, horizon=20),
                         rule, source, 20)
+        assert len(no_profiles) == 20
 
     def test_deterministic_rounds_of_other_sources(self, no_profiles):
         rule = DeterministicCopeland()
@@ -258,3 +284,4 @@ class TestNoProfilesOnTheEngine:
                         rule, WinnerPunishingSource(rule, 3), 20)
             run_episode(SchemeConfig("deterministic_unilateral", n=6, horizon=20),
                         rule, IIDRandomSource(6, 4), 20)
+        assert len(no_profiles) == 40
