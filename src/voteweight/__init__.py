@@ -6,15 +6,14 @@ schemes, worst-case adversary constructions, and a regret-measuring harness.
 
 from .adversaries import (
     CondorcetSplitSource,
-    GapPair,
     PartitionResult,
     RoundChallenge,
     WinnerPunishingSource,
     majority_prefix_partition,
     orient_gap_pair,
-    top_two_ranking,
+    top_two_orders,
 )
-from .core import TOL, Ranking, rank_codes
+from .core import TOL, orders_from_codes, rank_codes
 from .harness import (
     FileSource,
     IIDRandomSource,

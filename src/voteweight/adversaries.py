@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, Ranking, as_weights
+from .core import TOL, as_weights, rank_codes
 from .errors import ConfigError, HypothesisViolatedError, NoWitnessError
 from .rules import (RandomizedCopeland, VotingRule, condorcet_winner, group_statistic,
                     pairwise_statistic, unanimity_witness)
@@ -24,8 +24,8 @@ from .rules import (RandomizedCopeland, VotingRule, condorcet_winner, group_stat
 
 @dataclass(frozen=True)
 class RoundChallenge:
-    """One election's inputs as voter groups: voter i reports
-    ``representatives[groups[i]]``, and ``losses`` holds a loss per alternative.
+    """One election's inputs as voter groups: voter i reports the ranking with
+    rank code ``codes[groups[i]]``, and ``losses`` holds a loss per alternative.
 
     ``groups`` is an int64 array of length n. An adaptive round names only a
     few distinct rankings, so per-voter work is array indexing. ``outcome``
@@ -34,7 +34,7 @@ class RoundChallenge:
     """
 
     groups: np.ndarray
-    representatives: tuple[Ranking, ...]
+    codes: tuple[int, ...]
     losses: np.ndarray
     outcome: np.ndarray
 
@@ -68,45 +68,28 @@ def majority_prefix_partition(weights: Sequence[float] | np.ndarray) -> Partitio
     return PartitionResult(heavy, acc, total)
 
 
-def top_two_ranking(x: int, y: int, m: int) -> Ranking:
-    """x first, y second, remaining alternatives in ascending id order.
+def top_two_orders(x: int, y: int, m: int) -> np.ndarray:
+    """The (2, m) orders of x, y, ... and y, x, ..., the remaining alternatives
+    in ascending id order in both.
 
     Positions past the second never matter to the constructed losses, which
     assign all remaining alternatives the same loss.
     """
     rest = [a for a in range(m) if a not in (x, y)]
-    return Ranking((x, y, *rest))
+    return np.array([[x, y, *rest], [y, x, *rest]])
 
 
-@dataclass(frozen=True)
-class GapPair:
-    """An oriented pair (a, b) with its two head-to-head rankings.
-
-    Oriented so that the winner's margin under `top_ba` is at least the
-    winner's margin under `top_ab`.
-    """
-
-    a: int
-    b: int
-    top_ab: Ranking
-    top_ba: Ranking
-
-
-def orient_gap_pair(rule: VotingRule, m: int) -> GapPair:
-    """Pick and orient the pair used by the Condorcet-split construction.
+def orient_gap_pair(rule: VotingRule, m: int) -> tuple[int, int]:
+    """Pick and orient the pair (a, b) used by the Condorcet-split construction:
+    the winner's margin when b over a carries all the weight is at least its
+    margin when a over b does.
 
     Candidate pairs are scanned in ascending id order; after orientation the
     first pair always qualifies, so this inspects only (0, 1).
     """
     x, y = 0, 1
-    t_xy = top_two_ranking(x, y, m)
-    t_yx = top_two_ranking(y, x, m)
-    d_xy, d_yx = rule.unanimous_outcomes(np.array([t_xy.order, t_yx.order]))
-    gap_xy = float(d_xy[x] - d_xy[y])
-    gap_yx = float(d_yx[y] - d_yx[x])
-    if gap_yx >= gap_xy:
-        return GapPair(x, y, t_xy, t_yx)
-    return GapPair(y, x, t_yx, t_xy)
+    d_xy, d_yx = rule.unanimous_outcomes(top_two_orders(x, y, m))
+    return (x, y) if d_yx[y] - d_yx[x] >= d_xy[x] - d_xy[y] else (y, x)
 
 
 class WinnerPunishingSource:
@@ -125,16 +108,16 @@ class WinnerPunishingSource:
         if witness is None:
             raise NoWitnessError("rule is constant when one ranking carries all the weight")
         self.rule = rule
-        self.witness = witness
         self.m = m
-        self._stat = rule.statistic(np.array([r.order for r in witness]))
+        self.codes = tuple(rank_codes(witness).tolist())
+        self._stat = rule.statistic(witness)
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
         groups = (np.arange(len(weights)) > 0).astype(np.int64)
         outcome = self.rule.decide(group_statistic(self._stat, groups, weights), self.m)
         losses = np.zeros(self.m)
         losses[int(np.argmax(outcome))] = 1.0
-        return RoundChallenge(groups, self.witness, losses, outcome)
+        return RoundChallenge(groups, self.codes, losses, outcome)
 
 
 class CondorcetSplitSource:
@@ -160,14 +143,15 @@ class CondorcetSplitSource:
             raise ConfigError(f"delta is a selection gap in (0, 1], got {delta!r}")
         self.rule = rule
         self.delta = delta
-        self.pair = orient_gap_pair(rule, m)
+        self.a, self.b = orient_gap_pair(rule, m)
         self.m = m
+        blocks = top_two_orders(self.a, self.b, m)  # the heavy block's, then the rest's
+        self.codes = tuple(rank_codes(blocks).tolist())
         # Each block's pairwise statistic, for the Condorcet check, then the rule's.
-        blocks = np.array([self.pair.top_ab.order, self.pair.top_ba.order])
         self._stat = np.concatenate((pairwise_statistic(blocks), rule.statistic(blocks)), axis=1)
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
-        n, delta, pair = len(weights), self.delta, self.pair
+        n, delta = len(weights), self.delta
         if n < 2 * (3.0 / (2.0 * delta) + 1.0):
             raise HypothesisViolatedError(
                 f"need n >= 2(3/(2 delta) + 1) = {2 * (3 / (2 * delta) + 1):.3f}, got {n}"
@@ -177,11 +161,11 @@ class CondorcetSplitSource:
         groups[part.heavy] = 0
         stat = group_statistic(self._stat, groups, weights)
         losses = np.full(self.m, 0.5)
-        losses[pair.a] = 1.0
-        losses[pair.b] = 0.0
+        losses[self.a] = 1.0
+        losses[self.b] = 0.0
 
-        if condorcet_winner(stat[: self.m * self.m]) != pair.a:
-            raise HypothesisViolatedError(f"{pair.a} is not the Condorcet winner of the split")
+        if condorcet_winner(stat[: self.m * self.m]) != self.a:
+            raise HypothesisViolatedError(f"{self.a} is not the Condorcet winner of the split")
         # Case split on how far the heavy block overshoots half the total weight.
         if part.heavy_weight >= (0.5 + delta / 3.0) * part.total:
             bounded = len(part.heavy) <= 3.0 / (2.0 * delta) + 1.0 + TOL
@@ -192,7 +176,7 @@ class CondorcetSplitSource:
                 f"heavy block of {len(part.heavy)} voters breaks its size bound"
             )
         outcome = self.rule.decide(stat[self.m * self.m:], self.m)
-        return RoundChallenge(groups, (pair.top_ab, pair.top_ba), losses, outcome)
+        return RoundChallenge(groups, self.codes, losses, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def check_estimator_error_path(seed: int) -> CheckResult:
     n, T, zeros = 10, 2000, 0
     for eta in (50.0, 1e6):
         trace = run_episode(SchemeConfig("partial_info", n=n, horizon=T, eta=eta),
-                            RandomizedPositional("borda"), IIDRandomSource(n, 3), T, seed=seed)
+                            RandomizedPositional("borda"), IIDRandomSource(n, 3), seed=seed)
         p = trace.probs[np.arange(T), trace.chosen]
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero p fails below
             estimates = np.bincount(trace.chosen, trace.winner_loss / p, minlength=n)
@@ -247,7 +247,7 @@ def check_winner_punishing(seed: int) -> CheckResult:
     n, T = 4, 200
     rule = DeterministicPositional("plurality")
     scheme = SchemeConfig("constant", n=n, horizon=T)
-    trace = run_episode(scheme, rule, WinnerPunishingSource(rule, 3), T, seed=seed)
+    trace = run_episode(scheme, rule, WinnerPunishingSource(rule, 3), seed=seed)
     losses_one = bool(np.all(trace.scheme_loss == 1.0))
     _, best = best_voter(trace)
     ok = losses_one and best <= (n - 1) * T / n and regret(trace) >= T / n
@@ -280,9 +280,7 @@ def check_condorcet_split(seed: int) -> CheckResult:
     scheme = SchemeConfig("deterministic_unilateral", n=n, horizon=T)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        trace = run_episode(
-            scheme, rule, CondorcetSplitSource(rule, m, delta), T, seed=seed
-        )
+        trace = run_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), seed=seed)
     worst_gap = float(np.min(trace.scheme_loss - trace.per_voter_loss.mean(axis=1)))
     ok = worst_gap >= delta / 6 - TOL and regret(trace) >= T * delta / 6 - TOL
     return CheckResult(
@@ -298,6 +296,8 @@ def check_condorcet_split(seed: int) -> CheckResult:
 
 
 def run_suite(name: str, seed: int = 0, profiles: int = 100) -> list[CheckResult]:
+    if profiles < 1:  # a check over no profiles would pass on nothing
+        raise ValueError(f"profiles must be at least 1, got {profiles}")
     identities = [
         check_single_voter_decomposition,
         check_duple_decomposition,

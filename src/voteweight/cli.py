@@ -93,12 +93,14 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
             horizon=T,
             eta=scheme_spec.get("eta"),
         )
+        feedback = cfg.get("feedback")
+        if feedback is not None and feedback != scheme.feedback:
+            raise ConfigError(f"scheme kind {scheme.kind!r} takes {scheme.feedback!r} "
+                              f"feedback, not {feedback!r}")
         source = _build_source(cfg["source"], rule, n, m)
 
         def episode(trial_seed: int) -> Trace:
-            return run_episode(
-                scheme, rule, source, T, feedback=cfg.get("feedback"), seed=trial_seed
-            )
+            return run_episode(scheme, rule, source, seed=trial_seed)
 
         first = episode(seed)
         mean, stderr = monte_carlo_regret(
@@ -120,10 +122,14 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(destination, exist_ok=True)
-    _write_trace_csv(trace_path, first)
-    with open(summary_path, "w") as fh:
-        fh.write(summary_text + "\n")
+    try:
+        os.makedirs(destination, exist_ok=True)
+        _write_trace_csv(trace_path, first)
+        with open(summary_path, "w") as fh:
+            fh.write(summary_text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write the outputs to {destination}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {trace_path} and {summary_path}")
     print(f"final regret {_fmt(final)}, mean over {trials} trials "
           f"{_fmt(mean)} +/- {_fmt(stderr)} (bound {_fmt(scheme.regret_bound)})")
@@ -131,13 +137,10 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
 
 
 def cmd_verify(suite: str, seed: int, profiles: int) -> int:
-    if profiles < 1:  # a check over no profiles would pass on nothing
-        print(f"error: --profiles must be at least 1, got {profiles}", file=sys.stderr)
-        return 1
     try:
         results = run_suite(suite, seed=seed, profiles=profiles)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: verify --suite {suite} --profiles {profiles}: {exc}", file=sys.stderr)
         return 1
     failed = 0
     for res in results:

@@ -1,11 +1,12 @@
-"""Core election values: rankings and their rank codes, weights, losses and
-draws.
+"""Core election values: rankings as orders and rank codes, weights, losses
+and draws.
 
-Alternatives are round-local integers ``0..m-1``. Positions within a ranking
-are 0-based, so the most preferred alternative has position 0. A weighted
-profile is the voters' orders plus a weight vector (see
-:func:`~voteweight.rules.group_statistic`). All types here are immutable
-values after construction; draws take uniforms the caller supplies.
+Alternatives are round-local integers ``0..m-1``. A ranking is an order, a row
+permuting ``0..m-1`` best first, so the most preferred alternative has
+position 0; its rank code is its lexicographic index among the m! orders. A
+weighted profile is the voters' (n, m) orders plus a weight vector (see
+:func:`~voteweight.rules.group_statistic`). Draws take uniforms the caller
+supplies.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,42 +52,19 @@ def whole_number(value, key: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """A strict linear order over alternatives {0, ..., m-1}, best first."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.order))):
-            raise InvalidRankingError(
-                f"order must be a permutation of 0..{len(self.order) - 1}, "
-                f"got {self.order}"
-            )
-
-    @property
-    def m(self) -> int:
-        return len(self.order)
-
-    @cached_property
-    def code(self) -> int:
-        """Lexicographic index among the m! orderings; see :func:`rank_codes`."""
-        return int(rank_codes(self.order))
-
-
-@lru_cache(maxsize=None)
-def all_rankings(m: int) -> tuple[Ranking, ...]:
-    """All m! rankings in lexicographic order; guarded against large m."""
+def all_rankings(m: int) -> np.ndarray:
+    """The (m!, m) orders of all rankings in lexicographic order, row c having
+    rank code c; guarded against large m."""
     if m > 8:
         raise EnumerationRefusedError(f"refusing to enumerate {m}! rankings")
-    return tuple(Ranking(perm) for perm in itertools.permutations(range(m)))
+    return orders_from_codes(np.arange(math.factorial(m)), m)
 
 
 def rank_codes(orders) -> np.ndarray:
     """Lexicographic index of each order among the m! orderings (its Lehmer code).
 
     `orders` has shape (..., m) and holds permutations of 0..m-1; the result
-    drops the last axis. ``all_rankings(m)[c]`` is the ranking with code c.
+    drops the last axis. ``all_rankings(m)[c]`` is the order with code c.
     """
     orders = np.asarray(orders, dtype=np.int64)
     m = orders.shape[-1]

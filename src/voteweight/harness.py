@@ -21,7 +21,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -143,26 +143,15 @@ class FileSource:
 # Episode engine
 
 
-def run_episode(
-    scheme: SchemeConfig,
-    rule: VotingRule,
-    source,
-    T: int,
-    feedback: Optional[str] = None,
-    seed: int = 0,
-) -> Trace:
-    """Play T rounds: the scheme plays a voter distribution, the source emits
-    the round, a voter and then a winner are drawn, and feedback follows the
-    scheme kind; `feedback`, if given, must name that kind's mode.
+def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -> Trace:
+    """Play the scheme's T = ``scheme.horizon`` rounds: the scheme plays a voter
+    distribution, the source emits the round, a voter and then a winner are
+    drawn, and feedback follows the scheme kind.
 
     Randomness: an oblivious source draws its rounds first, then one (T, 2)
     block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
     """
-    if feedback is not None and feedback != scheme.feedback:
-        raise ConfigError(
-            f"scheme kind {scheme.kind!r} takes {scheme.feedback!r} feedback, "
-            f"not {feedback!r}"
-        )
+    T = scheme.horizon
     decomposes = rule.is_distribution_over_unilaterals()
     if scheme.kind == "deterministic_unilateral" and not decomposes:
         warnings.warn(
@@ -278,7 +267,7 @@ def _play_adaptive(scheme: SchemeConfig, table: OutcomeTable, source, u):
         if len(challenge.groups) != n:
             raise ConfigError(f"round {t + 1} has {len(challenge.groups)} voters, not {n}")
         losses[t, : challenge.m] = challenge.losses
-        rows = [table.row(challenge.m, r.code) for r in challenge.representatives]
+        rows = [table.row(challenge.m, c) for c in challenge.codes]
         L[t] = table.voter_losses(np.array(rows), losses[t])[challenge.groups]
         outcome = challenge.outcome.tolist()
         if c < 0:  # deterministic weights reach the rule as one weighted profile

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, Ranking, all_rankings, as_weights, orders_from_codes, whole_number
+from .core import TOL, all_rankings, as_weights, orders_from_codes, whole_number
 from .errors import ConfigError, InvalidPairError, InvalidRankingError, ShapeError
 
 # ---------------------------------------------------------------------------
@@ -249,15 +249,15 @@ class RandomizedCopeland(VotingRule):
 
 class Unilateral(VotingRule):
     """Pick a ranking with its profile mass and apply a fixed selector to it;
-    the statistic is the one-hot of the selected alternative."""
+    the statistic is the one-hot of the selected alternative. A selector maps
+    (k, m) orders to the (k,) alternatives it selects."""
 
-    def __init__(self, selector: Callable[[Ranking], int], name: str = "unilateral"):
+    def __init__(self, selector: Callable[[np.ndarray], np.ndarray], name: str = "unilateral"):
         self.selector = selector
         self.name = name
 
     def statistic(self, orders: np.ndarray) -> np.ndarray:
-        picks = [self.selector(Ranking(tuple(order))) for order in orders.tolist()]
-        return np.eye(orders.shape[1])[picks]
+        return np.eye(orders.shape[1])[self.selector(orders)]
 
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         return stat
@@ -269,13 +269,13 @@ class Unilateral(VotingRule):
         return f"Unilateral({self.name})"
 
 
-def position_selector(k: int) -> Callable[[Ranking], int]:
-    """Selector returning the alternative ranked at 0-based position k."""
+def position_selector(k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Selector returning the alternative each order ranks at 0-based position k."""
 
-    def select(ranking: Ranking) -> int:
-        if k >= ranking.m:
-            raise ConfigError(f"unilateral position={k} needs m > {k}, got m={ranking.m}")
-        return ranking.order[k]
+    def select(orders: np.ndarray) -> np.ndarray:
+        if k >= orders.shape[1]:
+            raise ConfigError(f"unilateral position={k} needs m > {k}, got m={orders.shape[1]}")
+        return orders[:, k]
 
     return select
 
@@ -374,19 +374,19 @@ def unilateral_mixture_positional(s: Sequence[float] | np.ndarray) -> Mixture:
     )
 
 
-def unanimity_witness(rule: VotingRule, m: int) -> Optional[tuple[Ranking, Ranking]]:
-    """Two rankings whose outcomes differ when each carries all the weight.
+def unanimity_witness(rule: VotingRule, m: int) -> Optional[np.ndarray]:
+    """The (2, m) orders of two rankings whose outcomes differ when each carries
+    all the weight.
 
     Enumerates all m! rankings, so m is capped at 8. Returns None when every
     ranking alone gets the same outcome.
     """
-    rankings = all_rankings(m)
-    orders = np.array([r.order for r in rankings])
+    orders = all_rankings(m)
     base = rule.unanimous_outcomes(orders[:1])
     for lo in range(0, len(orders), 64):  # blocks keep most of a scan's early exit
         differs = np.abs(rule.unanimous_outcomes(orders[lo:lo + 64]) - base).max(axis=1) > TOL
         if differs.any():
-            return rankings[0], rankings[lo + int(np.argmax(differs))]
+            return orders[[0, lo + int(np.argmax(differs))]]
     return None
 
 

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import whole_number
 from .errors import ConfigError
 
 SCHEME_KINDS = ("full_info", "partial_info", "deterministic_unilateral", "constant")
@@ -27,7 +28,8 @@ SCHEME_KINDS = ("full_info", "partial_info", "deterministic_unilateral", "consta
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme kind plus the parameters of its exponential-weights update.
+    """Scheme kind plus the parameters of its exponential-weights update; the
+    horizon is also the number of rounds an episode plays.
 
     When `eta` is omitted it defaults to sqrt(2 ln n / T) for full-information
     kinds and sqrt(2 ln n / (T n)) for the partial-information kind; with an
@@ -42,6 +44,8 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ConfigError(f"unknown scheme kind {self.kind!r}")
+        for key in ("n", "horizon"):  # bools and fractions are refused, 3.0 becomes 3
+            object.__setattr__(self, key, whole_number(getattr(self, key), key))
         if self.n < 1 or self.horizon < 1:
             raise ConfigError("need n >= 1 and horizon >= 1")
         if self.eta is not None and (

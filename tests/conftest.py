@@ -5,7 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from voteweight import FileSource, Ranking
+from voteweight import FileSource, orders_from_codes
 # re-exported for the test modules
 from voteweight.adversaries import random_rankings  # noqa: F401
 
@@ -16,22 +16,23 @@ def rng():
 
 
 def ranking(*order):
-    return Ranking(tuple(order))
+    """One ranking as a tuple order, best first."""
+    return order
 
 
 def orders_of(rankings):
     """The (n, m) orders of a sequence of rankings, as `evaluate` takes them."""
-    return np.array([r.order for r in rankings])
+    return np.array(rankings)
 
 
 def alone(ranking):
     """The profile in which one ranking carries all the weight, as (orders, weights)."""
-    return [ranking.order], [1.0]
+    return [ranking], [1.0]
 
 
 def voter_rankings(challenge):
-    """One ranking per voter of an adversary's grouped round."""
-    return tuple(challenge.representatives[g] for g in challenge.groups.tolist())
+    """The (n, m) orders, one per voter, of an adversary's grouped round."""
+    return orders_from_codes(challenge.codes, challenge.m)[challenge.groups]
 
 
 def voter_losses(rule, rankings, losses):

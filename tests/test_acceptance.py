@@ -44,10 +44,10 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def quiet_episode(scheme, rule, source, T, **kwargs):
+def quiet_episode(scheme, rule, source, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_episode(scheme, rule, source, T, **kwargs)
+        return run_episode(scheme, rule, source, **kwargs)
 
 
 class TestExactLowerBounds:
@@ -61,9 +61,7 @@ class TestExactLowerBounds:
         for kind in ("constant", "deterministic_unilateral"):
             for n in (2, 4, 10):
                 scheme = SchemeConfig(kind, n=n, horizon=T)
-                trace = quiet_episode(
-                    scheme, rule, WinnerPunishingSource(rule, 3), T, seed=0
-                )
+                trace = quiet_episode(scheme, rule, WinnerPunishingSource(rule, 3), seed=0)
                 worst_slack = min(worst_slack, regret(trace) - T / n)
                 assert regret(trace) >= T / n
         elapsed = time.perf_counter() - start
@@ -78,7 +76,7 @@ class TestExactLowerBounds:
         weighting identical loss, so regret is exactly zero."""
         T = 1000
         scheme = SchemeConfig("constant", n=4, horizon=T)
-        trace = run_episode(scheme, ConstantUniform(), IIDRandomSource(4, 3), T, seed=0)
+        trace = run_episode(scheme, ConstantUniform(), IIDRandomSource(4, 3), seed=0)
         report(
             "constant_rule_zero_regret",
             regret(trace) == 0.0,
@@ -95,7 +93,7 @@ class TestExactLowerBounds:
             rule = RandomizedCopeland()
             scheme = SchemeConfig("deterministic_unilateral", n=n, horizon=T)
             start = time.perf_counter()
-            trace = quiet_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), T, seed=0)
+            trace = quiet_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), seed=0)
             elapsed = time.perf_counter() - start
             worst_gap = min(
                 scheme_loss - float(per_voter.mean())
@@ -119,15 +117,12 @@ class TestMonteCarloUpperBounds:
     T = 10**4
     trials = 50
 
-    def _run(self, name, kind, feedback, bound):
+    def _run(self, name, kind, bound):
         rule = RandomizedPositional("borda")
         scheme = SchemeConfig(kind, n=self.n, horizon=self.T)
 
         def episode(seed):
-            return run_episode(
-                scheme, rule, IIDRandomSource(self.n, 3), self.T,
-                feedback=feedback, seed=seed,
-            )
+            return run_episode(scheme, rule, IIDRandomSource(self.n, 3), seed=seed)
 
         start = time.perf_counter()
         mean, stderr = monte_carlo_regret(episode, self.trials, base_seed=0)
@@ -146,11 +141,11 @@ class TestMonteCarloUpperBounds:
 
     def test_full_feedback_regret_bound(self):
         bound = math.sqrt(2 * self.T * math.log(self.n))
-        self._run("full_feedback_regret_bound", "full_info", "full", bound)
+        self._run("full_feedback_regret_bound", "full_info", bound)
 
     def test_partial_feedback_regret_bound(self):
         bound = math.sqrt(2 * self.T * self.n * math.log(self.n))
-        self._run("partial_feedback_regret_bound", "partial_info", "partial", bound)
+        self._run("partial_feedback_regret_bound", "partial_info", bound)
 
 
 class TestClosedFormIdentities:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import voteweight.cli as cli
+from voteweight.checks import run_suite
 from voteweight.cli import main
 from voteweight.harness import Trace
 
@@ -312,6 +313,16 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
         assert capsys.readouterr().err.startswith("error: out_dir must be")
 
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+    def test_out_dir_on_a_regular_file_is_an_error(self, tmp_path, monkeypatch, capsys, out_dir):
+        # the run is valid; only its destination cannot be made a directory
+        cfg = write_config(tmp_path, out_dir=out_dir)
+        (tmp_path / "afile").write_text("kept\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert (tmp_path / "afile").read_text() == "kept\n"
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
     def test_file_line_with_one_alternative_writes_nothing(self, tmp_path):
         seq = tmp_path / "rounds.jsonl"
         lines = [{"rankings": [[0, 1]] * 4, "losses": [0.5, 0.5]},
@@ -343,6 +354,14 @@ class TestVerify:
         assert main(["verify", "--suite", "adversaries", "--profiles", "50"]) == 0
         out = capsys.readouterr().out
         assert "condorcet_split_gap" in out
+
+    @pytest.mark.parametrize("profiles", [0, -3])
+    def test_run_suite_refuses_no_profiles(self, profiles):
+        # a condorcet_gap check over no profiles would report PASS on nothing
+        with pytest.raises(ValueError, match="profiles"):
+            run_suite("identities", profiles=profiles)
+        with pytest.raises(ValueError, match="profiles"):
+            run_suite("estimators", profiles=profiles)
 
     @pytest.mark.parametrize("profiles", ["0", "-3"])
     def test_no_profiles_is_a_usage_error(self, capsys, profiles):

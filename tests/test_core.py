@@ -11,7 +11,6 @@ from voteweight import (
     TOL,
     ConstantUniform,
     RandomizedPositional,
-    Ranking,
     group_statistic,
     pairwise_statistic,
     profile_statistic,
@@ -36,23 +35,26 @@ from conftest import alone, file_source, orders_of, random_rankings, ranking
 
 
 class TestMakeRanking:
+    """A ranking is an order row; its rank code is its lexicographic index."""
+
     def test_identity_permutation(self):
-        r = Ranking((0, 1, 2))
-        assert r.order == (0, 1, 2)
-        assert r.m == 3
+        assert rank_codes((0, 1, 2)) == 0
+        assert orders_from_codes([0], 3).tolist() == [[0, 1, 2]]
 
     def test_transposition_positions(self):
         # 1 above 0 above 2, read from the pairwise statistic
-        above = pairwise_statistic(np.array([Ranking((1, 0, 2)).order])).reshape(3, 3)
+        above = pairwise_statistic(np.array([(1, 0, 2)])).reshape(3, 3)
         assert above.tolist() == [[0, 0, 1], [1, 0, 1], [0, 0, 0]]
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(InvalidRankingError):
-            Ranking((0, 0, 2))
+            profile_statistic(pairwise_statistic, [(0, 0, 2)], [1.0])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidRankingError):
-            Ranking((0, 1, 3))
+            profile_statistic(pairwise_statistic, [(0, 1, 3)], [1.0])
+        with pytest.raises(InvalidRankingError):
+            orders_from_codes([6], 3)
 
     def test_wrong_length_rejected(self):
         # a round's rankings must cover the alternatives of its loss vector
@@ -71,12 +73,12 @@ class TestAnonymize:
 
     def test_unanimous_profile(self, abc):
         mass = profile_statistic(mass_statistic(3), orders_of([abc, abc]), [1, 1])
-        assert np.array_equal(mass, np.eye(6)[abc.code])
+        assert np.array_equal(mass, np.eye(6)[rank_codes(abc)])
 
     def test_weight_fractions(self, abc, bca):
         mass = profile_statistic(mass_statistic(3), orders_of([abc, bca, bca, bca]), [1, 1, 1, 1])
-        assert mass[abc.code] == pytest.approx(0.25, abs=TOL)
-        assert mass[bca.code] == pytest.approx(0.75, abs=TOL)
+        assert mass[rank_codes(abc)] == pytest.approx(0.25, abs=TOL)
+        assert mass[rank_codes(bca)] == pytest.approx(0.75, abs=TOL)
 
     def test_zero_total_weight(self, abc, bca):
         with pytest.raises(DegenerateWeightsError):
@@ -133,7 +135,7 @@ def reference_statistic(statistic, rankings, weights):
     :func:`reference_anonymize`, in order of their first positive-weight voter."""
     acc = 0.0
     for ranking, frac in reference_anonymize(rankings, weights).items():
-        acc = acc + frac * statistic(np.array([ranking.order]))[0]
+        acc = acc + frac * statistic(np.array([ranking]))[0]
     return acc
 
 
@@ -153,7 +155,7 @@ class TestGroupProfile:
         # floats, so the order the groups are added in shows in the sum
         k = int(rng.integers(1, min(7, math.factorial(m) + 1)))
         codes = rng.choice(math.factorial(m), size=k, replace=False)
-        reps = [all_rankings(m)[c] for c in codes.tolist()]
+        reps = [tuple(order) for order in orders_from_codes(codes, m).tolist()]
         table = rng.random((math.factorial(m), 4))
         statistic = lambda orders: table[rank_codes(orders)]  # noqa: E731
         groups = rng.integers(0, len(reps), size=n)
@@ -168,10 +170,10 @@ class TestGroupProfile:
 
     def test_support_follows_first_positive_voter(self, abc, bca, cab):
         mass = profile_statistic(mass_statistic(3), orders_of([abc, bca, abc]), [0.0, 1.0, 3.0])
-        assert mass[bca.code] == 0.25 and mass[abc.code] == 0.75
+        assert mass[rank_codes(bca)] == 0.25 and mass[rank_codes(abc)] == 0.75
         # 1e16 and -1e16 cancel only when added before 1: bca, then cab, then abc
         values = np.zeros((6, 1))
-        values[[abc.code, bca.code, cab.code], 0] = 1.0, 1e16, -1e16
+        values[rank_codes([abc, bca, cab]), 0] = 1.0, 1e16, -1e16
         statistic = lambda orders: values[rank_codes(orders)]  # noqa: E731
         rankings = [abc, bca, cab, abc]
         got = profile_statistic(statistic, orders_of(rankings), [0.0, 1.0, 1.0, 1.0])
@@ -194,7 +196,7 @@ class TestGroupProfile:
         with pytest.raises(InvalidRankingError):
             profile_statistic(pairwise_statistic, [[0, 1, 2], [1, 0, 3]], [1.0, 0.0])
         with pytest.raises(ValueError):
-            profile_statistic(pairwise_statistic, [abc.order, ranking(1, 0).order], [1.0, 0.0])
+            profile_statistic(pairwise_statistic, [abc, ranking(1, 0)], [1.0, 0.0])
 
     def test_nan_weight_rejected(self, abc, bca):
         with pytest.raises(DegenerateWeightsError):
@@ -281,10 +283,9 @@ class TestRankCodes:
     @given(m=st.integers(2, 6))
     @settings(max_examples=10, deadline=None)
     def test_code_is_index_in_all_rankings(self, m):
-        rankings = all_rankings(m)
-        codes = rank_codes([r.order for r in rankings])
-        assert codes.tolist() == list(range(len(rankings)))
-        assert [r.code for r in rankings] == list(range(len(rankings)))
+        orders = all_rankings(m)
+        assert orders.tolist() == [list(p) for p in itertools.permutations(range(m))]
+        assert rank_codes(orders).tolist() == list(range(len(orders)))
 
     @given(m=st.integers(2, MAX_M), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -309,7 +310,7 @@ class TestRankCodes:
         orders = orders_from_codes(codes, m)
         assert orders.shape == (len(codes), m) and orders.dtype == np.int64
         assert np.array_equal(rank_codes(orders), codes)
-        assert orders.tolist() == [list(r.order) for r in all_rankings(m)]
+        assert orders.tolist() == [list(p) for p in itertools.permutations(range(m))]
 
     @given(m=st.integers(2, MAX_M), seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

@@ -16,7 +16,6 @@ from voteweight import (
     IIDRandomSource,
     RandomizedCopeland,
     RandomizedPositional,
-    Ranking,
     SchemeConfig,
     WinnerPunishingSource,
     best_voter,
@@ -24,6 +23,7 @@ from voteweight import (
     orient_gap_pair,
     regret,
     run_episode,
+    top_two_orders,
     unanimity_witness,
 )
 from voteweight.errors import ConfigError, NoWitnessError
@@ -33,12 +33,11 @@ from voteweight.schemes import SCHEME_KINDS
 from conftest import alone, file_source, orders_of, random_rankings, voter_rankings
 
 
-def episode(kind="full_info", rule=None, source=None, n=4, m=3, T=50,
-            feedback="full", seed=0, eta=None):
+def episode(kind="full_info", rule=None, source=None, n=4, m=3, T=50, seed=0, eta=None):
     rule = rule or RandomizedPositional("borda")
     source = source or IIDRandomSource(n, m)
     scheme = SchemeConfig(kind, n=n, horizon=T, eta=eta)
-    return run_episode(scheme, rule, source, T, feedback=feedback, seed=seed)
+    return run_episode(scheme, rule, source, seed=seed)
 
 
 class TestRunEpisode:
@@ -50,21 +49,13 @@ class TestRunEpisode:
 
     def test_first_round_weights_are_uniform(self):
         scheme = SchemeConfig("deterministic_unilateral", n=5, horizon=1)
-        trace = run_episode(
-            scheme, RandomizedPositional("borda"), IIDRandomSource(5, 3), 1
-        )
+        trace = run_episode(scheme, RandomizedPositional("borda"), IIDRandomSource(5, 3))
         assert np.allclose(trace.probs[0], 0.2, atol=TOL)
 
     def test_winner_punishing_gives_loss_one_every_round(self):
         rule = DeterministicPositional("plurality")
         trace = episode("constant", rule=rule, source=WinnerPunishingSource(rule, 3), T=80)
         assert all(loss == 1.0 for loss in trace.scheme_loss)
-
-    def test_partial_feedback_needs_partial_update(self):
-        with pytest.raises(ConfigError):
-            episode("full_info", feedback="partial")
-        with pytest.raises(ConfigError):
-            episode("deterministic_unilateral", feedback="partial")
 
     def test_winner_punishing_needs_non_constant_rule(self):
         class FirstAlternative(ConstantUniform):
@@ -98,8 +89,8 @@ class TestRunEpisode:
                     source=IIDRandomSource(4, 3), T=3)
 
     def test_replay_determinism(self):
-        a = episode("partial_info", T=60, feedback="partial", seed=42)
-        b = episode("partial_info", T=60, feedback="partial", seed=42)
+        a = episode("partial_info", T=60, seed=42)
+        b = episode("partial_info", T=60, seed=42)
         ra = IIDRandomSource(4, 3).rounds(60, np.random.default_rng(42))
         rb = IIDRandomSource(4, 3).rounds(60, np.random.default_rng(42))
         assert np.array_equal(ra.codes, rb.codes)
@@ -366,7 +357,7 @@ class TestSequentialKernel:
     def assert_matches_recomputed(self, n, source, T, eta, seed=3):
         scheme = SchemeConfig("partial_info", n=n, horizon=T, eta=eta)
         rule = RandomizedPositional("borda")
-        trace = run_episode(scheme, rule, source, T, seed=seed)
+        trace = run_episode(scheme, rule, source, seed=seed)
         rng = np.random.default_rng(seed)
         rounds = source.rounds(T, rng)
         expected = recomputed_exp3(scheme, OutcomeTable(rule, source.m), rounds,
@@ -427,14 +418,14 @@ class TestScalarReference:
         source = file_source(lines)
 
         def round_at(t, weights):
-            return [Ranking(tuple(r)) for r in lines[t]["rankings"]], lines[t]["losses"]
+            return [tuple(r) for r in lines[t]["rankings"]], lines[t]["losses"]
 
         for kind in SCHEME_KINDS:
             scheme = SchemeConfig(kind, n=n, horizon=T)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                trace = run_episode(scheme, rule, source, T, seed=seed)
-                again = run_episode(scheme, rule, source, T, seed=seed)
+                trace = run_episode(scheme, rule, source, seed=seed)
+                again = run_episode(scheme, rule, source, seed=seed)
             scalar_replay(scheme, rule, trace, round_at)
             for column in ("per_voter_loss", "probs", "chosen", "winner",
                            "scheme_loss", "winner_loss"):
@@ -451,7 +442,7 @@ class TestScalarReference:
             scheme = SchemeConfig(kind, n=n, horizon=40)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                trace = run_episode(scheme, rule, source, 40, seed=5)
+                trace = run_episode(scheme, rule, source, seed=5)
 
             def round_at(t, weights):
                 round_ = source.emit(weights)
@@ -464,7 +455,8 @@ class TestScalarReference:
         """The adversaries' rounds rebuilt here as one ranking per voter, so a
         wrong voter grouping in the engine or the sources shows."""
         copeland = RandomizedCopeland()
-        pair = orient_gap_pair(copeland, 3)
+        a, b = orient_gap_pair(copeland, 3)
+        top_ab, top_ba = top_two_orders(a, b, 3)
 
         def split_round(t, weights):
             total, acc, heavy = float(np.sum(weights)), 0.0, set()
@@ -474,8 +466,8 @@ class TestScalarReference:
                 if acc > total / 2:
                     break
             ell = [0.5] * 3
-            ell[pair.a], ell[pair.b] = 1.0, 0.0
-            return [pair.top_ab if i in heavy else pair.top_ba for i in range(len(weights))], ell
+            ell[a], ell[b] = 1.0, 0.0
+            return [top_ab if i in heavy else top_ba for i in range(len(weights))], ell
 
         plurality = DeterministicPositional("plurality")
         witness = unanimity_witness(plurality, 3)
@@ -494,5 +486,5 @@ class TestScalarReference:
             scheme = SchemeConfig(kind, n=n, horizon=T)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                trace = run_episode(scheme, rule, source, T, seed=11)
+                trace = run_episode(scheme, rule, source, seed=11)
             scalar_replay(scheme, rule, trace, round_at)

@@ -27,7 +27,7 @@ def play(kind, lines, eta=None, rule=None, seed=0):
     """`run_episode` over the given file rounds, one round per line."""
     scheme = config(kind, n=len(lines[0]["rankings"]), T=len(lines), eta=eta)
     rule = rule or RandomizedPositional("borda")
-    return run_episode(scheme, rule, file_source(lines), len(lines), seed=seed)
+    return run_episode(scheme, rule, file_source(lines), seed=seed)
 
 
 class TestConfig:
@@ -52,6 +52,17 @@ class TestConfig:
         for eta in (-1.0, 0, math.nan, math.inf, "0.5", True):
             with pytest.raises(ConfigError, match="eta"):
                 config(eta=eta)
+
+    @pytest.mark.parametrize("key", ["n", "horizon"])
+    @pytest.mark.parametrize("bad", [True, 3.5, math.inf, "4", -1, 0])
+    def test_bad_counts(self, key, bad):
+        # a boolean n would play a one-voter episode, a fractional one crash later
+        with pytest.raises(ConfigError):
+            SchemeConfig("full_info", **{"n": 3, "horizon": 10, key: bad})
+
+    def test_whole_float_counts_become_ints(self):
+        cfg = SchemeConfig("full_info", n=3.0, horizon=10.0)
+        assert (cfg.n, cfg.horizon) == (3, 10) and type(cfg.n) is type(cfg.horizon) is int
 
 
 class TestVoterDistribution:

@@ -29,7 +29,7 @@ from voteweight import (
     run_episode,
 )
 from voteweight import adversaries, harness, rules
-from voteweight.core import all_rankings
+from voteweight.core import all_rankings, orders_from_codes
 from voteweight.harness import _weighted_outcomes
 from voteweight.rules import OutcomeTable
 
@@ -40,22 +40,29 @@ from test_rules import SHIPPED_RULES
 
 # ---------------------------------------------------------------------------
 # The per-rule loops on an AnonymousProfile before rules became a statistic
-# plus a decision, kept verbatim as the reference (``prefers`` and
-# ``positions`` were Ranking methods). They read only a profile's ``mass``
-# ({Ranking: fraction}, in order of first positive-weight voter) and ``m``.
+# plus a decision, kept as the reference; only their input changed, from
+# ranking objects to order tuples (``prefers`` and ``positions`` were methods of
+# those objects). They read only a profile's ``mass`` ({order tuple: fraction},
+# in order of first positive-weight voter) and ``m``.
 
 Profile = namedtuple("Profile", "mass m")
 
 
 def reference_profile(groups, reps, weights):
-    """The profile of voter i reporting ``reps[groups[i]]``, merged by the
-    plain loop over the voters."""
-    return Profile(reference_anonymize([reps[g] for g in groups], weights), reps[0].m)
+    """The profile of voter i reporting the order tuple ``reps[groups[i]]``,
+    merged by the plain loop over the voters."""
+    return Profile(reference_anonymize([reps[g] for g in groups], weights), len(reps[0]))
+
+
+def challenge_profile(round_, weights):
+    """:func:`reference_profile` of an adversary's round, its codes decoded."""
+    reps = [tuple(order) for order in orders_from_codes(round_.codes, round_.m).tolist()]
+    return reference_profile(round_.groups, reps, weights)
 
 
 def positions(ranking):
-    pos = [0] * len(ranking.order)
-    for rank, a in enumerate(ranking.order):
+    pos = [0] * len(ranking)
+    for rank, a in enumerate(ranking):
         pos[a] = rank
     return tuple(pos)
 
@@ -67,7 +74,7 @@ def prefers(ranking, a, b):
 def positional_scores(profile, s):
     scores = np.zeros(profile.m)
     for ranking, frac in profile.mass.items():
-        scores[list(ranking.order)] += frac * s
+        scores[list(ranking)] += frac * s
     return scores
 
 
@@ -125,7 +132,7 @@ def old_evaluate(rule, profile):
     if isinstance(rule, Unilateral):
         probs = np.zeros(m)
         for ranking, frac in profile.mass.items():
-            probs[rule.selector(ranking)] += frac
+            probs[rule.selector(np.array([ranking]))[0]] += frac
         return probs
     if isinstance(rule, Duple):
         probs = np.zeros(m)
@@ -152,7 +159,7 @@ RULES = {
     **SHIPPED_RULES,
     "duple_1_0": lambda m: Duple(1, 0),
     "unilateral_lambda": lambda m: Unilateral(
-        lambda r: r.order[-1] if r.order[0] % 2 else r.order[1]),
+        lambda orders: np.where(orders[:, 0] % 2, orders[:, -1], orders[:, 1])),
     "mixture_copeland_duple_borda": lambda m: Mixture(
         [(DeterministicCopeland(), 0.5), (Duple(1, 0), 0.25),
          (RandomizedPositional("borda"), 0.25)]),
@@ -168,7 +175,8 @@ def rounds(draw):
     n = draw(st.integers(1, 12))
     T = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    reps = [all_rankings(m)[int(c)] for c in rng.permutation(len(all_rankings(m)))[:4]]
+    orders = all_rankings(m)
+    reps = [tuple(order) for order in orders[rng.permutation(len(orders))[:4]].tolist()]
     groups = rng.integers(0, draw(st.integers(1, len(reps))), size=(T, n))
     mode = draw(st.sampled_from(["uniform", "integers", "heavy", "random"]))
     if mode == "uniform":
@@ -208,7 +216,7 @@ class TestTieExactReference:
     def test_uniform_even_split_is_an_exact_half(self):
         # two opposite rankings, six voters each at weight 1/12: every pair
         # they disagree on carries exactly 0.5
-        reps = [all_rankings(3)[0], all_rankings(3)[-1]]
+        reps = [tuple(all_rankings(3)[0].tolist()), tuple(all_rankings(3)[-1].tolist())]
         groups, w = np.arange(12) % 2, np.ones(12)
         profile = reference_profile(groups, reps, w)
         orders = orders_of([reps[g] for g in groups])
@@ -227,7 +235,7 @@ class TestTieExactReference:
         rng = np.random.default_rng(7)
         for w in [np.ones(n)] + [rng.random(n) + 1e-3 for _ in range(30)]:
             round_ = source.emit(w)
-            profile = reference_profile(round_.groups, round_.representatives, w)
+            profile = challenge_profile(round_, w)
             assert np.array_equal(round_.outcome, old_evaluate(rule, profile))
 
     @pytest.mark.parametrize("rule", [DeterministicPositional("plurality"),
@@ -238,7 +246,7 @@ class TestTieExactReference:
         for w in [np.ones(4), np.ones(5), np.array([1.0, 0.0, 1.0])] + [
                 rng.random(6) for _ in range(30)]:
             round_ = source.emit(w)
-            profile = reference_profile(round_.groups, round_.representatives, w)
+            profile = challenge_profile(round_, w)
             assert np.array_equal(round_.outcome, old_evaluate(rule, profile))
 
 
@@ -274,14 +282,14 @@ class TestNoProfilesOnTheEngine:
         source = CondorcetSplitSource(rule, m)
         with pytest.warns(UserWarning):
             run_episode(SchemeConfig("deterministic_unilateral", n=n, horizon=20),
-                        rule, source, 20)
+                        rule, source)
         assert len(no_profiles) == 20
 
     def test_deterministic_rounds_of_other_sources(self, no_profiles):
         rule = DeterministicCopeland()
         with pytest.warns(UserWarning):
             run_episode(SchemeConfig("deterministic_unilateral", n=6, horizon=20),
-                        rule, WinnerPunishingSource(rule, 3), 20)
+                        rule, WinnerPunishingSource(rule, 3))
             run_episode(SchemeConfig("deterministic_unilateral", n=6, horizon=20),
-                        rule, IIDRandomSource(6, 4), 20)
+                        rule, IIDRandomSource(6, 4))
         assert len(no_profiles) == 40
