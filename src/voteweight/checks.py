@@ -68,9 +68,7 @@ def check_single_voter_decomposition(seed: int, profiles: int) -> CheckResult:
             alone = rule.unanimous_outcomes(votes)
             averaged = sum(p[i] * alone[i] for i in range(n))
             worst = max(worst, float(np.max(np.abs(mixed - averaged))))
-    return CheckResult(
-        "single_voter_decomposition", worst <= TOL, f"max deviation {worst:.3e}"
-    )
+    return CheckResult("single_voter_decomposition", worst <= TOL, f"max deviation {worst:.3e}")
 
 
 def check_duple_decomposition(seed: int, profiles: int) -> CheckResult:
@@ -79,12 +77,8 @@ def check_duple_decomposition(seed: int, profiles: int) -> CheckResult:
     for _ in range(profiles):
         m = int(rng.integers(3, 6))
         profile = random_profile(m, rng)
-        dev = np.max(
-            np.abs(
-                RandomizedCopeland().evaluate(*profile)
-                - duple_mixture_copeland(m).evaluate(*profile)
-            )
-        )
+        dev = np.abs(RandomizedCopeland().evaluate(*profile)
+                     - duple_mixture_copeland(m).evaluate(*profile)).max()
         worst = max(worst, float(dev))
     return CheckResult("duple_decomposition", worst <= TOL, f"max deviation {worst:.3e}")
 
@@ -96,16 +90,10 @@ def check_unilateral_decomposition(seed: int, profiles: int) -> CheckResult:
         m = int(rng.integers(3, 6))
         s = validate_scores(np.sort(rng.random(m))[::-1] + np.array([1.0] + [0.0] * (m - 1)))
         profile = random_profile(m, rng)
-        dev = np.max(
-            np.abs(
-                RandomizedPositional(s).evaluate(*profile)
-                - unilateral_mixture_positional(s).evaluate(*profile)
-            )
-        )
+        dev = np.abs(RandomizedPositional(s).evaluate(*profile)
+                     - unilateral_mixture_positional(s).evaluate(*profile)).max()
         worst = max(worst, float(dev))
-    return CheckResult(
-        "unilateral_decomposition", worst <= TOL, f"max deviation {worst:.3e}"
-    )
+    return CheckResult("unilateral_decomposition", worst <= TOL, f"max deviation {worst:.3e}")
 
 
 def check_score_conservation(seed: int, profiles: int) -> CheckResult:
@@ -143,11 +131,8 @@ def check_condorcet_gap(seed: int, profiles: int) -> CheckResult:
         others = np.delete(dist, winner)
         slack = float(dist[winner] - others.max()) - 2.0 / (m * (m - 1))
         worst_slack = min(worst_slack, slack)
-    return CheckResult(
-        "condorcet_gap",
-        worst_slack >= -TOL,
-        f"{found} Condorcet instances, worst slack {worst_slack:.3e}",
-    )
+    return CheckResult("condorcet_gap", worst_slack >= -TOL,
+                       f"{found} Condorcet instances, worst slack {worst_slack:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +294,11 @@ def run_suite(name: str, seed: int = 0, profiles: int = 100) -> list[CheckResult
     if name in ("identities", "all"):
         results.extend(fn(seed, profiles) for fn in identities)
     if name in ("estimators", "all"):
-        results.append(check_estimator_mean(seed))
-        results.append(check_estimator_second_moment(seed))
-        results.append(check_estimator_error_path(seed))
+        results += [check_estimator_mean(seed), check_estimator_second_moment(seed),
+                    check_estimator_error_path(seed)]
     if name in ("adversaries", "all"):
-        results.append(check_winner_punishing(seed))
-        results.append(check_prefix_bound(seed, profiles))
-        results.append(check_condorcet_split(seed))
+        results += [check_winner_punishing(seed), check_prefix_bound(seed, profiles),
+                    check_condorcet_split(seed)]
     if not results:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     return results

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -99,13 +100,14 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
                               f"feedback, not {feedback!r}")
         source = _build_source(cfg["source"], rule, n, m)
 
-        def episode(trial_seed: int) -> Trace:
-            return run_episode(scheme, rule, source, seed=trial_seed)
-
-        first = episode(seed)
-        mean, stderr = monte_carlo_regret(
-            lambda s: first if s == seed else episode(s), trials, seed
-        )
+        with warnings.catch_warnings(record=True) as caught:  # each message printed once below
+            warnings.simplefilter("always")
+            first = run_episode(scheme, rule, source, seed=seed)
+            mean, stderr = monte_carlo_regret(
+                lambda s: first if s == seed else run_episode(scheme, rule, source, seed=s),
+                trials, seed)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
         final = regret(first)
         summary = {
             "final_regret": float(_fmt(final)),

@@ -63,15 +63,17 @@ def all_rankings(m: int) -> np.ndarray:
 def rank_codes(orders) -> np.ndarray:
     """Lexicographic index of each order among the m! orderings (its Lehmer code).
 
-    `orders` has shape (..., m) and holds permutations of 0..m-1; the result
-    drops the last axis. ``all_rankings(m)[c]`` is the order with code c.
+    `orders` has shape (..., m), any integer dtype, and holds permutations of
+    0..m-1; the result drops the last axis. ``all_rankings(m)[c]`` is the order
+    with code c. Digits add up column comparisons, not sums over the short last axis.
     """
-    orders = np.asarray(orders, dtype=np.int64)
+    orders = np.asarray(orders)
     m = orders.shape[-1]
     codes = np.zeros(orders.shape[:-1], dtype=np.int64)
     for j in range(m - 1):
-        smaller_later = (orders[..., j + 1:] < orders[..., j, None]).sum(axis=-1)
-        codes = codes * (m - j) + smaller_later
+        codes *= m - j
+        for k in range(j + 1, m):
+            codes += orders[..., k] < orders[..., j]
     return codes
 
 

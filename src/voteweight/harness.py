@@ -96,7 +96,7 @@ class FileSource:
     """
 
     def __init__(self, path: str):
-        ms, codes, losses = [], [], []
+        ms, votes, losses = [], [], []
         try:
             fh = open(path)
         except OSError as exc:
@@ -113,7 +113,7 @@ class FileSource:
                         raise ShapeError("losses must be numbers, not true or false")
                     m = check_alternatives(len(losses[-1]))
                     orders = np.asarray(obj["rankings"])  # not int64: that truncates 1.5 and true
-                    shape = (len(codes[0]) if codes else len(orders), m)
+                    shape = (len(votes[0]) if votes else len(orders), m)
                     if orders.shape != shape:
                         raise ShapeError(f"rankings of shape {orders.shape}, expected {shape}")
                     if (orders.dtype.kind != "i" or (np.sort(orders, axis=1) != np.arange(m)).any()
@@ -122,14 +122,17 @@ class FileSource:
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"{path}:{lineno}: bad round: {exc}") from exc
                 ms.append(m)
-                codes.append(rank_codes(orders))
+                votes.append(orders.astype(np.int8))  # ids lie below MAX_M
         if not ms:
             raise ConfigError(f"{path}: no rounds")
         self.m = max(ms)
+        codes = np.empty((len(ms), len(votes[0])), dtype=np.int64)
         padded = np.zeros((len(ms), self.m))
-        for row, ell in zip(padded, losses):
-            row[: len(ell)] = ell
-        self.recorded = Rounds(np.array(ms), np.array(codes), padded)
+        for m in set(ms):  # one encoding per alternative count
+            rows = [t for t, m_t in enumerate(ms) if m_t == m]
+            codes[rows] = rank_codes(np.stack([votes[t] for t in rows]))
+            padded[rows, :m] = [losses[t] for t in rows]
+        self.recorded = Rounds(np.array(ms), codes, padded)
 
     def rounds(self, T: int, rng: np.random.Generator) -> Rounds:
         """The file's first T rounds; draws nothing."""

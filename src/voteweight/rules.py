@@ -366,12 +366,8 @@ def unilateral_mixture_positional(s: Sequence[float] | np.ndarray) -> Mixture:
     """Position-selector unilaterals weighted by s; equals randomized positional."""
     vec = validate_scores(s)
     total = float(vec.sum())
-    return Mixture(
-        [
-            (Unilateral(position_selector(k), name=f"position_{k}"), float(vec[k]) / total)
-            for k in range(len(vec))
-        ]
-    )
+    return Mixture([(Unilateral(position_selector(k), name=f"position_{k}"), q / total)
+                    for k, q in enumerate(vec.tolist())])
 
 
 def unanimity_witness(rule: VotingRule, m: int) -> Optional[np.ndarray]:
@@ -448,8 +444,17 @@ class OutcomeTable:
 
     def index(self, m: int, codes: np.ndarray) -> np.ndarray:
         """Table row of each rank code in an array of codes over m alternatives.
-        Codes new to the table are decoded and evaluated in one rule call."""
-        distinct, inverse = np.unique(codes, return_inverse=True)
+        Codes new to the table are decoded and evaluated in one rule call. Given at
+        least m! codes, the distinct ones are counted into an m!-long lookup, not
+        sorted; both ways list them in ascending order."""
+        codes, size = np.asarray(codes), math.factorial(m)
+        dense = size <= codes.size
+        if dense:
+            if codes.min() < 0 or codes.max() >= size:
+                raise InvalidRankingError(f"rank codes must lie in 0..{m}!-1 for m={m}")
+            distinct = np.flatnonzero(np.bincount(codes.ravel(), minlength=size))
+        else:
+            distinct, inverse = np.unique(codes, return_inverse=True)
         new = [c for c in distinct.tolist() if (m, c) not in self._rows]
         stat = self.rule.statistic(orders_from_codes(new, m))
         self.stats.extend(stat)
@@ -458,6 +463,10 @@ class OutcomeTable:
         self._rows.update({(m, c): len(self._rows) + i for i, c in enumerate(new)})
         self.U = np.concatenate((self.U, padded))
         rows = np.array([self._rows[(m, c)] for c in distinct.tolist()], dtype=np.int64)
+        if dense:  # an m!-long lookup holds each code's table row
+            lookup = np.zeros(size, dtype=np.int64)
+            lookup[distinct] = rows
+            rows, inverse = lookup, codes
         return rows[inverse].reshape(np.shape(codes))
 
     def voter_losses(self, idx: np.ndarray, losses: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 import csv
 import json
 import math
-import warnings
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import voteweight
 import voteweight.cli as cli
 from voteweight.checks import run_suite
 from voteweight.cli import main
@@ -276,9 +279,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, rule=rule, source={"kind": "iid_random"},
                            scheme={"kind": kind})
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a duple does not decompose
-            assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -337,6 +338,49 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
+
+
+def run_fresh(*args):
+    """Python with `args` in a fresh interpreter that imports this voteweight."""
+    src = os.path.dirname(os.path.dirname(voteweight.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestFreshProcess:
+    def test_non_decomposing_warning_is_one_plain_line(self, tmp_path):
+        cfg = write_config(tmp_path, rule={"kind": "randomized_copeland"},
+                           scheme={"kind": "deterministic_unilateral"}, source={"kind": "thm5"},
+                           n=11, T=20, trials=3)
+        done = run_fresh("-m", "voteweight.cli", "simulate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        warned = [line for line in done.stderr.splitlines()
+                  if line.startswith("warning: deterministic weights")]
+        assert len(warned) == 1  # three episodes warn, one line is printed
+        assert "UserWarning" not in done.stderr and "cli.py" not in done.stderr
+
+    def test_simulate_leaves_numpy_ma_unimported(self, tmp_path):
+        # a plain np.unique imports numpy.ma, ~10 ms of every run's setup
+        seq = tmp_path / "rounds.jsonl"
+        lines = [{"rankings": [[0, 1, 2], [2, 1, 0], [1, 0, 2], [0, 2, 1]],
+                  "losses": [0.1, 0.5, 0.9]},
+                 {"rankings": [[3, 0, 1, 2]] * 4, "losses": [0.2, 0.4, 0.6, 0.8]}] * 3
+        seq.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        borda = {"kind": "randomized_positional", "scores": "borda"}
+        configs = [
+            write_config(tmp_path, name="iid.json", rule=borda, scheme={"kind": "full_info"},
+                         source={"kind": "iid_random"}, T=20, trials=2),
+            write_config(tmp_path, name="file.json", rule=borda, T=6,
+                         scheme={"kind": "deterministic_unilateral"},
+                         source={"kind": "file", "path": str(seq)}),
+        ]
+        code = ("import sys; from voteweight.cli import main; "
+                "codes = [main(['simulate', '--config', c, '--out-dir', c + '.out']) "
+                "for c in sys.argv[1:]]; print(codes, 'numpy.ma' in sys.modules)")
+        done = run_fresh("-c", code, *map(str, configs))
+        assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stderr
 
 
 class TestVerify:

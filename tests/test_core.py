@@ -1,4 +1,5 @@
 import bisect
+import functools
 import itertools
 import math
 
@@ -295,6 +296,19 @@ class TestRankCodes:
         assert sorted(order.tolist()) == list(range(m))
         assert rank_codes(order) == code
         assert rank_codes(np.array([order] * 2)).dtype == np.int64
+
+    @pytest.mark.parametrize("m", [2, 3, 6, MAX_M])
+    def test_narrow_and_stacked_orders_give_the_same_codes(self, rng, m):
+        def lehmer(order):  # digit j: later alternatives with a smaller id
+            return functools.reduce(lambda code, j: code * (m - j) + sum(
+                b < order[j] for b in order[j + 1:]), range(m), 0)
+
+        orders = np.argsort(rng.random((4, 5, m)), axis=-1)
+        want = np.array([[lehmer(o) for o in voters] for voters in orders.tolist()])
+        for given_orders in (orders, orders.astype(np.int8)):
+            codes = rank_codes(given_orders)
+            assert codes.dtype == np.int64 and np.array_equal(codes, want)
+            assert np.array_equal(rank_codes(given_orders[1]), want[1])
 
     def test_largest_code_fits_int64(self):
         last = tuple(range(MAX_M - 1, -1, -1))

@@ -26,6 +26,7 @@ from voteweight import (
     top_two_orders,
     unanimity_witness,
 )
+from voteweight.core import rank_codes
 from voteweight.errors import ConfigError, NoWitnessError
 from voteweight.harness import OutcomeTable, _index_rounds
 from voteweight.schemes import SCHEME_KINDS
@@ -244,6 +245,16 @@ class TestFileSource:
         ] * 3
         trace = episode(n=2, T=6, source=file_source(lines))
         assert len(trace.scheme_loss) == 6
+
+    def test_interleaved_alternative_counts_encode_per_line(self, rng):
+        lines = []
+        for m in rng.integers(2, 5, size=30).tolist():
+            orders = np.argsort(rng.random((6, m)), axis=1)
+            lines.append({"rankings": orders.tolist(), "losses": rng.random(m).tolist()})
+        recorded = file_source(lines).recorded
+        assert recorded.m.tolist() == [len(line["losses"]) for line in lines]
+        assert recorded.codes.dtype == np.int64
+        assert recorded.codes.tolist() == [rank_codes(line["rankings"]).tolist() for line in lines]
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):

@@ -16,6 +16,7 @@ from voteweight import (
     RandomizedCopeland,
     RandomizedPositional,
     Unilateral,
+    VotingRule,
     condorcet_winner,
     copeland_scores,
     pairwise_statistic,
@@ -31,6 +32,7 @@ from voteweight.errors import (
     ConfigError,
     EnumerationRefusedError,
     InvalidPairError,
+    InvalidRankingError,
     ShapeError,
 )
 from voteweight.rules import (
@@ -413,6 +415,57 @@ class TestOutcomeTable:
         for got, want in zip(rows, want_rows):
             assert np.array_equal(got, want)
         assert table.U.tolist() == want_outcomes
+
+
+class CountingRule(VotingRule):
+    """A rule that records every order it computes a statistic for."""
+
+    def __init__(self, rule):
+        self.rule, self.seen = rule, []
+
+    def statistic(self, orders):
+        self.seen.extend(map(tuple, orders.tolist()))
+        return self.rule.statistic(orders)
+
+    def decide(self, stat, m):
+        return self.rule.decide(stat, m)
+
+
+class TestOutcomeTableBranches:
+    """`index` counts the codes when there are at least m! of them and sorts
+    them otherwise; both must build the same table."""
+
+    @pytest.mark.parametrize(
+        "name", ["randomized_borda", "deterministic_plurality", "randomized_copeland"]
+    )
+    def test_counting_and_sorting_build_the_same_table(self, rng, name):
+        width = 5
+        counted = OutcomeTable(CountingRule(SHIPPED_RULES[name](None)), width)
+        sorted_ = OutcomeTable(CountingRule(SHIPPED_RULES[name](None)), width)
+        for m in (3, 2, 4, 3, 5, 4, 2):
+            size = math.factorial(m)
+            present = rng.permutation(size)[: max(1, size // 2)]
+            codes = rng.choice(present, size=(size, 2))  # 2 m! codes: counted
+            got = counted.index(m, codes)
+            few = rng.permutation(np.unique(codes))  # fewer than m! codes: sorted
+            row_of = dict(zip(few.tolist(), sorted_.index(m, few).tolist()))
+            assert np.array_equal(got, np.vectorize(row_of.get, otypes=[np.int64])(codes))
+        assert np.array_equal(counted.U, sorted_.U)
+        assert [s.tolist() for s in counted.stats] == [s.tolist() for s in sorted_.stats]
+        for table in (counted, sorted_):
+            seen = table.rule.seen  # one evaluation per new (m, code)
+            assert len(seen) == len(set(seen)) == len(table.U) == len(table.stats)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_out_of_range_codes_rejected_on_both_branches(self, m):
+        size = math.factorial(m)
+        for bad in (-1, size, size + 7):
+            for codes in (np.append(np.zeros(size - 1, dtype=np.int64), bad),  # counted
+                          np.array([bad])):  # sorted
+                table = OutcomeTable(RandomizedPositional("borda"), m)
+                with pytest.raises(InvalidRankingError):
+                    table.index(m, codes)
+                assert table.U.shape == (0, m) and not table.stats
 
 
 class TestRuleSpec:
