@@ -4,9 +4,11 @@ schemes, plus the random rankings and profiles the checks and tests fuzz with.
 The worst-case sources are adaptive: ``emit(weights)`` consumes the weight
 vector the scheme just played and only then builds the round. ``m`` is the
 number of alternatives a source emits; sources hold no per-episode state, so
-one instance serves every trial. A round has two voter groups: its outcome is
-decided on :func:`~voteweight.rules.group_statistic` of the groups' statistics,
-computed once per source, under the played weights.
+one instance serves every trial. A round has two voter groups, voter i
+reporting ``orders[groups[i]]``: its outcome is decided on
+:func:`~voteweight.rules.group_statistic` of the groups' statistics under the
+played weights, and ``unanimous[g]`` is group g's outcome with all the weight.
+Both are computed once per source.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, as_weights, rank_codes
+from .core import TOL, as_weights
 from .errors import ConfigError, HypothesisViolatedError, NoWitnessError
 from .rules import (RandomizedCopeland, VotingRule, condorcet_winner, group_statistic,
                     pairwise_statistic, unanimity_witness)
@@ -24,8 +26,8 @@ from .rules import (RandomizedCopeland, VotingRule, condorcet_winner, group_stat
 
 @dataclass(frozen=True)
 class RoundChallenge:
-    """One election's inputs as voter groups: voter i reports the ranking with
-    rank code ``codes[groups[i]]``, and ``losses`` holds a loss per alternative.
+    """One election's inputs as voter groups: voter i reports its source's
+    ranking ``orders[groups[i]]``, and ``losses`` holds a loss per alternative.
 
     ``groups`` is an int64 array of length n. An adaptive round names only a
     few distinct rankings, so per-voter work is array indexing. ``outcome``
@@ -34,13 +36,8 @@ class RoundChallenge:
     """
 
     groups: np.ndarray
-    codes: tuple[int, ...]
     losses: np.ndarray
     outcome: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return len(self.losses)
 
 
 @dataclass(frozen=True)
@@ -109,15 +106,16 @@ class WinnerPunishingSource:
             raise NoWitnessError("rule is constant when one ranking carries all the weight")
         self.rule = rule
         self.m = m
-        self.codes = tuple(rank_codes(witness).tolist())
+        self.orders = witness
         self._stat = rule.statistic(witness)
+        self.unanimous = rule.decide(self._stat, m)
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
         groups = (np.arange(len(weights)) > 0).astype(np.int64)
         outcome = self.rule.decide(group_statistic(self._stat, groups, weights), self.m)
         losses = np.zeros(self.m)
         losses[int(np.argmax(outcome))] = 1.0
-        return RoundChallenge(groups, self.codes, losses, outcome)
+        return RoundChallenge(groups, losses, outcome)
 
 
 class CondorcetSplitSource:
@@ -145,10 +143,11 @@ class CondorcetSplitSource:
         self.delta = delta
         self.a, self.b = orient_gap_pair(rule, m)
         self.m = m
-        blocks = top_two_orders(self.a, self.b, m)  # the heavy block's, then the rest's
-        self.codes = tuple(rank_codes(blocks).tolist())
+        self.orders = top_two_orders(self.a, self.b, m)  # the heavy block's, then the rest's
+        stat = rule.statistic(self.orders)
+        self.unanimous = rule.decide(stat, m)
         # Each block's pairwise statistic, for the Condorcet check, then the rule's.
-        self._stat = np.concatenate((pairwise_statistic(blocks), rule.statistic(blocks)), axis=1)
+        self._stat = np.concatenate((pairwise_statistic(self.orders), stat), axis=1)
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
         n, delta = len(weights), self.delta
@@ -176,7 +175,13 @@ class CondorcetSplitSource:
                 f"heavy block of {len(part.heavy)} voters breaks its size bound"
             )
         outcome = self.rule.decide(stat[self.m * self.m:], self.m)
-        return RoundChallenge(groups, self.codes, losses, outcome)
+        rest = outcome.tolist()
+        lead = rest.pop(self.a) - max(rest)
+        if lead < delta - TOL:
+            raise HypothesisViolatedError(
+                f"the Condorcet winner {self.a} leads by {lead:.6g}, under delta={delta}"
+            )
+        return RoundChallenge(groups, losses, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ distribution. Sampling picks the voter a sampled scheme plays and the winner,
 whose realized loss is the only feedback in partial-information mode; both
 draws are recorded for replay checks.
 
-Votes are rank codes and an episode evaluates the rule once per distinct code
-(:class:`~voteweight.rules.OutcomeTable`). Full-information kinds on oblivious
-sources play the whole episode as array operations, EXP3 on oblivious sources
-runs one round-by-round loop over Python floats, and adaptive sources run one
+Votes are rank codes and an oblivious episode evaluates the rule once per
+distinct code (:func:`~voteweight.rules.outcome_table`); an adaptive source
+holds its groups' outcomes. Full-information kinds on oblivious sources play
+the whole episode as array operations, EXP3 on oblivious sources runs one
+round-by-round loop over Python floats, and adaptive sources run one
 round-by-round loop over voter groups.
 """
 
@@ -33,7 +34,7 @@ from .core import (
     validate_losses,
 )
 from .errors import ConfigError, InvalidRankingError, ShapeError
-from .rules import OutcomeTable, VotingRule, group_statistic
+from .rules import VotingRule, group_statistic, outcome_table, voter_losses
 from .schemes import SchemeConfig, exp_weights
 
 
@@ -165,30 +166,41 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     rng = np.random.default_rng(seed)
     rounds = source.rounds(T, rng) if hasattr(source, "rounds") else None
     u = rng.random((T, 2))
-    table = OutcomeTable(rule, source.m)
     if rounds is None:
-        return Trace(*_play_adaptive(scheme, table, source, u))
+        return Trace(*_play_adaptive(scheme, source, u))
     if scheme.kind == "partial_info":
-        return Trace(*_play_sequential(scheme, table, rounds, u))
-    return Trace(*_play_oblivious(scheme, table, rounds, u))
+        return Trace(*_play_sequential(scheme, rule, rounds, u))
+    return Trace(*_play_oblivious(scheme, rule, rounds, u))
 
 
-def _index_rounds(table: OutcomeTable, rounds: Rounds, n: int):
-    """Table rows (T, n) of the rounds' votes and the per-voter losses (T, n)."""
+def _index_rounds(rule: VotingRule, rounds: Rounds, n: int):
+    """The rounds' outcome table, one :func:`outcome_table` per alternative
+    count stacked after the counts before it: each vote's row ``idx`` (T, n),
+    the rows' outcomes ``U`` zero-padded to the rounds' width, their ``stats``,
+    and the per-voter losses ``L`` (T, n)."""
     if rounds.codes.shape[1] != n:
         raise ConfigError(f"rounds have {rounds.codes.shape[1]} rankings for n={n}")
     idx = np.empty(rounds.codes.shape, dtype=np.int64)
+    blocks, stats = [], []
     for m in set(rounds.m.tolist()):
-        idx[rounds.m == m] = table.index(m, rounds.codes[rounds.m == m])
-    return idx, table.voter_losses(idx, rounds.losses)
+        at = rounds.m == m
+        rows, outcomes, stat = outcome_table(rule, m, rounds.codes[at])
+        idx[at] = rows + len(stats)
+        blocks.append((len(stats), outcomes))
+        stats.extend(stat)
+    del rows  # (T, n) at one count: freed before L's temporaries
+    U = np.zeros((len(stats), rounds.losses.shape[1]))
+    for lo, outcomes in blocks:
+        U[lo:lo + len(outcomes), :outcomes.shape[1]] = outcomes
+    return idx, U, stats, voter_losses(U, idx, rounds.losses)
 
 
-def _play_oblivious(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u):
+def _play_oblivious(scheme: SchemeConfig, rule: VotingRule, rounds: Rounds, u):
     """Whole-episode full information: with the rounds known up front, each
     voter's cumulative loss before round t is an exclusive prefix sum of L."""
     T, n = rounds.codes.shape
     rows = np.arange(T)
-    idx, L = _index_rounds(table, rounds, scheme.n)
+    idx, U, stats, L = _index_rounds(rule, rounds, scheme.n)
     if scheme.kind == "constant":
         probs = np.eye(1, n).repeat(T, axis=0)
     else:
@@ -197,39 +209,40 @@ def _play_oblivious(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u
         probs = exp_weights(before, scheme.learning_rate)
     if scheme.kind != "deterministic_unilateral":
         chosen = inverse_cdf(probs, u[:, 0])
-        outcome = table.U[idx[rows, chosen]]
+        outcome = U[idx[rows, chosen]]
         scheme_loss = L[rows, chosen]
     else:
         chosen = np.full(T, -1)
-        if table.rule.is_distribution_over_unilaterals():
-            outcome = np.einsum("tn,tnk->tk", probs, table.U[idx])
+        if rule.is_distribution_over_unilaterals():
+            outcome = np.einsum("tn,tnk->tk", probs, U[idx])
         else:
-            outcome = _weighted_outcomes(table, rounds.m, idx, probs)
+            outcome = _weighted_outcomes(rule, rounds, idx, stats, probs)
         scheme_loss = np.einsum("tk,tk->t", outcome, rounds.losses)
     winner = inverse_cdf(outcome, u[:, 1])
     return L, probs, chosen, winner, scheme_loss, rounds.losses[rows, winner]
 
 
-def _weighted_outcomes(table: OutcomeTable, ms: np.ndarray, idx, probs) -> np.ndarray:
-    """Each round's outcome with voter i, on table row ``idx[t, i]``, weighted
-    by ``probs[t, i]``: the rows are the round's groups."""
-    outcome = np.zeros((len(ms), table.width))
-    for t, m in enumerate(ms.tolist()):
+def _weighted_outcomes(rule: VotingRule, rounds: Rounds, idx, stats, probs) -> np.ndarray:
+    """Each round's outcome with voter i, on table row ``idx[t, i]`` of
+    statistic ``stats[idx[t, i]]``, weighted by ``probs[t, i]``: the rows are
+    the round's groups."""
+    outcome = np.zeros(rounds.losses.shape)
+    for t, m in enumerate(rounds.m.tolist()):
         rows, group = np.unique(idx[t], return_inverse=True)
-        stat = np.array([table.stats[r] for r in rows.tolist()])
-        outcome[t, :m] = table.rule.decide(group_statistic(stat, group, probs[t]), m)
+        stat = np.array([stats[r] for r in rows.tolist()])
+        outcome[t, :m] = rule.decide(group_statistic(stat, group, probs[t]), m)
     return outcome
 
 
-def _play_sequential(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, u):
+def _play_sequential(scheme: SchemeConfig, rule: VotingRule, rounds: Rounds, u):
     """EXP3 on oblivious rounds, one round at a time since the update depends
     on the sampled voter, on Python floats: at n in the tens, array calls cost
     more than their work. Each round moves one voter's z (-eta * cumulative),
     so z, max(z) and w = exp(z - max(z)) carry over; winners are drawn from
     table rows' CDFs normalized once, as :func:`draw` does."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
-    (idx, L), losses = _index_rounds(table, rounds, n), rounds.losses
-    cdfs = [[x / c[-1] for x in c] for c in map(list, map(accumulate, table.U.tolist()))]
+    (idx, U, _, L), losses = _index_rounds(rule, rounds, n), rounds.losses
+    cdfs = [[x / c[-1] for x in c] for c in map(list, map(accumulate, U.tolist()))]
     probs = np.zeros((T, n))
     chosen, winner = [], []
     cumulative, z, top, w = [0.0] * n, [-0.0] * n, -0.0, [1.0] * n  # -0.0 is 0.0 * -eta
@@ -250,13 +263,15 @@ def _play_sequential(scheme: SchemeConfig, table: OutcomeTable, rounds: Rounds, 
     return L, probs, chosen, winner, L[rows, chosen], losses[rows, winner]
 
 
-def _play_adaptive(scheme: SchemeConfig, table: OutcomeTable, source, u):
+def _play_adaptive(scheme: SchemeConfig, source, u):
     """Round-by-round play against a source that answers the played weights.
-    A round is a few voter groups: each voter's loss is its group's, and the
-    winner is drawn from the outcome the source found under those weights,
-    which for a sampled voter's basis vector is that voter's table row."""
+    A round is a few voter groups: each voter's loss is its group's, from the
+    group's outcome ``source.unanimous[g]``, and the winner is drawn from the
+    outcome the source found under those weights, which for a sampled voter's
+    basis vector is that voter's group's."""
     T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
-    L, probs, losses = np.zeros((T, n)), np.zeros((T, n)), np.zeros((T, table.width))
+    L, probs, losses = np.zeros((T, n)), np.zeros((T, n)), np.zeros((T, source.m))
+    group_ids = np.arange(len(source.unanimous))
     chosen, winner, scheme_loss = [], [], []
     cumulative = np.zeros(n)
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
@@ -269,12 +284,11 @@ def _play_adaptive(scheme: SchemeConfig, table: OutcomeTable, source, u):
         challenge = source.emit(p if c < 0 else np.eye(1, n, c)[0])
         if len(challenge.groups) != n:
             raise ConfigError(f"round {t + 1} has {len(challenge.groups)} voters, not {n}")
-        losses[t, : challenge.m] = challenge.losses
-        rows = [table.row(challenge.m, c) for c in challenge.codes]
-        L[t] = table.voter_losses(np.array(rows), losses[t])[challenge.groups]
+        losses[t] = challenge.losses
+        L[t] = voter_losses(source.unanimous, group_ids, losses[t])[challenge.groups]
         outcome = challenge.outcome.tolist()
         if c < 0:  # deterministic weights reach the rule as one weighted profile
-            scheme_loss.append(float(np.dot(outcome, losses[t, : len(outcome)])))
+            scheme_loss.append(float(np.dot(outcome, losses[t])))
         else:
             scheme_loss.append(L[t, c])
         chosen.append(c)

@@ -420,60 +420,31 @@ def rule_from_spec(spec: dict) -> VotingRule:
 # Per-voter outcomes
 
 
-class OutcomeTable:
-    """The rule's outcome on each distinct ranking an episode meets, when that
-    ranking carries all the weight.
+def outcome_table(rule: VotingRule, m: int, codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule's outcome on each distinct rank code over m alternatives, when
+    that ranking carries all the weight: ``(rows, U, stat)``, where ``rows`` has
+    the shape of ``codes`` and holds each code's row of ``U`` (k, m) and ``stat``
+    (k, width), the distinct codes listed in ascending order. Given at least m!
+    codes, the distinct ones are counted into an m!-long lookup, not sorted."""
+    codes, size = np.asarray(codes), math.factorial(m)
+    if size <= codes.size:
+        if codes.min() < 0 or codes.max() >= size:
+            raise InvalidRankingError(f"rank codes must lie in 0..{m}!-1 for m={m}")
+        distinct = np.flatnonzero(np.bincount(codes.ravel(), minlength=size))
+        lookup = np.zeros(size, dtype=np.int64)
+        lookup[distinct] = np.arange(len(distinct))
+        rows = lookup[codes]
+    else:  # orders_from_codes refuses out-of-range codes
+        distinct, rows = np.unique(codes, return_inverse=True)
+        rows = rows.reshape(codes.shape)
+    stat = rule.statistic(orders_from_codes(distinct, m))
+    return rows, rule.decide(stat, m), stat
 
-    Row k of `U` is row k's outcome, zero-padded to `width` alternatives, and
-    ``stats[k]`` is its statistic. Rows are keyed by (m, rank code), so one table
-    serves rounds with different alternative counts and evaluates the rule once
-    per key.
-    """
 
-    def __init__(self, rule: VotingRule, width: int):
-        self.rule = rule
-        self.width = width
-        self.U = np.zeros((0, width))
-        self.stats: list[np.ndarray] = []  # row k's statistic, for weighted rounds
-        self._rows: dict[tuple[int, int], int] = {}
-
-    def row(self, m: int, code: int) -> int:
-        """Table row of one rank code over m alternatives."""
-        k = self._rows.get((m, code))
-        return int(self.index(m, np.array([code]))[0]) if k is None else k
-
-    def index(self, m: int, codes: np.ndarray) -> np.ndarray:
-        """Table row of each rank code in an array of codes over m alternatives.
-        Codes new to the table are decoded and evaluated in one rule call. Given at
-        least m! codes, the distinct ones are counted into an m!-long lookup, not
-        sorted; both ways list them in ascending order."""
-        codes, size = np.asarray(codes), math.factorial(m)
-        dense = size <= codes.size
-        if dense:
-            if codes.min() < 0 or codes.max() >= size:
-                raise InvalidRankingError(f"rank codes must lie in 0..{m}!-1 for m={m}")
-            distinct = np.flatnonzero(np.bincount(codes.ravel(), minlength=size))
-        else:
-            distinct, inverse = np.unique(codes, return_inverse=True)
-        new = [c for c in distinct.tolist() if (m, c) not in self._rows]
-        stat = self.rule.statistic(orders_from_codes(new, m))
-        self.stats.extend(stat)
-        padded = np.zeros((len(new), self.width))
-        padded[:, :m] = self.rule.decide(stat, m)
-        self._rows.update({(m, c): len(self._rows) + i for i, c in enumerate(new)})
-        self.U = np.concatenate((self.U, padded))
-        rows = np.array([self._rows[(m, c)] for c in distinct.tolist()], dtype=np.int64)
-        if dense:  # an m!-long lookup holds each code's table row
-            lookup = np.zeros(size, dtype=np.int64)
-            lookup[distinct] = rows
-            rows, inverse = lookup, codes
-        return rows[inverse].reshape(np.shape(codes))
-
-    def voter_losses(self, idx: np.ndarray, losses: np.ndarray) -> np.ndarray:
-        """U[idx] . losses over the last axis of `losses`, summed over the
-        alternatives in order so that scalar replays match exactly."""
-        out = np.zeros(np.shape(idx))
-        for k in range(self.width):
-            out += self.U[idx, k] * losses[..., k, None]
-        return out
-
+def voter_losses(U: np.ndarray, idx: np.ndarray, losses: np.ndarray) -> np.ndarray:
+    """U[idx] . losses over the last axis of `losses`, summed over the
+    alternatives in order so that scalar replays match exactly."""
+    out = np.zeros(np.shape(idx))
+    for k in range(U.shape[1]):
+        out += U[idx, k] * losses[..., k, None]
+    return out

@@ -15,6 +15,7 @@ Four kinds are shipped, all played by :func:`voteweight.harness.run_episode`:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,11 +49,14 @@ class SchemeConfig:
             object.__setattr__(self, key, whole_number(getattr(self, key), key))
         if self.n < 1 or self.horizon < 1:
             raise ConfigError("need n >= 1 and horizon >= 1")
+        # The least cumulative loss, true or estimated, is at most horizon * n, so
+        # the softmax's max-shift stays finite; a whole-number eta past the float
+        # range is refused too.
         if self.eta is not None and (
             isinstance(self.eta, bool) or not isinstance(self.eta, (int, float))
-            or not 0 < self.eta < math.inf
+            or not 0 < self.eta * self.horizon * self.n <= sys.float_info.max
         ):
-            raise ConfigError(f"eta must be a positive finite number, got {self.eta!r}")
+            raise ConfigError(f"eta must be > 0 with eta * horizon * n finite, got {self.eta!r}")
 
     @property
     def feedback(self) -> str:

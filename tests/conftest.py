@@ -5,7 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from voteweight import FileSource, orders_from_codes
+from voteweight import FileSource
 # re-exported for the test modules
 from voteweight.adversaries import random_rankings  # noqa: F401
 
@@ -30,9 +30,9 @@ def alone(ranking):
     return [ranking], [1.0]
 
 
-def voter_rankings(challenge):
+def voter_rankings(source, challenge):
     """The (n, m) orders, one per voter, of an adversary's grouped round."""
-    return orders_from_codes(challenge.codes, challenge.m)[challenge.groups]
+    return source.orders[challenge.groups]
 
 
 def voter_losses(rule, rankings, losses):

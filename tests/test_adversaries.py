@@ -6,6 +6,7 @@ import pytest
 from voteweight import (
     TOL,
     CondorcetSplitSource,
+    DeterministicCopeland,
     DeterministicPositional,
     IIDRandomSource,
     RandomizedCopeland,
@@ -16,8 +17,6 @@ from voteweight import (
     orient_gap_pair,
     pairwise_statistic,
     profile_statistic,
-    orders_from_codes,
-    rank_codes,
     top_two_orders,
     unanimity_witness,
 )
@@ -41,7 +40,7 @@ class TestWinnerPunishingRound:
 
     def test_majority_weight_picks_second_ranking(self):
         round_ = self.source.emit([1, 1, 1])
-        assert voter_rankings(round_).tolist() == [[0, 1, 2], [1, 0, 2], [1, 0, 2]]
+        assert voter_rankings(self.source, round_).tolist() == [[0, 1, 2], [1, 0, 2], [1, 0, 2]]
         # 2/3 of the weight puts b on top, so b wins and is punished
         assert np.array_equal(round_.losses, [0, 1, 0])
 
@@ -53,7 +52,7 @@ class TestWinnerPunishingRound:
         for _ in range(20):
             w = rng.random(4) + 1e-3
             round_ = self.source.emit(w)
-            rankings = voter_rankings(round_)
+            rankings = voter_rankings(self.source, round_)
             outcome = self.rule.evaluate(orders_of(rankings), w)
             assert np.array_equal(round_.outcome, outcome)
             assert outcome @ round_.losses == 1.0
@@ -72,7 +71,7 @@ class TestWinnerPunishingRound:
             round_ = self.source.emit(rng.random(n) + 1e-3)
             assert round_.groups.dtype == np.int64
             assert round_.groups.tolist() == [0] + [1] * (n - 1)
-            assert round_.codes == tuple(rank_codes(self.witness).tolist())
+        assert np.array_equal(self.source.orders, self.witness)
 
 
 class TestMajorityPrefixPartition:
@@ -179,14 +178,14 @@ class TestCondorcetSplitRound:
 
     def test_uniform_eleven_voters(self):
         round_ = self.source.emit(np.ones(11))
-        n_heavy = (voter_rankings(round_) == self.blocks[0]).all(axis=1).sum()
+        n_heavy = (voter_rankings(self.source, round_) == self.blocks[0]).all(axis=1).sum()
         assert n_heavy == 6
         assert np.array_equal(round_.losses, [1.0, 0.0, 0.5])
 
     def test_scheme_loss_and_average_gap(self):
         w = np.ones(11)
         round_ = self.source.emit(w)
-        rankings = voter_rankings(round_)
+        rankings = voter_rankings(self.source, round_)
         outcome = self.rule.evaluate(orders_of(rankings), w)
         assert np.array_equal(round_.outcome, outcome)
         scheme_loss = outcome @ round_.losses
@@ -200,14 +199,14 @@ class TestCondorcetSplitRound:
         for _ in range(50):
             w = rng.random(11) + 1e-3
             round_ = self.source.emit(w)
-            profile = orders_of(voter_rankings(round_)), w
+            profile = orders_of(voter_rankings(self.source, round_)), w
             assert condorcet_winner(profile_statistic(pairwise_statistic, *profile)) == self.source.a
 
     def test_per_round_gap_for_random_weights(self, rng):
         for _ in range(50):
             w = rng.random(11) + 1e-3
             round_ = self.source.emit(w)
-            rankings = voter_rankings(round_)
+            rankings = voter_rankings(self.source, round_)
             scheme_loss = self.rule.evaluate(orders_of(rankings), w) @ round_.losses
             avg = voter_losses(self.rule, rankings, round_.losses).mean()
             assert scheme_loss - avg >= self.delta / 6 - TOL
@@ -224,7 +223,26 @@ class TestCondorcetSplitRound:
             assert round_.groups.dtype == np.int64
             assert np.array_equal(np.flatnonzero(round_.groups == 0), heavy)
             assert np.all(round_.groups[round_.groups != 0] == 1)
-            assert np.array_equal(orders_from_codes(round_.codes, 3), self.blocks)
+        assert np.array_equal(self.source.orders, self.blocks)
+
+
+class TestPerGroupOutcomes:
+    """The engine reads a sampled voter's loss from ``source.unanimous`` and
+    draws its winner from ``emit(e_i).outcome``; the two must agree."""
+
+    @pytest.mark.parametrize("source, n", [
+        (WinnerPunishingSource(DeterministicPositional("plurality"), 3), 5),
+        (WinnerPunishingSource(DeterministicCopeland(), 4), 5),
+        (CondorcetSplitSource(RandomizedCopeland(), 3), 11),
+        (CondorcetSplitSource(RandomizedCopeland(), 4), 21),
+        (CondorcetSplitSource(DeterministicCopeland(), 3), 11),
+    ], ids=["thm3_plurality", "thm3_copeland_m4", "thm5_randomized_copeland",
+            "thm5_randomized_copeland_m4", "thm5_deterministic_copeland"])
+    def test_unanimous_is_each_sampled_voters_outcome(self, source, n):
+        assert np.array_equal(source.unanimous, source.rule.unanimous_outcomes(source.orders))
+        for i in range(n):
+            round_ = source.emit(np.eye(n)[i])
+            assert round_.outcome.tobytes() == source.unanimous[round_.groups[i]].tobytes(), i
 
 
 class TestIIDRandomRound:

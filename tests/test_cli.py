@@ -230,6 +230,10 @@ class TestSimulate:
              "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
             {"source": {"kind": "thm5", "delta": "0.5"}, "rule": {"kind": "randomized_copeland"},
              "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
+            {"source": {"kind": "thm5", "delta": 0.5}, "rule": {"kind": "constant_uniform"},
+             "n": 11, "T": 10},
+            {"scheme": {"kind": "full_info", "eta": 1e308}},
+            {"scheme": {"kind": "full_info", "eta": 10**400}},
             {"T": float("inf")},
             {"T": 2.7},
             {"n": True},
@@ -249,7 +253,9 @@ class TestSimulate:
         ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
              "unknown_feedback", "nan_eta", "eta_string", "eta_bool", "nan_in_summary",
              "zero_trials", "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
-             "thm5_string_delta", "infinite_T", "fractional_T", "bool_n", "fractional_m",
+             "thm5_string_delta", "thm5_delta_past_the_rules_gap", "eta_overflows_softmax",
+             "eta_past_float_range",
+             "infinite_T", "fractional_T", "bool_n", "fractional_m",
              "nan_seed", "bool_trials", "string_T", "string_n", "string_m", "string_seed",
              "string_trials", "negative_seed", "trace_csv_int", "summary_json_int",
              "out_dir_int"],

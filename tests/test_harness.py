@@ -28,7 +28,7 @@ from voteweight import (
 )
 from voteweight.core import rank_codes
 from voteweight.errors import ConfigError, NoWitnessError
-from voteweight.harness import OutcomeTable, _index_rounds
+from voteweight.harness import _index_rounds
 from voteweight.schemes import SCHEME_KINDS
 
 from conftest import alone, file_source, orders_of, random_rankings, voter_rankings
@@ -333,15 +333,15 @@ def _list_draw(weights, u):
     return bisect.bisect_right([x / cdf[-1] for x in cdf], u)
 
 
-def recomputed_exp3(scheme, table, rounds, u):
+def recomputed_exp3(scheme, rule, rounds, u):
     """EXP3 that re-derives the whole softmax and both CDFs every round: the
     engine's round loop before it kept its weights across rounds, verbatim
     but for its draw, which is `_list_draw`."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
-    (idx, L), losses = _index_rounds(table, rounds, n), rounds.losses
+    (idx, U, _, L), losses = _index_rounds(rule, rounds, n), rounds.losses
     probs = np.zeros((T, n))
     chosen, winner = [], []
-    outcomes = table.U.tolist()
+    outcomes = U.tolist()
     cumulative = [0.0] * n
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
         z = [x * -eta for x in cumulative]
@@ -371,8 +371,7 @@ class TestSequentialKernel:
         trace = run_episode(scheme, rule, source, seed=seed)
         rng = np.random.default_rng(seed)
         rounds = source.rounds(T, rng)
-        expected = recomputed_exp3(scheme, OutcomeTable(rule, source.m), rounds,
-                                   rng.random((T, 2)))
+        expected = recomputed_exp3(scheme, rule, rounds, rng.random((T, 2)))
         for column, want in zip(TRACE_COLUMNS, expected):
             assert np.array_equal(getattr(trace, column), want), column
         return trace
@@ -457,7 +456,7 @@ class TestScalarReference:
 
             def round_at(t, weights):
                 round_ = source.emit(weights)
-                return voter_rankings(round_), round_.losses.tolist()
+                return voter_rankings(source, round_), round_.losses.tolist()
 
             scalar_replay(scheme, rule, trace, round_at)
 

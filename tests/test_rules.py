@@ -35,10 +35,11 @@ from voteweight.errors import (
     InvalidRankingError,
     ShapeError,
 )
+from voteweight.harness import Rounds, _index_rounds
 from voteweight.rules import (
-    OutcomeTable,
     borda_scores,
     duple_mixture_copeland,
+    outcome_table,
     unilateral_mixture_positional,
     validate_scores,
 )
@@ -380,41 +381,33 @@ class TestUnanimousOutcomes:
             assert np.array_equal(got, expected), m
 
 
-def scalar_table(rule, width, calls):
-    """Rows and outcomes of an outcome table built one code at a time with
-    `evaluate`; each batch adds its new codes in ascending order."""
-    keys, outcomes, rows = {}, [], []
-    for m, codes in calls:
-        for code in sorted(set(np.ravel(codes).tolist())):
-            if (m, code) not in keys:
-                keys[(m, code)] = len(outcomes)
-                outcome = rule.evaluate(*alone(all_rankings(m)[code])).tolist()
-                outcomes.append(outcome + [0.0] * (width - m))
-        rows.append(np.vectorize(lambda c: keys[(m, c)], otypes=[np.int64])(codes))
-    return rows, outcomes
-
-
 class TestOutcomeTable:
     @pytest.mark.parametrize(
         "name", ["randomized_borda", "deterministic_plurality", "randomized_copeland"]
     )
     def test_batches_match_scalar_build(self, rng, name):
-        rule, width = SHIPPED_RULES[name](None), 5
-        calls = []
-        for m, shape in [(4, (6, 7)), (3, (5,)), (4, (3, 9)), (5, (1,)), (4, (1,)),
-                         (5, (8, 4)), (3, (1,))]:
-            calls.append((m, rng.integers(0, math.factorial(m), size=shape)))
-        table = OutcomeTable(rule, width)
-        rows = []
-        for i, (m, codes) in enumerate(calls):
-            if codes.shape == (1,):
-                rows.append(np.array([table.row(m, int(codes[0]))]))
-            else:
-                rows.append(table.index(m, codes))
-        want_rows, want_outcomes = scalar_table(rule, width, calls)
-        for got, want in zip(rows, want_rows):
-            assert np.array_equal(got, want)
-        assert table.U.tolist() == want_outcomes
+        """`_index_rounds` on mixed-m rounds against `evaluate` one vote at a
+        time: each count's rows form one block in ascending code order, and
+        every vote's outcome, statistic and loss match bit for bit."""
+        rule, width, n = SHIPPED_RULES[name](None), 5, 7
+        ms = np.array([4, 3, 4, 5, 4, 2, 5, 3, 4, 2, 3, 4])
+        codes = np.array([rng.integers(0, math.factorial(m), size=n) for m in ms.tolist()])
+        losses = np.zeros((len(ms), width))
+        for t, m in enumerate(ms.tolist()):
+            losses[t, :m] = rng.random(m)
+        idx, U, stats, L = _index_rounds(rule, Rounds(ms, codes, losses), n)
+        assert len(U) == len(stats) == len(set(zip(ms.repeat(n).tolist(), codes.ravel().tolist())))
+        for m in set(ms.tolist()):
+            at = ms == m
+            rank = np.searchsorted(np.unique(codes[at]), codes[at])
+            assert np.array_equal(idx[at] - idx[at].min(), rank)
+        for (t, i), code in np.ndenumerate(codes):
+            m = int(ms[t])
+            order = all_rankings(m)[code]
+            outcome = rule.evaluate(*alone(order)).tolist() + [0.0] * (width - m)
+            assert U[idx[t, i]].tolist() == outcome
+            assert stats[idx[t, i]].tolist() == rule.statistic(order[None])[0].tolist()
+            assert L[t, i] == sum(o * x for o, x in zip(outcome, losses[t].tolist()))
 
 
 class CountingRule(VotingRule):
@@ -432,29 +425,29 @@ class CountingRule(VotingRule):
 
 
 class TestOutcomeTableBranches:
-    """`index` counts the codes when there are at least m! of them and sorts
-    them otherwise; both must build the same table."""
+    """`outcome_table` counts the codes when there are at least m! of them and
+    sorts them otherwise; both must build the same table."""
 
     @pytest.mark.parametrize(
         "name", ["randomized_borda", "deterministic_plurality", "randomized_copeland"]
     )
     def test_counting_and_sorting_build_the_same_table(self, rng, name):
-        width = 5
-        counted = OutcomeTable(CountingRule(SHIPPED_RULES[name](None)), width)
-        sorted_ = OutcomeTable(CountingRule(SHIPPED_RULES[name](None)), width)
         for m in (3, 2, 4, 3, 5, 4, 2):
             size = math.factorial(m)
             present = rng.permutation(size)[: max(1, size // 2)]
             codes = rng.choice(present, size=(size, 2))  # 2 m! codes: counted
-            got = counted.index(m, codes)
             few = rng.permutation(np.unique(codes))  # fewer than m! codes: sorted
-            row_of = dict(zip(few.tolist(), sorted_.index(m, few).tolist()))
-            assert np.array_equal(got, np.vectorize(row_of.get, otypes=[np.int64])(codes))
-        assert np.array_equal(counted.U, sorted_.U)
-        assert [s.tolist() for s in counted.stats] == [s.tolist() for s in sorted_.stats]
-        for table in (counted, sorted_):
-            seen = table.rule.seen  # one evaluation per new (m, code)
-            assert len(seen) == len(set(seen)) == len(table.U) == len(table.stats)
+            counting = CountingRule(SHIPPED_RULES[name](None))
+            sorting = CountingRule(SHIPPED_RULES[name](None))
+            rows, U, stat = outcome_table(counting, m, codes)
+            few_rows, few_U, few_stat = outcome_table(sorting, m, few)
+            assert rows.shape == codes.shape and few_rows.shape == few.shape
+            row_of = dict(zip(few.tolist(), few_rows.tolist()))
+            assert np.array_equal(rows, np.vectorize(row_of.get, otypes=[np.int64])(codes))
+            assert np.array_equal(U, few_U) and np.array_equal(stat, few_stat)
+            # one evaluation per distinct code, in ascending code order
+            distinct = [tuple(order) for order in all_rankings(m)[np.unique(codes)].tolist()]
+            assert counting.seen == sorting.seen == distinct
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_out_of_range_codes_rejected_on_both_branches(self, m):
@@ -462,10 +455,10 @@ class TestOutcomeTableBranches:
         for bad in (-1, size, size + 7):
             for codes in (np.append(np.zeros(size - 1, dtype=np.int64), bad),  # counted
                           np.array([bad])):  # sorted
-                table = OutcomeTable(RandomizedPositional("borda"), m)
+                rule = CountingRule(RandomizedPositional("borda"))
                 with pytest.raises(InvalidRankingError):
-                    table.index(m, codes)
-                assert table.U.shape == (0, m) and not table.stats
+                    outcome_table(rule, m, codes)
+                assert not rule.seen
 
 
 class TestRuleSpec:
@@ -508,6 +501,6 @@ class TestRuleSpec:
         with pytest.raises(ConfigError, match=field):
             rule.evaluate(*alone(abc))
         with pytest.raises(ConfigError, match=field):
-            OutcomeTable(rule, 3).index(3, np.array([0, 5]))
+            outcome_table(rule, 3, np.array([0, 5]))
         # the same rule serves a round with more alternatives
         assert rule.unanimous_outcomes(np.array([[4, 3, 2, 1, 0], [0, 1, 2, 3, 4]])).shape == (2, 5)

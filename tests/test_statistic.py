@@ -19,6 +19,7 @@ from voteweight import (
     Mixture,
     RandomizedCopeland,
     RandomizedPositional,
+    Rounds,
     SchemeConfig,
     Unilateral,
     WinnerPunishingSource,
@@ -29,9 +30,8 @@ from voteweight import (
     run_episode,
 )
 from voteweight import adversaries, harness, rules
-from voteweight.core import all_rankings, orders_from_codes
-from voteweight.harness import _weighted_outcomes
-from voteweight.rules import OutcomeTable
+from voteweight.core import all_rankings
+from voteweight.harness import _index_rounds, _weighted_outcomes
 
 from conftest import orders_of
 from test_core import reference_anonymize
@@ -54,9 +54,9 @@ def reference_profile(groups, reps, weights):
     return Profile(reference_anonymize([reps[g] for g in groups], weights), len(reps[0]))
 
 
-def challenge_profile(round_, weights):
-    """:func:`reference_profile` of an adversary's round, its codes decoded."""
-    reps = [tuple(order) for order in orders_from_codes(round_.codes, round_.m).tolist()]
+def challenge_profile(source, round_, weights):
+    """:func:`reference_profile` of an adversary's round."""
+    reps = [tuple(order) for order in source.orders.tolist()]
     return reference_profile(round_.groups, reps, weights)
 
 
@@ -198,13 +198,12 @@ class TestTieExactReference:
     def test_decide_matches_the_old_loops(self, case):
         m, reps, groups, weights = case
         orders = np.array([orders_of([reps[g] for g in row]) for row in groups.tolist()])
-        codes = rank_codes(orders)
+        played = Rounds(np.full(len(groups), m), rank_codes(orders), np.zeros((len(groups), m)))
         profiles = [reference_profile(g, reps, w) for g, w in zip(groups, weights)]
         for name, make in RULES.items():
             rule = make(m)
-            table = OutcomeTable(rule, m)
-            weighted = _weighted_outcomes(table, np.full(len(groups), m), table.index(m, codes),
-                                         weights)
+            idx, _, stats, _ = _index_rounds(rule, played, groups.shape[1])
+            weighted = _weighted_outcomes(rule, played, idx, stats, weights)
             for t, profile in enumerate(profiles):
                 want = old_evaluate(rule, profile)
                 assert np.array_equal(rule.evaluate(orders[t], weights[t]), want), name
@@ -235,7 +234,7 @@ class TestTieExactReference:
         rng = np.random.default_rng(7)
         for w in [np.ones(n)] + [rng.random(n) + 1e-3 for _ in range(30)]:
             round_ = source.emit(w)
-            profile = challenge_profile(round_, w)
+            profile = challenge_profile(source, round_, w)
             assert np.array_equal(round_.outcome, old_evaluate(rule, profile))
 
     @pytest.mark.parametrize("rule", [DeterministicPositional("plurality"),
@@ -246,7 +245,7 @@ class TestTieExactReference:
         for w in [np.ones(4), np.ones(5), np.array([1.0, 0.0, 1.0])] + [
                 rng.random(6) for _ in range(30)]:
             round_ = source.emit(w)
-            profile = challenge_profile(round_, w)
+            profile = challenge_profile(source, round_, w)
             assert np.array_equal(round_.outcome, old_evaluate(rule, profile))
 
 
