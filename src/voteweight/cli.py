@@ -67,7 +67,7 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
     try:
         with open(config_path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not JSON, not UTF-8, nested too deep
         print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
         return 1
 

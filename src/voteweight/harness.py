@@ -93,13 +93,13 @@ class FileSource:
 
     Each line is {"rankings": [[ids], ...], "losses": [reals]}; the number of
     alternatives is inferred per line and may vary across rounds, the number
-    of voters may not.
+    of voters may not. An error names the file's first bad line.
     """
 
     def __init__(self, path: str):
-        ms, votes, losses = [], [], []
+        ms, ids, losses, linenos, faults, n = [], [], [], [], [], 0
         try:
-            fh = open(path)
+            fh = open(path, "rb")  # json.loads decodes each line inside its checks
         except OSError as exc:
             raise ConfigError(f"cannot read sequence file {path!r}: {exc.strerror}") from exc
         with fh:
@@ -108,31 +108,42 @@ class FileSource:
                     continue
                 try:
                     obj = json.loads(line)
-                    booleans = "t" in line or "f" in line  # no t or f, no true or false
+                    booleans = b"t" in line or b"f" in line  # no t or f, no true or false
                     losses.append(validate_losses(obj["losses"]))
                     if booleans and bool in map(type, obj["losses"]):
                         raise ShapeError("losses must be numbers, not true or false")
-                    m = check_alternatives(len(losses[-1]))
-                    orders = np.asarray(obj["rankings"])  # not int64: that truncates 1.5 and true
-                    shape = (len(votes[0]) if votes else len(orders), m)
-                    if orders.shape != shape:
-                        raise ShapeError(f"rankings of shape {orders.shape}, expected {shape}")
-                    if (orders.dtype.kind != "i" or (np.sort(orders, axis=1) != np.arange(m)).any()
-                            or booleans and bool in map(type, chain(*obj["rankings"]))):
+                    m, rankings = check_alternatives(len(losses[-1])), obj["rankings"]
+                    n, widths = n or len(rankings), sorted(set(map(len, rankings)))
+                    if widths != [m] or len(rankings) != n:  # ragged rows list their widths
+                        got = (len(rankings), widths[0] if len(widths) == 1 else widths)
+                        raise ShapeError(f"rankings of shape {got}, expected {(n, m)}")
+                    try:  # bytes refuses floats, strings, lists and ids outside 0..255
+                        line_ids = bytes(chain.from_iterable(rankings))
+                    except (TypeError, ValueError):
+                        line_ids = b""
+                    if not line_ids or booleans and bool in map(type, chain(*rankings)):
                         raise InvalidRankingError(f"rankings must permute 0..{m - 1} as integers")
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad round: {exc}") from exc
+                except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                    faults.append((lineno, exc))  # ends the read; a bad order before it wins
+                    break
                 ms.append(m)
-                votes.append(orders.astype(np.int8))  # ids lie below MAX_M
+                ids.append(line_ids)
+                linenos.append(lineno)
+        self.m = max(ms, default=0)
+        codes, padded = np.empty((len(ms), n), dtype=np.int64), np.zeros((len(ms), self.m))
+        for m in set(ms):  # one permutation check and one encoding per alternative count
+            rows = [t for t, m_t in enumerate(ms) if m_t == m]
+            orders = np.frombuffer(b"".join([ids[t] for t in rows]), np.uint8).reshape(-1, n, m)
+            bad = np.flatnonzero((np.sort(orders, axis=2) != np.arange(m)).any(axis=(1, 2)))
+            faults += [(linenos[rows[t]], InvalidRankingError(
+                f"rankings must permute 0..{m - 1} as integers")) for t in bad[:1]]
+            codes[rows] = rank_codes(orders)
+            padded[rows, :m] = [losses[t] for t in rows]
+        if faults:
+            lineno, exc = min(faults)  # line numbers differ, so errors are never compared
+            raise ConfigError(f"{path}:{lineno}: bad round: {exc}") from exc
         if not ms:
             raise ConfigError(f"{path}: no rounds")
-        self.m = max(ms)
-        codes = np.empty((len(ms), len(votes[0])), dtype=np.int64)
-        padded = np.zeros((len(ms), self.m))
-        for m in set(ms):  # one encoding per alternative count
-            rows = [t for t, m_t in enumerate(ms) if m_t == m]
-            codes[rows] = rank_codes(np.stack([votes[t] for t in rows]))
-            padded[rows, :m] = [losses[t] for t in rows]
         self.recorded = Rounds(np.array(ms), codes, padded)
 
     def rounds(self, T: int, rng: np.random.Generator) -> Rounds:

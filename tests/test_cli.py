@@ -139,6 +139,21 @@ class TestSimulate:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("text", [
+        pytest.param(b'{"n": 1' + b"0" * 5000 + b"}", id="integer_past_the_digit_limit",
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="no integer digit limit")),
+        pytest.param(b"\xff\xfe{}", id="not_utf8"),
+        pytest.param(b'{"n": ' + b"[" * 100000 + b"]" * 100000 + b"}", id="nested_too_deep"),
+    ])
+    def test_unparsable_config_writes_nothing(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {path}: ")
+
     def test_incompatible_pairing(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import json
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from voteweight import (
     CondorcetSplitSource,
     ConstantUniform,
     DeterministicPositional,
+    FileSource,
     IIDRandomSource,
     RandomizedCopeland,
     RandomizedPositional,
@@ -170,6 +172,18 @@ def random_lines(n, m, T, rng):
              "losses": rng.random(m).tolist()} for _ in range(T)]
 
 
+@st.composite
+def file_rounds(draw):
+    n = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        m = draw(st.integers(2, 5))
+        rankings = [list(draw(st.permutations(range(m)))) for _ in range(n)]
+        losses = draw(st.lists(st.floats(0, 1), min_size=m, max_size=m))
+        lines.append({"rankings": rankings, "losses": losses})
+    return n, lines
+
+
 class TestOracle:
     """The scheme's expected round loss against the voter distribution it played."""
 
@@ -246,15 +260,16 @@ class TestFileSource:
         trace = episode(n=2, T=6, source=file_source(lines))
         assert len(trace.scheme_loss) == 6
 
-    def test_interleaved_alternative_counts_encode_per_line(self, rng):
-        lines = []
-        for m in rng.integers(2, 5, size=30).tolist():
-            orders = np.argsort(rng.random((6, m)), axis=1)
-            lines.append({"rankings": orders.tolist(), "losses": rng.random(m).tolist()})
+    @given(case=file_rounds())
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_alternative_counts_encode_per_line(self, case):
+        _, lines = case
         recorded = file_source(lines).recorded
         assert recorded.m.tolist() == [len(line["losses"]) for line in lines]
         assert recorded.codes.dtype == np.int64
         assert recorded.codes.tolist() == [rank_codes(line["rankings"]).tolist() for line in lines]
+        assert recorded.losses.tolist() == [
+            line["losses"] + [0.0] * (recorded.m.max() - len(line["losses"])) for line in lines]
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -272,6 +287,62 @@ class TestFileSource:
         good = {"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]}
         with pytest.raises(ConfigError, match=r"\.jsonl:2: bad round: rankings must permute"):
             file_source([good, {"rankings": rankings, "losses": [0.1, 0.2, 0.3]}])
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["order_first", "json_first"])
+    def test_first_bad_line_is_named(self, tmp_path, swapped):
+        # orders are checked once per alternative count, after the whole file is read
+        good = json.dumps({"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]})
+        bad_order = json.dumps({"rankings": [[0, 0, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]})
+        broken = good[:-1]
+        faults = [broken, bad_order] if swapped else [bad_order, broken]
+        path = tmp_path / "rounds.jsonl"
+        path.write_text("\n".join([good, *faults, good]) + "\n")
+        message = "Expecting ',' delimiter" if swapped else "rankings must permute 0..2"
+        with pytest.raises(ConfigError, match=rf"rounds\.jsonl:2: bad round: {message}"):
+            FileSource(str(path))
+
+    @given(case=file_rounds(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_of_several_bad_orders_is_named(self, case, data):
+        n, lines = case
+        bad = sorted(data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1)))
+        for t in bad:  # a repeated id in one voter's order
+            order = lines[t]["rankings"][data.draw(st.integers(0, n - 1))]
+            order[0] = order[1]
+        with pytest.raises(ConfigError, match=rf"\.jsonl:{bad[0] + 1}: bad round: rankings must"):
+            file_source(lines)
+
+    @pytest.mark.parametrize("rank_id", [128, 255, 256, -1])
+    def test_ids_past_the_alternatives_rejected(self, rank_id):
+        good = {"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]}
+        bad = {"rankings": [[0, 1, 2], [2, rank_id, 0]], "losses": [0.1, 0.2, 0.3]}
+        with pytest.raises(ConfigError, match=r"\.jsonl:2: bad round: rankings must permute 0\.\."):
+            file_source([good, bad])
+
+    def test_ragged_rows_rejected(self):
+        # six ids in all, n * m of them, but not three per voter
+        bad = {"rankings": [[0, 1, 2, 3], [0, 1]], "losses": [0.1, 0.2, 0.3]}
+        with pytest.raises(ConfigError, match=r"\.jsonl:1: bad round: rankings of shape"):
+            file_source([bad])
+
+    @pytest.mark.parametrize("rankings", [{"012": 0, "210": 1}, "012210"], ids=["dict", "string"])
+    def test_rankings_not_a_list_of_rows_rejected(self, rankings):
+        good = {"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]}
+        with pytest.raises(ConfigError, match=r"\.jsonl:2: bad round: rankings"):
+            file_source([good, {"rankings": rankings, "losses": [0.1, 0.2, 0.3]}])
+
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "rounds.jsonl"
+        good = b'{"rankings": [[0, 1], [1, 0]], "losses": [0.5, 0.5]}\n'
+        path.write_bytes(good + good.replace(b"}", b', "note": "\xff"}'))
+        with pytest.raises(ConfigError, match=r"rounds\.jsonl:2: bad round: 'utf-8' codec"):
+            FileSource(str(path))
+
+    def test_nesting_past_the_recursion_limit_is_named(self, tmp_path):
+        path = tmp_path / "rounds.jsonl"
+        path.write_text('{"rankings": ' + "[" * 100000 + "]" * 100000 + ', "losses": [0.5, 0.5]}\n')
+        with pytest.raises(ConfigError, match=r"rounds\.jsonl:1: bad round: maximum recursion"):
+            FileSource(str(path))
 
     def test_true_outside_the_rankings_accepted(self):
         source = file_source([{"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3],
@@ -404,18 +475,6 @@ REFERENCE_RULES = (
     DeterministicPositional("veto"),
     ConstantUniform(),
 )
-
-
-@st.composite
-def file_rounds(draw):
-    n = draw(st.integers(1, 5))
-    lines = []
-    for _ in range(draw(st.integers(1, 30))):
-        m = draw(st.integers(2, 5))
-        rankings = [list(draw(st.permutations(range(m)))) for _ in range(n)]
-        losses = draw(st.lists(st.floats(0, 1), min_size=m, max_size=m))
-        lines.append({"rankings": rankings, "losses": losses})
-    return n, lines
 
 
 class TestScalarReference:
