@@ -1,5 +1,4 @@
-"""Core election values: rankings as orders and rank codes, weights, losses
-and draws.
+"""Core election values: rankings as orders and rank codes, weights and draws.
 
 Alternatives are round-local integers ``0..m-1``. A ranking is an order, a row
 permuting ``0..m-1`` best first, so the most preferred alternative has
@@ -101,16 +100,6 @@ def as_weights(weights: Sequence[float] | np.ndarray) -> tuple[np.ndarray, float
     if not 0 < total < math.inf:
         raise DegenerateWeightsError("total weight must be positive and finite")
     return w, total
-
-
-def validate_losses(losses: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Check a loss vector lies in [0,1]^m and return it as an array."""
-    ell = np.asarray(losses, dtype=float)
-    if ell.ndim != 1:
-        raise ShapeError(f"losses must be a vector, got shape {ell.shape}")
-    if not ((ell >= 0) & (ell <= 1)).all():  # both comparisons are false for NaN
-        raise ShapeError(f"losses must lie in [0, 1], got {ell.tolist()}")
-    return ell
 
 
 def inverse_cdf(weights: np.ndarray, u) -> np.ndarray:

@@ -26,13 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    check_alternatives,
-    draw,
-    inverse_cdf,
-    rank_codes,
-    validate_losses,
-)
+from .core import check_alternatives, draw, inverse_cdf, rank_codes
 from .errors import ConfigError, InvalidRankingError, ShapeError
 from .rules import VotingRule, group_statistic, outcome_table, voter_losses
 from .schemes import SchemeConfig, exp_weights
@@ -109,10 +103,13 @@ class FileSource:
                 try:
                     obj = json.loads(line)
                     booleans = b"t" in line or b"f" in line  # no t or f, no true or false
-                    losses.append(validate_losses(obj["losses"]))
-                    if booleans and bool in map(type, obj["losses"]):
-                        raise ShapeError("losses must be numbers, not true or false")
-                    m, rankings = check_alternatives(len(losses[-1])), obj["rankings"]
+                    line_losses = obj["losses"]  # bool is its own type, not int
+                    if type(line_losses) is not list or not {int, float}.issuperset(
+                            map(type, line_losses)):
+                        raise ShapeError("losses must be a list of numbers")
+                    if not all(0 <= x <= 1 for x in line_losses):  # false for NaN
+                        raise ShapeError(f"losses must lie in [0, 1], got {line_losses}")
+                    m, rankings = check_alternatives(len(line_losses)), obj["rankings"]
                     n, widths = n or len(rankings), sorted(set(map(len, rankings)))
                     if widths != [m] or len(rankings) != n:  # ragged rows list their widths
                         got = (len(rankings), widths[0] if len(widths) == 1 else widths)
@@ -128,6 +125,7 @@ class FileSource:
                     break
                 ms.append(m)
                 ids.append(line_ids)
+                losses.append(line_losses)
                 linenos.append(lineno)
         self.m = max(ms, default=0)
         codes, padded = np.empty((len(ms), n), dtype=np.int64), np.zeros((len(ms), self.m))
@@ -167,8 +165,7 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
     """
     T = scheme.horizon
-    decomposes = rule.is_distribution_over_unilaterals()
-    if scheme.kind == "deterministic_unilateral" and not decomposes:
+    if scheme.kind == "deterministic_unilateral" and not rule.decomposes:
         warnings.warn(
             "deterministic weights with a rule that does not decompose "
             "across voters: the round-for-round equivalence guarantee is void",
@@ -224,7 +221,7 @@ def _play_oblivious(scheme: SchemeConfig, rule: VotingRule, rounds: Rounds, u):
         scheme_loss = L[rows, chosen]
     else:
         chosen = np.full(T, -1)
-        if rule.is_distribution_over_unilaterals():
+        if rule.decomposes:
             outcome = np.einsum("tn,tnk->tk", probs, U[idx])
         else:
             outcome = _weighted_outcomes(rule, rounds, idx, stats, probs)

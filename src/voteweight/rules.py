@@ -44,10 +44,14 @@ _SCORE_FAMILIES: dict[str, Callable[[int], np.ndarray]] = {
 
 
 def validate_scores(s: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Check s1 >= s2 >= ... >= sm >= 0 with s1 > 0."""
+    """Check s1 >= s2 >= ... >= sm >= 0 with s1 > 0, all finite with a finite sum."""
     vec = np.asarray(s, dtype=float)
     if vec.ndim != 1 or len(vec) < 1:
         raise ShapeError("score vector must be a non-empty 1-d sequence")
+    with np.errstate(over="ignore"):  # the sum the rules normalize by; refused, not warned of
+        total = float(vec.sum())
+    if not math.isfinite(total):  # also false for a NaN or infinite entry
+        raise ShapeError(f"scores must be finite with a finite sum, got {vec.tolist()}")
     if np.any(np.diff(vec) > 0):
         raise ShapeError("scores must be non-increasing")
     if vec[-1] < 0:
@@ -134,9 +138,16 @@ def condorcet_winner(pairwise: np.ndarray) -> Optional[int]:
 
 
 class VotingRule:
-    """Base class; subclasses implement :meth:`statistic` and :meth:`decide`."""
+    """Base class; subclasses implement :meth:`statistic` and :meth:`decide`.
+
+    ``deterministic`` rules return a point mass. A rule ``decomposes`` when it
+    is a distribution over unilaterals: its outcome on a weighted profile is
+    the weighted average of its outcomes on the voters' rankings alone, which
+    is what makes a deterministic weighting scheme possible.
+    """
 
     deterministic: bool = False
+    decomposes: bool = False
 
     def statistic(self, orders: np.ndarray) -> np.ndarray:
         """Row i is the statistic of ``orders[i]``, for a (k, m) array of orders."""
@@ -146,10 +157,6 @@ class VotingRule:
         """The outcomes (..., m) of weighted statistics over m alternatives."""
         raise NotImplementedError
 
-    def width(self, m: int) -> int:
-        """The length of the statistic over m alternatives."""
-        return m
-
     def evaluate(self, orders, weights) -> np.ndarray:
         """The outcome of voters' ``orders`` (n, m) under ``weights`` (n,)."""
         return self.decide(profile_statistic(self.statistic, orders, weights), np.shape(orders)[1])
@@ -158,16 +165,6 @@ class VotingRule:
         """Row i is the outcome when ``orders[i]`` carries all the weight, for a
         (k, m) array of orders: that profile's statistic is the order's own."""
         return self.decide(self.statistic(orders), orders.shape[1])
-
-    def is_distribution_over_unilaterals(self) -> bool:
-        """True when the rule decomposes across voters' individual rankings.
-
-        For such rules evaluating the profile built from the voter
-        distribution coincides with averaging the rule over single-voter
-        profiles, which is what makes a deterministic weighting scheme
-        possible.
-        """
-        return False
 
 
 class _Positional(VotingRule):
@@ -214,12 +211,11 @@ class DeterministicPositional(_Positional):
 class RandomizedPositional(_Positional):
     """Each alternative wins with probability proportional to its score."""
 
+    decomposes = True
+
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         # The normalizer is the constant ||s||_1, not the realized score sum.
         return stat / float(self.score_vector(m).sum())
-
-    def is_distribution_over_unilaterals(self) -> bool:
-        return True
 
 
 class DeterministicCopeland(VotingRule):
@@ -227,9 +223,6 @@ class DeterministicCopeland(VotingRule):
 
     deterministic = True
     statistic = staticmethod(pairwise_statistic)
-
-    def width(self, m: int) -> int:
-        return m * m
 
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         return np.eye(m)[np.argmax(copeland_scores(stat), axis=-1)]
@@ -240,9 +233,6 @@ class RandomizedCopeland(VotingRule):
 
     statistic = staticmethod(pairwise_statistic)
 
-    def width(self, m: int) -> int:
-        return m * m
-
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         return copeland_scores(stat) / (m * (m - 1) / 2)
 
@@ -251,6 +241,8 @@ class Unilateral(VotingRule):
     """Pick a ranking with its profile mass and apply a fixed selector to it;
     the statistic is the one-hot of the selected alternative. A selector maps
     (k, m) orders to the (k,) alternatives it selects."""
+
+    decomposes = True
 
     def __init__(self, selector: Callable[[np.ndarray], np.ndarray], name: str = "unilateral"):
         self.selector = selector
@@ -261,9 +253,6 @@ class Unilateral(VotingRule):
 
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         return stat
-
-    def is_distribution_over_unilaterals(self) -> bool:
-        return True
 
     def __repr__(self) -> str:
         return f"Unilateral({self.name})"
@@ -296,9 +285,6 @@ class Duple(VotingRule):
                 raise ConfigError(f"duple {field}={x} needs m > {x}, got m={orders.shape[1]}")
         return pairwise_statistic(orders)[:, [self.a * orders.shape[1] + self.b]]
 
-    def width(self, m: int) -> int:
-        return 1
-
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         win = np.where(stat[..., 0] > 0.5, 1.0, np.where(stat[..., 0] < 0.5, 0.0, 0.5))
         out = np.zeros(stat.shape[:-1] + (m,))
@@ -311,45 +297,39 @@ class Duple(VotingRule):
 
 class Mixture(VotingRule):
     """Probability-weighted average of component rules; the statistic is the
-    concatenation of the components' statistics."""
+    concatenation of the components' statistics. It decomposes when every
+    component does."""
 
     def __init__(self, components: Sequence[tuple[VotingRule, float]]):
         total = sum(q for _, q in components)
-        if abs(total - 1.0) > TOL or any(q < 0 for _, q in components):
+        if not (abs(total - 1.0) <= TOL and all(q >= 0 for _, q in components)):  # NaN fails
             raise ShapeError(f"mixture probabilities must sum to 1, got {total}")
         self.components = list(components)
+        self.decomposes = all(rule.decomposes for rule, _ in components)
 
     def statistic(self, orders: np.ndarray) -> np.ndarray:
         return np.concatenate([rule.statistic(orders) for rule, _ in self.components], axis=1)
 
-    def width(self, m: int) -> int:
-        return sum(rule.width(m) for rule, _ in self.components)
-
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
-        ends = np.cumsum([rule.width(m) for rule, _ in self.components])
+        # each component's part is as long as its statistic of one order
+        ends = np.cumsum([rule.statistic(np.arange(m)[None]).shape[1]
+                          for rule, _ in self.components])
         parts = np.split(stat, ends[:-1], axis=-1)
         return sum(q * rule.decide(part, m) for (rule, q), part in zip(self.components, parts))
-
-    def is_distribution_over_unilaterals(self) -> bool:
-        return all(rule.is_distribution_over_unilaterals() for rule, _ in self.components)
 
 
 class ConstantUniform(VotingRule):
     """Ignore the profile entirely and return the uniform distribution; the
-    statistic is empty."""
+    statistic is empty. A constant rule is a mixture of constant-selector
+    unilaterals, so it decomposes."""
+
+    decomposes = True
 
     def statistic(self, orders: np.ndarray) -> np.ndarray:
         return np.zeros((len(orders), 0))
 
-    def width(self, m: int) -> int:
-        return 0
-
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         return np.full(stat.shape[:-1] + (m,), 1.0 / m)
-
-    def is_distribution_over_unilaterals(self) -> bool:
-        # A constant rule is a mixture of constant-selector unilaterals.
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,16 @@ class TestSimulate:
         assert not out.exists()
         assert f"{seq}:2: bad round: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scores", [[1e308, 1e308, 0], [1, math.nan, 0], [math.inf, 1, 0]],
+                             ids=["sum_overflows", "nan", "infinity"])
+    def test_non_finite_scores_write_nothing(self, tmp_path, capsys, scores):
+        cfg = write_config(tmp_path, rule={"kind": "randomized_positional", "scores": scores},
+                           scheme={"kind": "full_info"}, source={"kind": "iid_random"}, T=5)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: scores must be finite with a finite sum")
+
     def test_config_out_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys):
         # without --out-dir, the config's own out_dir is the destination
         cfg = write_config(tmp_path, out_dir=5)

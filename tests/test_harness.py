@@ -355,6 +355,15 @@ class TestFileSource:
         with pytest.raises(ConfigError, match=r"\.jsonl:2: bad round: losses must lie in \[0, 1\]"):
             file_source([good, {"rankings": [[0, 1], [1, 0]], "losses": [bad, 0.5]}])
 
+    @pytest.mark.parametrize("bad", ["0.5", ["0.5", 0.5], [[0.5, 0.5]], 0.5, [True, 0.5],
+                                     [10**400, 0.5]],
+                             ids=["string", "string_entry", "nested", "bare_number", "bool",
+                                  "long_integer"])
+    def test_losses_not_a_list_of_numbers_in_range_rejected(self, bad):
+        good = {"rankings": [[0, 1], [1, 0]], "losses": [0.5, 0.5]}
+        with pytest.raises(ConfigError, match=r"\.jsonl:2: bad round: losses must"):
+            file_source([good, {"rankings": [[0, 1], [1, 0]], "losses": bad}])
+
     def test_too_short_rejected(self):
         source = file_source([{"rankings": [[0, 1]], "losses": [0.5, 0.5]}])
         with pytest.raises(ConfigError):

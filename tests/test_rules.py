@@ -76,6 +76,12 @@ class TestScoreVectors:
         with pytest.raises(ShapeError):
             validate_scores([1, 0, -1])
 
+    @pytest.mark.parametrize("scores", [[1e308, 1e308, 0], [1, math.nan, 0], [math.inf, 1, 0]],
+                             ids=["sum_overflows", "nan", "infinity"])
+    def test_non_finite_rejected(self, scores):
+        with pytest.raises(ShapeError, match="scores must be finite with a finite sum"):
+            validate_scores(scores)
+
 
 class TestPositionalScores:
     def test_borda_unanimous(self, abc):
@@ -269,8 +275,22 @@ class TestMixture:
         assert np.allclose(mix.evaluate(*profile), rule.evaluate(*profile), atol=TOL)
 
     def test_bad_weights_rejected(self):
-        with pytest.raises(ShapeError):
-            Mixture([(ConstantUniform(), 0.7)])
+        r = RandomizedCopeland()
+        for components in ([(ConstantUniform(), 0.7)], [(r, math.nan)], [(r, 1.0), (r, math.nan)]):
+            with pytest.raises(ShapeError):
+                Mixture(components)
+
+    def test_components_of_every_statistic_width(self, rng):
+        # statistic widths 0, 1, m and m * m: decide splits by each one's length
+        parts = [(ConstantUniform(), 0.1), (Duple(1, 0), 0.2),
+                 (RandomizedPositional("borda"), 0.3), (DeterministicCopeland(), 0.4)]
+        mix = Mixture(parts)
+        for m in range(2, 6):
+            assert mix.statistic(all_rankings(m)).shape == (math.factorial(m), 1 + m + m * m)
+            for _ in range(5):
+                profile = random_profile(m, rng)
+                expected = sum(q * rule.evaluate(*profile) for rule, q in parts)
+                assert np.allclose(mix.evaluate(*profile), expected, atol=TOL)
 
 
 class TestInvariants:
@@ -368,6 +388,41 @@ SHIPPED_RULES = {
     "duple_mixture_copeland": duple_mixture_copeland,
     "unilateral_mixture_borda": lambda m: unilateral_mixture_positional(borda_scores(m)),
 }
+
+
+# (deterministic, decomposes) of every shipped rule
+RULE_FLAGS = {
+    "randomized_borda": (False, True),
+    "randomized_plurality": (False, True),
+    "randomized_veto": (False, True),
+    "randomized_tied": (False, True),
+    "deterministic_borda": (True, False),
+    "deterministic_plurality": (True, False),
+    "deterministic_veto": (True, False),
+    "deterministic_tied": (True, False),
+    "deterministic_copeland": (True, False),
+    "randomized_copeland": (False, False),
+    "duple_0_1": (False, False),
+    "unilateral_position_1": (False, True),
+    "constant_uniform": (False, True),
+    "duple_mixture_copeland": (False, False),
+    "unilateral_mixture_borda": (False, True),
+}
+
+
+class TestRuleFlags:
+    def test_every_shipped_rule_is_listed(self):
+        assert RULE_FLAGS.keys() == SHIPPED_RULES.keys()
+
+    @pytest.mark.parametrize("name", SHIPPED_RULES)
+    def test_flags(self, name, rng):
+        rule = SHIPPED_RULES[name](4)
+        assert (rule.deterministic, rule.decomposes) == RULE_FLAGS[name]
+        if rule.decomposes:  # a weighted profile's outcome averages its rankings' own
+            for _ in range(5):
+                orders, weights = random_profile(4, rng)
+                averaged = weights @ rule.unanimous_outcomes(orders) / weights.sum()
+                assert np.allclose(rule.evaluate(orders, weights), averaged, atol=TOL)
 
 
 class TestUnanimousOutcomes:

@@ -220,7 +220,7 @@ class TestSingleVoterIdentity:
         mixed = rule.evaluate(orders_of(votes), p)
         averaged = p[0] * rule.evaluate(*alone(votes[0])) + p[1] * rule.evaluate(*alone(votes[1]))
         assert np.max(np.abs(mixed - averaged)) > 0.05
-        assert not rule.is_distribution_over_unilaterals()
+        assert not rule.decomposes
 
 
 class TestEstimatorMoments:
