@@ -40,7 +40,6 @@ from .rules import (
     pairwise_statistic,
     position_selector,
     profile_statistic,
-    rule_from_spec,
     unanimity_witness,
 )
 from .schemes import (

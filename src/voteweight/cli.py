@@ -27,7 +27,8 @@ from .harness import (
     run_episode,
     voter_totals,
 )
-from .rules import rule_from_spec
+from .rules import (ConstantUniform, DeterministicCopeland, DeterministicPositional, Duple,
+                    RandomizedCopeland, RandomizedPositional, Unilateral, position_selector)
 from .schemes import SchemeConfig
 
 
@@ -35,20 +36,71 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _build_source(spec: dict, rule, n: int, m: int):
-    kind = spec.get("kind")
-    if kind == "thm3":
-        return WinnerPunishingSource(rule, m)
-    if kind == "thm5":
-        return CondorcetSplitSource(rule, m, spec.get("delta"))
-    if kind == "iid_random":
-        return IIDRandomSource(n, m)
-    if kind == "file":
-        path = spec.get("path")
-        if not path or not isinstance(path, str):
-            raise VoteWeightError(f"file source needs a path, got {path!r}")
-        return FileSource(path)
-    raise VoteWeightError(f"unknown source kind {kind!r}")
+class ConfigObject(dict):
+    """A config's JSON object; ``twice`` is the first key its text repeats, or None."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs]
+        self.twice = next((key for key in keys if keys.count(key) > 1), None)
+
+
+def parse_section(section: str, spec, builder):
+    """``builder(**spec)`` once ``spec`` is an object whose keys are among the builder's
+    parameters and include each one with no default; a table of builders is keyed by "kind"."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{section} must be an object, got {spec!r}")
+    if getattr(spec, "twice", None) is not None:
+        raise ConfigError(f"key {spec.twice!r} given twice in {section}")
+    if isinstance(builder, dict):
+        kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in builder:
+            raise ConfigError(f"{section} kind must be one of {', '.join(builder)}, got {kind!r}")
+        section, builder = f"{section} {kind!r}", builder[kind]
+        spec = {key: value for key, value in spec.items() if key != "kind"}
+    code = builder.__code__  # not inspect.signature, whose first call can take milliseconds
+    keys = code.co_varnames[:code.co_argcount]  # those before the defaults are required
+    for key in [*spec, *keys[:len(keys) - len(builder.__defaults__ or ())]]:
+        if key not in keys or key not in spec:
+            raise ConfigError(f"{'missing' if key in keys else 'unknown'} key {key!r} in {section}")
+    return builder(**spec)
+
+
+def _simulation(rule, source, n, m, T, scheme={}, seed=0, trials=1, feedback=None,
+                out_dir=".", trace_csv="trace.csv", summary_json="summary.json"):
+    """A simulate config's top level, each key a parameter; SchemeConfig is what checks n."""
+    m = check_alternatives(whole_number(m, "m"))
+    T = whole_number(T, "T")
+    seed = whole_number(seed, "seed")
+    trials = whole_number(trials, "trials")
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    paths = {"out_dir": out_dir, "trace_csv": trace_csv, "summary_json": summary_json}
+    for key, path in paths.items():
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"{key} must be a non-empty path, got {path!r}")
+    rule = parse_section("rule", rule, {
+        "deterministic_positional": lambda scores: DeterministicPositional(scores),
+        "randomized_positional": lambda scores: RandomizedPositional(scores),
+        "deterministic_copeland": lambda: DeterministicCopeland(),
+        "randomized_copeland": lambda: RandomizedCopeland(),
+        "constant_uniform": lambda: ConstantUniform(),
+        "duple": lambda a, b: Duple(whole_number(a, "a"), whole_number(b, "b")),
+        "unilateral": lambda position: Unilateral(
+            position_selector(whole_number(position, "position"))),
+    })
+    scheme = parse_section(
+        "scheme", scheme, lambda kind="full_info", eta=None: SchemeConfig(kind, n, T, eta))
+    if feedback is not None and feedback != scheme.feedback:
+        raise ConfigError(f"scheme kind {scheme.kind!r} takes {scheme.feedback!r} "
+                          f"feedback, not {feedback!r}")
+    source = parse_section("source", source, {
+        "thm3": lambda: WinnerPunishingSource(rule, m),
+        "thm5": lambda delta=None: CondorcetSplitSource(rule, m, delta),
+        "iid_random": lambda: IIDRandomSource(scheme.n, m),
+        "file": lambda path: FileSource(path),
+    })
+    return scheme, rule, source, seed, trials, paths
 
 
 def _write_trace_csv(path: str, trace: Trace) -> None:
@@ -66,40 +118,17 @@ def _write_trace_csv(path: str, trace: Trace) -> None:
 def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
     try:
         with open(config_path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=ConfigObject)
     except (OSError, ValueError, RecursionError) as exc:  # not JSON, not UTF-8, nested too deep
         print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
         return 1
 
     # Everything is validated and computed before any output is written.
     try:
-        n = whole_number(cfg["n"], "n")
-        m = check_alternatives(whole_number(cfg["m"], "m"))
-        T = whole_number(cfg["T"], "T")
-        seed = whole_number(cfg.get("seed", 0), "seed")
-        trials = whole_number(cfg.get("trials", 1), "trials")
-        paths = {key: cfg.get(key, default) for key, default in (
-            ("out_dir", "."), ("trace_csv", "trace.csv"), ("summary_json", "summary.json"))}
-        for key, path in paths.items():
-            if not isinstance(path, str) or not path:
-                raise ConfigError(f"{key} must be a non-empty path, got {path!r}")
+        scheme, rule, source, seed, trials, paths = parse_section("config", cfg, _simulation)
         destination = out_dir or paths["out_dir"]
         trace_path = os.path.join(destination, paths["trace_csv"])
         summary_path = os.path.join(destination, paths["summary_json"])
-        rule = rule_from_spec(cfg["rule"])
-        scheme_spec = cfg.get("scheme", {})
-        scheme = SchemeConfig(
-            kind=scheme_spec.get("kind", "full_info"),
-            n=n,
-            horizon=T,
-            eta=scheme_spec.get("eta"),
-        )
-        feedback = cfg.get("feedback")
-        if feedback is not None and feedback != scheme.feedback:
-            raise ConfigError(f"scheme kind {scheme.kind!r} takes {scheme.feedback!r} "
-                              f"feedback, not {feedback!r}")
-        source = _build_source(cfg["source"], rule, n, m)
-
         with warnings.catch_warnings(record=True) as caught:  # each message printed once below
             warnings.simplefilter("always")
             first = run_episode(scheme, rule, source, seed=seed)

@@ -91,6 +91,8 @@ class FileSource:
     """
 
     def __init__(self, path: str):
+        if not isinstance(path, str) or not path:  # open() takes an int as a descriptor
+            raise ConfigError(f"a sequence file path must be a non-empty string, got {path!r}")
         ms, ids, losses, linenos, faults, n = [], [], [], [], [], 0
         try:
             fh = open(path, "rb")  # json.loads decodes each line inside its checks

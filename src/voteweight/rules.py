@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, all_rankings, as_weights, orders_from_codes, whole_number
+from .core import TOL, all_rankings, as_weights, orders_from_codes
 from .errors import ConfigError, InvalidPairError, InvalidRankingError, ShapeError
 
 # ---------------------------------------------------------------------------
@@ -301,9 +301,9 @@ class Mixture(VotingRule):
     component does."""
 
     def __init__(self, components: Sequence[tuple[VotingRule, float]]):
-        total = sum(q for _, q in components)
-        if not (abs(total - 1.0) <= TOL and all(q >= 0 for _, q in components)):  # NaN fails
-            raise ShapeError(f"mixture probabilities must sum to 1, got {total}")
+        probabilities = [q for _, q in components]  # a NaN fails the check of their sum
+        if not (abs(sum(probabilities) - 1.0) <= TOL and all(q >= 0 for q in probabilities)):
+            raise ShapeError(f"mixture probabilities must be >= 0 with sum 1, got {probabilities}")
         self.components = list(components)
         self.decomposes = all(rule.decomposes for rule, _ in components)
 
@@ -364,36 +364,6 @@ def unanimity_witness(rule: VotingRule, m: int) -> Optional[np.ndarray]:
         if differs.any():
             return orders[[0, lo + int(np.argmax(differs))]]
     return None
-
-
-# ---------------------------------------------------------------------------
-# Config grammar
-
-
-def rule_from_spec(spec: dict) -> VotingRule:
-    """Build a rule from its config form, e.g. {"kind": "randomized_positional",
-    "scores": [2, 1, 0]}. Score vectors may also be named families
-    ("plurality", "veto", "borda"), which adapt to the round's m."""
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ConfigError(f"rule spec must be an object with a 'kind', got {spec!r}")
-    if kind == "deterministic_positional":
-        return DeterministicPositional(spec["scores"])
-    if kind == "randomized_positional":
-        return RandomizedPositional(spec["scores"])
-    if kind == "deterministic_copeland":
-        return DeterministicCopeland()
-    if kind == "randomized_copeland":
-        return RandomizedCopeland()
-    if kind == "constant_uniform":
-        return ConstantUniform()
-    if kind == "duple":
-        return Duple(whole_number(spec["a"], "a"), whole_number(spec["b"], "b"))
-    if kind == "unilateral":
-        position = whole_number(spec["position"], "position")
-        return Unilateral(position_selector(position), name=f"position_{position}")
-    raise ConfigError(f"unknown rule kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

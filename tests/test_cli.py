@@ -371,6 +371,132 @@ class TestSimulate:
         assert not out.exists()
 
 
+def simulate_writes_nothing(tmp_path, capsys, config_text):
+    """Run simulate on ``config_text``; assert exit 1 with no output and return stderr."""
+    path = tmp_path / "config.json"
+    path.write_text(config_text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
+
+
+RULE_KINDS = {
+    "deterministic_positional": {"scores": "borda"},
+    "randomized_positional": {"scores": [2, 1, 0]},
+    "deterministic_copeland": {},
+    "randomized_copeland": {},
+    "constant_uniform": {},
+    "duple": {"a": 0, "b": 1},
+    "unilateral": {"position": 0},
+}
+
+
+class TestConfigGrammar:
+    """Every section of a simulate config is closed: a key it does not take, a
+    key it needs but lacks, a key given twice or a section that is not an object
+    exits 1 before any output, with an error naming the key and its section."""
+
+    def test_valid_config_of_every_rule_kind_runs(self, tmp_path):
+        for kind, keys in RULE_KINDS.items():
+            cfg = write_config(tmp_path, rule={"kind": kind, **keys},
+                               source={"kind": "iid_random"}, T=5)
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("overrides, key, section", [
+        ({"trails": 50}, "trails", "config"),
+        ({"scheme": {"kind": "full_info", "Eta": 5}}, "Eta", "scheme"),
+        ({"scheme": {"kind": "constant", "feedback": "full"}}, "feedback", "scheme"),
+    ], ids=["top_level", "scheme", "scheme_takes_no_feedback"])
+    def test_unknown_key_is_named(self, tmp_path, capsys, overrides, key, section):
+        cfg = write_config(tmp_path, **overrides)
+        err = simulate_writes_nothing(tmp_path, capsys, cfg.read_text())
+        assert f"unknown key {key!r} in {section}" in err
+
+    @pytest.mark.parametrize("kind", RULE_KINDS)
+    def test_foreign_key_of_each_rule_kind_is_named(self, tmp_path, capsys, kind):
+        foreign = "position" if kind == "duple" else "a"
+        cfg = write_config(tmp_path, rule={"kind": kind, **RULE_KINDS[kind], foreign: 1},
+                           scheme={"kind": "full_info"}, source={"kind": "iid_random"})
+        err = simulate_writes_nothing(tmp_path, capsys, cfg.read_text())
+        assert f"unknown key {foreign!r} in rule {kind!r}" in err
+
+    @pytest.mark.parametrize("source, foreign", [
+        ({"kind": "thm3", "delta": 0.5}, "delta"),
+        ({"kind": "thm5", "path": "rounds.jsonl"}, "path"),
+        ({"kind": "iid_random", "delta": 0.5}, "delta"),
+        ({"kind": "file", "path": "rounds.jsonl", "delta": 0.5}, "delta"),
+    ], ids=["thm3", "thm5", "iid_random", "file"])
+    def test_foreign_key_of_each_source_kind_is_named(self, tmp_path, capsys, source, foreign):
+        seq = tmp_path / "rounds.jsonl"
+        seq.write_text(json.dumps({"rankings": [[0, 1, 2]] * 11, "losses": [0.0, 0.5, 1.0]}) + "\n")
+        source = dict(source, path=str(seq)) if "path" in source else source
+        deterministic = source["kind"] == "thm3"
+        rule = {"kind": "deterministic_copeland" if deterministic else "randomized_copeland"}
+        cfg = write_config(tmp_path, rule=rule, source=source, n=11, T=1)
+        err = simulate_writes_nothing(tmp_path, capsys, cfg.read_text())
+        assert f"unknown key {foreign!r} in source {source['kind']!r}" in err
+
+    @pytest.mark.parametrize("overrides, key, section", [
+        ({"rule": {"kind": "duple", "a": 0}}, "b", "rule 'duple'"),
+        ({"rule": {"kind": "unilateral"}}, "position", "rule 'unilateral'"),
+        ({"source": {"kind": "file"}}, "path", "source 'file'"),
+    ], ids=["duple_b", "unilateral_position", "file_path"])
+    def test_missing_key_is_named(self, tmp_path, capsys, overrides, key, section):
+        cfg = write_config(tmp_path, **overrides)
+        err = simulate_writes_nothing(tmp_path, capsys, cfg.read_text())
+        assert f"missing key {key!r} in {section}" in err
+
+    def test_missing_top_level_key_is_named(self, tmp_path, capsys):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        del cfg["T"]
+        err = simulate_writes_nothing(tmp_path, capsys, json.dumps(cfg))
+        assert "missing key 'T' in config" in err
+
+    @pytest.mark.parametrize("replaced, text, key, section", [
+        ("scheme", '"scheme": {"kind": "partial_info"}, "scheme": {"kind": "full_info"}',
+         "scheme", "config"),
+        ("scheme", '"scheme": {"kind": "full_info", "eta": 0.1, "eta": 0.2}', "eta", "scheme"),
+        ("rule", '"rule": {"kind": "duple", "a": 0, "b": 1, "a": 2}', "a", "rule"),
+    ], ids=["top_level", "scheme", "rule"])
+    def test_duplicate_key_is_named(self, tmp_path, capsys, replaced, text, key, section):
+        # json.load alone would keep the last value and run
+        cfg = json.loads(write_config(tmp_path, source={"kind": "iid_random"}).read_text())
+        del cfg[replaced]
+        err = simulate_writes_nothing(tmp_path, capsys, "{" + text + ", " + json.dumps(cfg)[1:])
+        assert f"key {key!r} given twice in {section}" in err
+
+    @pytest.mark.parametrize("section, value", [
+        ("rule", "randomized_copeland"), ("scheme", "full_info"), ("source", ["iid_random"]),
+        ("scheme", None),
+    ], ids=["rule_string", "scheme_string", "source_list", "scheme_null"])
+    def test_section_that_is_not_an_object_is_named(self, tmp_path, capsys, section, value):
+        cfg = write_config(tmp_path, **{section: value})
+        err = simulate_writes_nothing(tmp_path, capsys, cfg.read_text())
+        assert f"{section} must be an object" in err
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        err = simulate_writes_nothing(tmp_path, capsys, "[1, 2]")
+        assert "config must be an object" in err
+
+    @pytest.mark.parametrize("section, kind", [("rule", "schulze"), ("source", "thm4"),
+                                               ("rule", ["duple"]), ("source", None)],
+                             ids=["unknown_rule", "unknown_source", "list_rule", "null_source"])
+    def test_kind_outside_the_table_is_named(self, tmp_path, capsys, section, kind):
+        cfg = write_config(tmp_path, **{section: {"kind": kind}})
+        err = simulate_writes_nothing(tmp_path, capsys, cfg.read_text())
+        assert f"{section} kind must be one of " in err
+
+    def test_zero_trials_runs_no_episode(self, tmp_path, capsys, monkeypatch):
+        episodes = []
+        monkeypatch.setattr(cli, "run_episode", lambda *args, **kwargs: episodes.append(args))
+        cfg = write_config(tmp_path, trials=0, T=20000)
+        err = simulate_writes_nothing(tmp_path, capsys, cfg.read_text())
+        assert "trials must be at least 1" in err and episodes == []
+
+
 def run_fresh(*args):
     """Python with `args` in a fresh interpreter that imports this voteweight."""
     src = os.path.dirname(os.path.dirname(voteweight.__file__))

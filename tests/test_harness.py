@@ -344,6 +344,13 @@ class TestFileSource:
         with pytest.raises(ConfigError, match=r"rounds\.jsonl:1: bad round: maximum recursion"):
             FileSource(str(path))
 
+    @pytest.mark.parametrize("path", [0, True, "", None, b"rounds.jsonl"],
+                             ids=["int", "bool", "empty", "none", "bytes"])
+    def test_path_that_is_not_a_non_empty_string_rejected(self, path):
+        # open() would take 0 and True as file descriptors: stdin and stdout
+        with pytest.raises(ConfigError, match="path must be a non-empty string"):
+            FileSource(path)
+
     def test_true_outside_the_rankings_accepted(self):
         source = file_source([{"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3],
                                "note": "true", "flag": False}])

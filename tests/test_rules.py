@@ -22,10 +22,9 @@ from voteweight import (
     pairwise_statistic,
     position_selector,
     profile_statistic,
-    rule_from_spec,
     unanimity_witness,
 )
-from voteweight import checks
+from voteweight import checks, cli
 from voteweight.adversaries import random_profile
 from voteweight.core import all_rankings
 from voteweight.errors import (
@@ -45,6 +44,12 @@ from voteweight.rules import (
 )
 
 from conftest import alone, orders_of, ranking
+
+
+def rule_from_spec(spec):
+    """The rule a simulate config with rule section ``spec`` builds."""
+    config = {"rule": spec, "source": {"kind": "iid_random"}, "n": 3, "m": 3, "T": 1}
+    return cli.parse_section("config", config, cli._simulation)[1]
 
 
 def profile_of(mass):
@@ -279,6 +284,12 @@ class TestMixture:
         for components in ([(ConstantUniform(), 0.7)], [(r, math.nan)], [(r, 1.0), (r, math.nan)]):
             with pytest.raises(ShapeError):
                 Mixture(components)
+
+    def test_negative_probability_is_named(self):
+        # the probabilities sum to 1, so only the sign can be at fault
+        r = RandomizedCopeland()
+        with pytest.raises(ShapeError, match=r"must be >= 0 .*got \[1\.5, -0\.5\]"):
+            Mixture([(r, 1.5), (r, -0.5)])
 
     def test_components_of_every_statistic_width(self, rng):
         # statistic widths 0, 1, m and m * m: decide splits by each one's length
