@@ -108,8 +108,12 @@ def inverse_cdf(weights: np.ndarray, u) -> np.ndarray:
     `weights` has shape (..., k) and `u` (uniforms in [0, 1)) the shape of its
     leading axes. Each draw is the first index whose normalized cumulative
     weight exceeds u. The normalized total is exactly 1, so the draw always
-    lands on a positive weight, zero padding included.
+    lands on a positive weight, zero padding included. More draws than k**2
+    add one category at a time along the draws, in a cumsum's order.
     """
+    if np.size(weights) > np.shape(weights)[-1] ** 3:
+        cdf = list(itertools.accumulate(np.moveaxis(weights, -1, 0)))
+        return sum(c / cdf[-1] <= u for c in cdf)
     cdf = np.cumsum(weights, axis=-1)
     return np.add.reduce(cdf / cdf[..., -1:] <= np.asarray(u)[..., None], axis=-1)
 

@@ -187,35 +187,37 @@ def _index_rounds(rule: VotingRule, rounds: Rounds, n: int):
     """The rounds' outcome table, one :func:`outcome_table` per alternative
     count stacked after the counts before it: each vote's row ``idx`` (T, n),
     the rows' outcomes ``U`` zero-padded to the rounds' width, their ``stats``,
-    and the per-voter losses ``L`` (T, n)."""
+    and the per-voter losses ``L`` (T, n). ``idx`` and ``L`` are transposed
+    views of voter-major (n, T) arrays, whose rows run along the rounds."""
     if rounds.codes.shape[1] != n:
         raise ConfigError(f"rounds have {rounds.codes.shape[1]} rankings for n={n}")
-    idx = np.empty(rounds.codes.shape, dtype=np.int64)
+    counts = set(rounds.m.tolist())
+    idx = np.empty((n, len(rounds.m)), dtype=np.int64)
     blocks, stats = [], []
-    for m in set(rounds.m.tolist()):
-        at = rounds.m == m
+    for m in counts:
+        at = rounds.m == m if len(counts) > 1 else slice(None)  # one count: no mask copies
         rows, outcomes, stat = outcome_table(rule, m, rounds.codes[at])
-        idx[at] = rows + len(stats)
+        idx[:, at] = rows.T + len(stats)
         blocks.append((len(stats), outcomes))
         stats.extend(stat)
     del rows  # (T, n) at one count: freed before L's temporaries
     U = np.zeros((len(stats), rounds.losses.shape[1]))
     for lo, outcomes in blocks:
         U[lo:lo + len(outcomes), :outcomes.shape[1]] = outcomes
-    return idx, U, stats, voter_losses(U, idx, rounds.losses)
+    return idx.T, U, stats, voter_losses(U, idx, rounds.losses).T
 
 
 def _play_oblivious(scheme: SchemeConfig, rule: VotingRule, rounds: Rounds, u):
     """Whole-episode full information: with the rounds known up front, each
-    voter's cumulative loss before round t is an exclusive prefix sum of L."""
+    voter's cumulative loss before round t is an exclusive prefix sum of L.T's row."""
     T, n = rounds.codes.shape
     rows = np.arange(T)
     idx, U, stats, L = _index_rounds(rule, rounds, scheme.n)
     if scheme.kind == "constant":
         probs = np.eye(1, n).repeat(T, axis=0)
     else:
-        before = np.zeros((T, n))
-        np.cumsum(L[:-1], axis=0, out=before[1:])
+        before = np.zeros((n, T))
+        np.cumsum(L.T[:, :-1], axis=1, out=before[:, 1:])
         probs = exp_weights(before, scheme.learning_rate)
     if scheme.kind != "deterministic_unilateral":
         chosen = inverse_cdf(probs, u[:, 0])
@@ -224,12 +226,12 @@ def _play_oblivious(scheme: SchemeConfig, rule: VotingRule, rounds: Rounds, u):
     else:
         chosen = np.full(T, -1)
         if rule.decomposes:
-            outcome = np.einsum("tn,tnk->tk", probs, U[idx])
+            outcome = np.einsum("tn,tnk->tk", probs, np.take(U, idx, axis=0))
         else:
             outcome = _weighted_outcomes(rule, rounds, idx, stats, probs)
         scheme_loss = np.einsum("tk,tk->t", outcome, rounds.losses)
     winner = inverse_cdf(outcome, u[:, 1])
-    return L, probs, chosen, winner, scheme_loss, rounds.losses[rows, winner]
+    return L.copy(), probs, chosen, winner, scheme_loss, rounds.losses[rows, winner]
 
 
 def _weighted_outcomes(rule: VotingRule, rounds: Rounds, idx, stats, probs) -> np.ndarray:
@@ -270,7 +272,7 @@ def _play_sequential(scheme: SchemeConfig, rule: VotingRule, rounds: Rounds, u):
             w[c] = math.exp(z[c] - top)
     rows = np.arange(T)
     chosen, winner = np.array(chosen), np.array(winner)
-    return L, probs, chosen, winner, L[rows, chosen], losses[rows, winner]
+    return L.copy(), probs, chosen, winner, L[rows, chosen], losses[rows, winner]
 
 
 def _play_adaptive(scheme: SchemeConfig, source, u):

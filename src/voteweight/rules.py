@@ -392,9 +392,11 @@ def outcome_table(rule: VotingRule, m: int, codes) -> tuple[np.ndarray, np.ndarr
 
 
 def voter_losses(U: np.ndarray, idx: np.ndarray, losses: np.ndarray) -> np.ndarray:
-    """U[idx] . losses over the last axis of `losses`, summed over the
-    alternatives in order so that scalar replays match exactly."""
+    """Each vote's U[idx] . losses, summed over the alternatives in order so that
+    scalar replays match exactly. Any rounds axis is idx's last and losses' first."""
     out = np.zeros(np.shape(idx))
     for k in range(U.shape[1]):
-        out += U[idx, k] * losses[..., k, None]
+        term = U[:, k].take(idx)
+        term *= losses[..., k]
+        out += term
     return out

@@ -79,10 +79,11 @@ class SchemeConfig:
 
 
 def exp_weights(cumulative: np.ndarray, eta: float) -> np.ndarray:
-    """Row-wise p_i proportional to exp(-eta * cumulative_i) over the last
-    axis, max-shifted for overflow safety."""
-    z = cumulative * -eta
-    z -= z.max(axis=-1, keepdims=True)
+    """p_i proportional to exp(-eta * cumulative_i), max-shifted for overflow
+    safety. Voters are the first axis of ``cumulative`` (n,) or (n, T) and the last
+    of the C-ordered result, whose rows numpy sums pairwise as a row-wise softmax does."""
+    z = np.multiply(cumulative.T, -eta, order="C")
+    z -= (cumulative.min(axis=0) * -eta)[..., None]  # z's max: rounding keeps the order
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
