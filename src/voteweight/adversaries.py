@@ -1,11 +1,11 @@
 """Round generators: worst-case constructions against deterministic weighting
 schemes, plus the random rankings and profiles the checks and tests fuzz with.
 
-The worst-case sources are adaptive: ``emit(weights)`` consumes the weight
-vector the scheme just played and only then builds the round. ``m`` is the
-number of alternatives a source emits; sources hold no per-episode state, so
-one instance serves every trial. A round has two voter groups, voter i
-reporting ``orders[groups[i]]``: its outcome is decided on
+The worst-case sources are adaptive: ``emit(weights)`` consumes the voter
+distribution the scheme just played, never its draw, and only then builds the
+round. ``m`` is the number of alternatives a source emits; sources hold no
+per-episode state, so one instance serves every trial. A round has two voter
+groups, voter i reporting ``orders[groups[i]]``: its outcome is decided on
 :func:`~voteweight.rules.group_statistic` of the groups' statistics under the
 played weights, and ``unanimous[g]`` is group g's outcome with all the weight.
 Both are computed once per source.
@@ -31,8 +31,9 @@ class RoundChallenge:
 
     ``groups`` is an int64 array of length n. An adaptive round names only a
     few distinct rankings, so per-voter work is array indexing. ``outcome``
-    is the rule's outcome under the weights the round answers; the engine
-    draws the winner from it and reuses it for deterministic weights.
+    is the rule's outcome under the played distribution, the one question a
+    round answers whatever the scheme kind; the engine reads it only for
+    deterministic weights, since a drawn voter's outcome is its group's row.
     """
 
     groups: np.ndarray
@@ -148,6 +149,9 @@ class CondorcetSplitSource:
         self.unanimous = rule.decide(stat, m)
         # Each block's pairwise statistic, for the Condorcet check, then the rule's.
         self._stat = np.concatenate((pairwise_statistic(self.orders), stat), axis=1)
+        self.losses = np.full(m, 0.5)  # every round's, shared, so read-only
+        self.losses[[self.a, self.b]] = 1.0, 0.0
+        self.losses.flags.writeable = False
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
         n, delta = len(weights), self.delta
@@ -159,10 +163,6 @@ class CondorcetSplitSource:
         groups = np.ones(n, dtype=np.int64)
         groups[part.heavy] = 0
         stat = group_statistic(self._stat, groups, weights)
-        losses = np.full(self.m, 0.5)
-        losses[self.a] = 1.0
-        losses[self.b] = 0.0
-
         if condorcet_winner(stat[: self.m * self.m]) != self.a:
             raise HypothesisViolatedError(f"{self.a} is not the Condorcet winner of the split")
         # Case split on how far the heavy block overshoots half the total weight.
@@ -181,7 +181,7 @@ class CondorcetSplitSource:
             raise HypothesisViolatedError(
                 f"the Condorcet winner {self.a} leads by {lead:.6g}, under delta={delta}"
             )
-        return RoundChallenge(groups, losses, outcome)
+        return RoundChallenge(groups, self.losses, outcome)
 
 
 # ---------------------------------------------------------------------------

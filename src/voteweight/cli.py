@@ -100,6 +100,9 @@ def _simulation(rule, source, n, m, T, scheme={}, seed=0, trials=1, feedback=Non
         "iid_random": lambda: IIDRandomSource(scheme.n, m),
         "file": lambda path: FileSource(path),
     })
+    if source.m != m:  # only a file can disagree: its widest round fixes m
+        raise ConfigError(f"m={m}, but the sequence file's rounds have at most {source.m} "
+                          f"alternatives; set m to {source.m}")
     return scheme, rule, source, seed, trials, paths
 
 

@@ -276,14 +276,14 @@ def _play_sequential(scheme: SchemeConfig, rule: VotingRule, rounds: Rounds, u):
 
 
 def _play_adaptive(scheme: SchemeConfig, source, u):
-    """Round-by-round play against a source that answers the played weights.
-    A round is a few voter groups: each voter's loss is its group's, from the
-    group's outcome ``source.unanimous[g]``, and the winner is drawn from the
-    outcome the source found under those weights, which for a sampled voter's
-    basis vector is that voter's group's."""
+    """Round-by-round play against a source that answers the played
+    distribution, never the voter drawn from it. A round is a few voter
+    groups: each voter's loss is its group's, from ``source.unanimous[g]``, a
+    drawn voter's winner comes from its group's row, and only deterministic
+    weights read the round's ``outcome``, the rule's under the distribution."""
     T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
     L, probs, losses = np.zeros((T, n)), np.zeros((T, n)), np.zeros((T, source.m))
-    group_ids = np.arange(len(source.unanimous))
+    group_ids, rows = np.arange(len(source.unanimous)), source.unanimous.tolist()
     chosen, winner, scheme_loss = [], [], []
     cumulative = np.zeros(n)
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
@@ -293,12 +293,12 @@ def _play_adaptive(scheme: SchemeConfig, source, u):
         else:
             p[:] = exp_weights(cumulative, eta)
             c = -1 if kind == "deterministic_unilateral" else int(inverse_cdf(p, u_voter))
-        challenge = source.emit(p if c < 0 else np.eye(1, n, c)[0])
+        challenge = source.emit(p)  # every kind's question: the distribution, not c
         if len(challenge.groups) != n:
             raise ConfigError(f"round {t + 1} has {len(challenge.groups)} voters, not {n}")
         losses[t] = challenge.losses
         L[t] = voter_losses(source.unanimous, group_ids, losses[t])[challenge.groups]
-        outcome = challenge.outcome.tolist()
+        outcome = challenge.outcome.tolist() if c < 0 else rows[challenge.groups[c]]
         if c < 0:  # deterministic weights reach the rule as one weighted profile
             scheme_loss.append(float(np.dot(outcome, losses[t])))
         else:

@@ -3,7 +3,7 @@
 Four kinds are shipped, all played by :func:`voteweight.harness.run_episode`:
 
 - ``full_info``: exponential weights over voters driven by their true
-  cumulative losses; each round one voter's basis vector is sampled.
+  cumulative losses; each round one voter is drawn from it.
 - ``partial_info``: the same update driven by importance-weighted loss
   estimates built from the selected winner's loss only.
 - ``deterministic_unilateral``: plays the exponential-weights distribution

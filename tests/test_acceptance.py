@@ -10,6 +10,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from voteweight import (
     TOL,
@@ -112,6 +113,24 @@ class TestExactLowerBounds:
             )
 
 
+def mean_regret_gate(name, episode, trials, bound, seconds):
+    """Fail past twice the bound or the time limit; warn between the bound and twice it."""
+    start = time.perf_counter()
+    mean, stderr = monte_carlo_regret(episode, trials, base_seed=0)
+    elapsed = time.perf_counter() - start
+    if bound < mean <= 2 * bound:
+        warnings.warn(
+            f"{name}: mean regret {mean:.1f} exceeds the bound {bound:.1f} "
+            f"but is within twice it"
+        )
+    report(
+        name,
+        mean <= 2 * bound and elapsed < seconds,
+        f"mean regret {mean:.1f} (stderr {stderr:.1f}) vs bound {bound:.1f}, "
+        f"{elapsed:.1f}s for {trials} trials",
+    )
+
+
 class TestMonteCarloUpperBounds:
     n = 10
     T = 10**4
@@ -124,20 +143,7 @@ class TestMonteCarloUpperBounds:
         def episode(seed):
             return run_episode(scheme, rule, IIDRandomSource(self.n, 3), seed=seed)
 
-        start = time.perf_counter()
-        mean, stderr = monte_carlo_regret(episode, self.trials, base_seed=0)
-        elapsed = time.perf_counter() - start
-        if bound < mean <= 2 * bound:
-            warnings.warn(
-                f"{name}: mean regret {mean:.1f} exceeds the bound {bound:.1f} "
-                f"but is within twice it"
-            )
-        report(
-            name,
-            mean <= 2 * bound and elapsed < 120.0,
-            f"mean regret {mean:.1f} (stderr {stderr:.1f}) vs bound {bound:.1f}, "
-            f"{elapsed:.1f}s for {self.trials} trials",
-        )
+        mean_regret_gate(name, episode, self.trials, bound, seconds=120.0)
 
     def test_full_feedback_regret_bound(self):
         bound = math.sqrt(2 * self.T * math.log(self.n))
@@ -146,6 +152,31 @@ class TestMonteCarloUpperBounds:
     def test_partial_feedback_regret_bound(self):
         bound = math.sqrt(2 * self.T * self.n * math.log(self.n))
         self._run("partial_feedback_regret_bound", "partial_info", bound)
+
+
+class TestAdaptiveUpperBounds:
+    """The randomized kinds stay no-regret against the adaptive sources, which
+    answer the played distribution but never see the voter drawn from it.
+    Deterministic weights are the ones these sources defeat (the floors above)."""
+
+    T = 4000
+    trials = 4
+
+    @pytest.mark.parametrize("kind", ["full_info", "partial_info"])
+    @pytest.mark.parametrize("source", ["thm3", "thm5"])
+    def test_adaptive_regret_bound(self, source, kind):
+        if source == "thm3":
+            rule, n = DeterministicPositional("plurality"), 5
+            adversary = WinnerPunishingSource(rule, 3)
+        else:
+            rule, n = RandomizedCopeland(), 11
+            adversary = CondorcetSplitSource(rule, 3)
+        scheme = SchemeConfig(kind, n=n, horizon=self.T)
+        mean_regret_gate(
+            f"adaptive_regret_bound {source} {kind}",
+            lambda seed: run_episode(scheme, rule, adversary, seed=seed),
+            self.trials, scheme.regret_bound, seconds=30.0,
+        )
 
 
 class TestClosedFormIdentities:

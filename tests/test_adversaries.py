@@ -227,8 +227,10 @@ class TestCondorcetSplitRound:
 
 
 class TestPerGroupOutcomes:
-    """The engine reads a sampled voter's loss from ``source.unanimous`` and
-    draws its winner from ``emit(e_i).outcome``; the two must agree."""
+    """The engine takes a drawn voter's outcome from its group's row of
+    ``source.unanimous``. ``constant`` plays voter 0's basis vector, so that
+    row must equal the round's ``outcome`` under it, which the source built
+    the round against (``thm3`` puts loss 1 on its winner)."""
 
     @pytest.mark.parametrize("source, n", [
         (WinnerPunishingSource(DeterministicPositional("plurality"), 3), 5),

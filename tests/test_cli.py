@@ -370,6 +370,24 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_file_source_refuses_another_m(self, tmp_path, capsys, m):
+        # the widest of the file's 3- and 4-alternative rounds fixes m at 4
+        seq = tmp_path / "rounds.jsonl"
+        lines = [{"rankings": [[0, 1, 2]] * 4, "losses": [0.0, 0.5, 1.0]},
+                 {"rankings": [[3, 0, 1, 2]] * 4, "losses": [0.2, 0.4, 0.6, 0.8]}]
+        seq.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        cfg = write_config(tmp_path, rule={"kind": "randomized_copeland"},
+                           source={"kind": "file", "path": str(seq)}, m=m, T=2)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: m={m}, but") and "at most 4 alternatives" in err
+        cfg = write_config(tmp_path, rule={"kind": "randomized_copeland"},
+                           source={"kind": "file", "path": str(seq)}, m=4, T=2)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+
 
 def simulate_writes_nothing(tmp_path, capsys, config_text):
     """Run simulate on ``config_text``; assert exit 1 with no output and return stderr."""
@@ -529,7 +547,7 @@ class TestFreshProcess:
         configs = [
             write_config(tmp_path, name="iid.json", rule=borda, scheme={"kind": "full_info"},
                          source={"kind": "iid_random"}, T=20, trials=2),
-            write_config(tmp_path, name="file.json", rule=borda, T=6,
+            write_config(tmp_path, name="file.json", rule=borda, m=4, T=6,
                          scheme={"kind": "deterministic_unilateral"},
                          source={"kind": "file", "path": str(seq)}),
         ]

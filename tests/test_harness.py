@@ -380,7 +380,8 @@ class TestFileSource:
 def scalar_replay(scheme, rule, trace, round_at):
     """Plain per-round semantics of every scheme kind, replaying the trace's
     voter and winner draws; round_at(t, weights) returns round t's rankings
-    and losses given the weights the trace played."""
+    and losses given the distribution the trace played, never the voter
+    drawn from it."""
     n, eta = scheme.n, scheme.learning_rate
     cumulative = [0.0] * n
     for t in range(len(trace.scheme_loss)):
@@ -391,7 +392,7 @@ def scalar_replay(scheme, rule, trace, round_at):
             p = [x / math.fsum(w) for x in w]
         assert np.max(np.abs(trace.probs[t] - p)) <= TOL
         c, win = int(trace.chosen[t]), int(trace.winner[t])
-        rankings, ell = round_at(t, trace.probs[t] if c < 0 else np.eye(n)[c])
+        rankings, ell = round_at(t, trace.probs[t])
         per_voter = []
         for r in rankings:
             acc = 0.0
