@@ -8,7 +8,8 @@ per-episode state, so one instance serves every trial. A round has two voter
 groups, voter i reporting ``orders[groups[i]]``: its outcome is decided on
 :func:`~voteweight.rules.group_statistic` of the groups' statistics under the
 played weights, and ``unanimous[g]`` is group g's outcome with all the weight.
-Both are computed once per source.
+Both are computed once per source. The engine reads only ``rule``, which must
+be the episode's rule, ``m``, ``unanimous`` and ``emit``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ the constructions guarantee.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,9 +262,7 @@ def check_condorcet_split(seed: int) -> CheckResult:
     rule = RandomizedCopeland()
     delta = 2.0 / (m * (m - 1))
     scheme = SchemeConfig("deterministic_unilateral", n=n, horizon=T)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        trace = run_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), seed=seed)
+    trace = run_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), seed=seed)
     worst_gap = float(np.min(trace.scheme_loss - trace.per_voter_loss.mean(axis=1)))
     ok = worst_gap >= delta / 6 - TOL and regret(trace) >= T * delta / 6 - TOL
     return CheckResult(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -163,21 +162,21 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     distribution, the source emits the round, a voter and then a winner are
     drawn, and feedback follows the scheme kind.
 
+    An adaptive source's outcomes are those of ``source.rule``, the rule it
+    was built with; any other ``rule`` object raises before any round.
+
     Randomness: an oblivious source draws its rounds first, then one (T, 2)
     block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
     """
     T = scheme.horizon
-    if scheme.kind == "deterministic_unilateral" and not rule.decomposes:
-        warnings.warn(
-            "deterministic weights with a rule that does not decompose "
-            "across voters: the round-for-round equivalence guarantee is void",
-            stacklevel=2,
-        )
     rng = np.random.default_rng(seed)
-    rounds = source.rounds(T, rng) if hasattr(source, "rounds") else None
+    if not hasattr(source, "rounds"):
+        if source.rule is not rule:
+            raise ConfigError("an adaptive source plays the rule it was built with, "
+                              "not the one passed to run_episode")
+        return Trace(*_play_adaptive(scheme, source, rng.random((T, 2))))
+    rounds = source.rounds(T, rng)
     u = rng.random((T, 2))
-    if rounds is None:
-        return Trace(*_play_adaptive(scheme, source, u))
     if scheme.kind == "partial_info":
         return Trace(*_play_sequential(scheme, rule, rounds, u))
     return Trace(*_play_oblivious(scheme, rule, rounds, u))

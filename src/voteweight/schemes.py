@@ -33,8 +33,8 @@ class SchemeConfig:
     horizon is also the number of rounds an episode plays.
 
     When `eta` is omitted it defaults to sqrt(2 ln n / T) for full-information
-    kinds and sqrt(2 ln n / (T n)) for the partial-information kind; with an
-    unknown horizon the caller must supply `eta` explicitly.
+    kinds and sqrt(2 ln n / (T n)) for the partial-information kind; `constant`
+    has no update and takes no `eta`.
     """
 
     kind: str
@@ -49,6 +49,8 @@ class SchemeConfig:
             object.__setattr__(self, key, whole_number(getattr(self, key), key))
         if self.n < 1 or self.horizon < 1:
             raise ConfigError("need n >= 1 and horizon >= 1")
+        if self.kind == "constant" and self.eta is not None:
+            raise ConfigError(f"scheme kind 'constant' takes no eta, got {self.eta!r}")
         # The least cumulative loss, true or estimated, is at most horizon * n, so
         # the softmax's max-shift stays finite; a whole-number eta past the float
         # range is refused too.

@@ -45,12 +45,6 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def quiet_episode(scheme, rule, source, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run_episode(scheme, rule, source, **kwargs)
-
-
 class TestExactLowerBounds:
     def test_winner_punishing_regret_floor(self):
         """Deterministic schemes against the winner-punishing source lose at
@@ -62,7 +56,7 @@ class TestExactLowerBounds:
         for kind in ("constant", "deterministic_unilateral"):
             for n in (2, 4, 10):
                 scheme = SchemeConfig(kind, n=n, horizon=T)
-                trace = quiet_episode(scheme, rule, WinnerPunishingSource(rule, 3), seed=0)
+                trace = run_episode(scheme, rule, WinnerPunishingSource(rule, 3), seed=0)
                 worst_slack = min(worst_slack, regret(trace) - T / n)
                 assert regret(trace) >= T / n
         elapsed = time.perf_counter() - start
@@ -94,7 +88,7 @@ class TestExactLowerBounds:
             rule = RandomizedCopeland()
             scheme = SchemeConfig("deterministic_unilateral", n=n, horizon=T)
             start = time.perf_counter()
-            trace = quiet_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), seed=0)
+            trace = run_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), seed=0)
             elapsed = time.perf_counter() - start
             worst_gap = min(
                 scheme_loss - float(per_voter.mean())

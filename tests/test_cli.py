@@ -233,6 +233,7 @@ class TestSimulate:
              "rule": {"kind": "randomized_positional", "scores": "borda"},
              "source": {"kind": "iid_random"}},
             {"scheme": {"kind": "constant"}, "feedback": "partial"},
+            {"scheme": {"kind": "constant", "eta": 123.0}},
             {"feedback": "bandit"},
             {"scheme": {"kind": "full_info", "eta": float("nan")}},
             {"scheme": {"kind": "full_info", "eta": "0.5"}},
@@ -266,7 +267,8 @@ class TestSimulate:
             {"out_dir": 5},
         ],
         ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
-             "unknown_feedback", "nan_eta", "eta_string", "eta_bool", "nan_in_summary",
+             "constant_eta", "unknown_feedback", "nan_eta", "eta_string", "eta_bool",
+             "nan_in_summary",
              "zero_trials", "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
              "thm5_string_delta", "thm5_delta_past_the_rules_gap", "eta_overflows_softmax",
              "eta_past_float_range",
@@ -533,7 +535,7 @@ class TestFreshProcess:
         assert done.returncode == 0, done.stderr
         warned = [line for line in done.stderr.splitlines()
                   if line.startswith("warning: deterministic weights")]
-        assert len(warned) == 1  # three episodes warn, one line is printed
+        assert len(warned) == 1  # one line for the run, not one per trial
         assert "UserWarning" not in done.stderr and "cli.py" not in done.stderr
 
     def test_simulate_leaves_numpy_ma_unimported(self, tmp_path):

@@ -110,7 +110,6 @@ class TestTraceLayout:
     """Sums over the rounds add rows in sequence on a C-ordered column, and
     pairwise on a transposed one."""
 
-    @pytest.mark.filterwarnings("ignore:deterministic weights")
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
     @pytest.mark.parametrize("n, T, rule, make_source", list(_layout_cases()))
     def test_columns_are_c_ordered_and_totals_add_rows_in_sequence(

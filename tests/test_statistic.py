@@ -279,16 +279,13 @@ class TestNoProfilesOnTheEngine:
     ])
     def test_deterministic_thm5_rounds(self, no_profiles, rule, m, n):
         source = CondorcetSplitSource(rule, m)
-        with pytest.warns(UserWarning):
-            run_episode(SchemeConfig("deterministic_unilateral", n=n, horizon=20),
-                        rule, source)
+        run_episode(SchemeConfig("deterministic_unilateral", n=n, horizon=20), rule, source)
         assert len(no_profiles) == 20
 
     def test_deterministic_rounds_of_other_sources(self, no_profiles):
         rule = DeterministicCopeland()
-        with pytest.warns(UserWarning):
-            run_episode(SchemeConfig("deterministic_unilateral", n=6, horizon=20),
-                        rule, WinnerPunishingSource(rule, 3))
-            run_episode(SchemeConfig("deterministic_unilateral", n=6, horizon=20),
-                        rule, IIDRandomSource(6, 4))
+        run_episode(SchemeConfig("deterministic_unilateral", n=6, horizon=20),
+                    rule, WinnerPunishingSource(rule, 3))
+        run_episode(SchemeConfig("deterministic_unilateral", n=6, horizon=20),
+                    rule, IIDRandomSource(6, 4))
         assert len(no_profiles) == 40
