@@ -21,10 +21,10 @@ from .harness import (
     FileSource,
     IIDRandomSource,
     Trace,
+    best_voter,
     monte_carlo_regret,
     regret,
     run_episode,
-    voter_totals,
 )
 from .rules import (ConstantUniform, DeterministicCopeland, DeterministicPositional, Duple,
                     RandomizedCopeland, RandomizedPositional, Unilateral, position_selector)
@@ -146,7 +146,7 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
             "stderr_regret": float(_fmt(stderr)),
             "trials": trials,
             "seed": seed,
-            "best_voter_cumulative_loss": float(_fmt(float(voter_totals(first).min()))),
+            "best_voter_cumulative_loss": float(_fmt(best_voter(first)[1])),
             "config": cfg,
         }
         summary_text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)

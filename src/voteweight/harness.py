@@ -11,7 +11,9 @@ distinct code (:func:`~voteweight.rules.outcome_table`); an adaptive source
 holds its groups' outcomes. Full-information kinds on oblivious sources play
 the whole episode as array operations, EXP3 on oblivious sources runs one
 round-by-round loop over Python floats, and adaptive sources run one
-round-by-round loop over voter groups.
+round-by-round loop over voter groups. Each path returns only what it
+played; :func:`_trace` is the one place that draws the voter and the winner
+and forms the losses, for every kind.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class Trace:
     ``winner`` (T,) is drawn from that voter's (or the weighted) outcome.
     ``scheme_loss`` (T,) is the expected loss given ``chosen``, and
     ``winner_loss`` (T,) the realized loss, all that partial feedback reveals.
+    The draws and losses are formed in one place, :func:`_trace`.
     """
 
     per_voter_loss: np.ndarray
@@ -160,7 +163,8 @@ class FileSource:
 def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -> Trace:
     """Play the scheme's T = ``scheme.horizon`` rounds: the scheme plays a voter
     distribution, the source emits the round, a voter and then a winner are
-    drawn, and feedback follows the scheme kind.
+    drawn, and feedback follows the scheme kind. Each play path returns what
+    it played and :func:`_trace` makes the draws and forms the losses.
 
     An adaptive source's outcomes are those of ``source.rule``, the rule it
     was built with; any other ``rule`` object raises before any round.
@@ -168,18 +172,48 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     Randomness: an oblivious source draws its rounds first, then one (T, 2)
     block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
     """
-    T = scheme.horizon
+    T, n, kind = scheme.horizon, scheme.n, scheme.kind
     rng = np.random.default_rng(seed)
     if not hasattr(source, "rounds"):
         if source.rule is not rule:
             raise ConfigError("an adaptive source plays the rule it was built with, "
                               "not the one passed to run_episode")
-        return Trace(*_play_adaptive(scheme, source, rng.random((T, 2))))
+        u = rng.random((T, 2))
+        return _trace(kind, u, *_play_adaptive(scheme, source, u))
     rounds = source.rounds(T, rng)
     u = rng.random((T, 2))
-    if scheme.kind == "partial_info":
-        return Trace(*_play_sequential(scheme, rule, rounds, u))
-    return Trace(*_play_oblivious(scheme, rule, rounds, u))
+    idx, U, stats, L = _index_rounds(rule, rounds, n)
+    if kind == "partial_info":
+        probs = _play_sequential(scheme, idx, U, rounds.losses, u)
+    elif kind == "constant":
+        probs = np.eye(1, n).repeat(T, axis=0)
+    else:  # before round t, each voter's cumulative loss is an exclusive prefix sum of L.T's row
+        before = np.zeros((n, T))
+        np.cumsum(L.T[:, :-1], axis=1, out=before[:, 1:])
+        probs = exp_weights(before, scheme.learning_rate)
+    weighted = None
+    if kind == "deterministic_unilateral":
+        weighted = (np.einsum("tn,tnk->tk", probs, np.take(U, idx, axis=0)) if rule.decomposes
+                    else _weighted_outcomes(rule, rounds, idx, stats, probs))
+    return _trace(kind, u, probs, idx, U, L, rounds.losses, weighted)
+
+
+def _trace(kind: str, u, probs, idx, U, L, losses, weighted) -> Trace:
+    """The one place the trace's draws and losses are formed. A sampled kind
+    draws voter ``chosen`` from ``probs`` with ``u[:, 0]`` and plays its
+    outcome, table row ``U[idx[t, chosen]]``; deterministic weights play the
+    ``weighted`` outcome. The winner is drawn from the outcome with ``u[:, 1]``."""
+    rows = np.arange(len(u))
+    if kind == "deterministic_unilateral":
+        chosen, outcome = np.full(len(u), -1), weighted
+        scheme_loss = np.einsum("tk,tk->t", outcome, losses)
+    else:
+        chosen = inverse_cdf(probs, u[:, 0])
+        outcome = U[idx[rows, chosen]]
+        scheme_loss = L[rows, chosen]
+    winner = inverse_cdf(outcome, u[:, 1])  # L is copied last, after the draws
+    return Trace(np.ascontiguousarray(L), probs, chosen, winner, scheme_loss,
+                 losses[rows, winner])
 
 
 def _index_rounds(rule: VotingRule, rounds: Rounds, n: int):
@@ -206,33 +240,6 @@ def _index_rounds(rule: VotingRule, rounds: Rounds, n: int):
     return idx.T, U, stats, voter_losses(U, idx, rounds.losses).T
 
 
-def _play_oblivious(scheme: SchemeConfig, rule: VotingRule, rounds: Rounds, u):
-    """Whole-episode full information: with the rounds known up front, each
-    voter's cumulative loss before round t is an exclusive prefix sum of L.T's row."""
-    T, n = rounds.codes.shape
-    rows = np.arange(T)
-    idx, U, stats, L = _index_rounds(rule, rounds, scheme.n)
-    if scheme.kind == "constant":
-        probs = np.eye(1, n).repeat(T, axis=0)
-    else:
-        before = np.zeros((n, T))
-        np.cumsum(L.T[:, :-1], axis=1, out=before[:, 1:])
-        probs = exp_weights(before, scheme.learning_rate)
-    if scheme.kind != "deterministic_unilateral":
-        chosen = inverse_cdf(probs, u[:, 0])
-        outcome = U[idx[rows, chosen]]
-        scheme_loss = L[rows, chosen]
-    else:
-        chosen = np.full(T, -1)
-        if rule.decomposes:
-            outcome = np.einsum("tn,tnk->tk", probs, np.take(U, idx, axis=0))
-        else:
-            outcome = _weighted_outcomes(rule, rounds, idx, stats, probs)
-        scheme_loss = np.einsum("tk,tk->t", outcome, rounds.losses)
-    winner = inverse_cdf(outcome, u[:, 1])
-    return L.copy(), probs, chosen, winner, scheme_loss, rounds.losses[rows, winner]
-
-
 def _weighted_outcomes(rule: VotingRule, rounds: Rounds, idx, stats, probs) -> np.ndarray:
     """Each round's outcome with voter i, on table row ``idx[t, i]`` of
     statistic ``stats[idx[t, i]]``, weighted by ``probs[t, i]``: the rows are
@@ -245,85 +252,76 @@ def _weighted_outcomes(rule: VotingRule, rounds: Rounds, idx, stats, probs) -> n
     return outcome
 
 
-def _play_sequential(scheme: SchemeConfig, rule: VotingRule, rounds: Rounds, u):
-    """EXP3 on oblivious rounds, one round at a time since the update depends
-    on the sampled voter, on Python floats: at n in the tens, array calls cost
-    more than their work. Each round moves one voter's z (-eta * cumulative),
-    so z, max(z) and w = exp(z - max(z)) carry over; winners are drawn from
-    table rows' CDFs normalized once, as :func:`draw` does."""
+def _play_sequential(scheme: SchemeConfig, idx, U, losses, u) -> np.ndarray:
+    """EXP3's distributions on oblivious rounds, one round at a time since the
+    update depends on the sampled voter and winner, drawn here from the
+    uniforms :func:`_trace` draws them from again. On Python floats: at n in
+    the tens, array calls cost more than their work. Each round moves one
+    voter's z (-eta * cumulative), so z, max(z) and w = exp(z - max(z)) carry
+    over; winners are drawn from table rows' CDFs normalized once, as
+    :func:`draw` does."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
-    (idx, U, _, L), losses = _index_rounds(rule, rounds, n), rounds.losses
     cdfs = [[x / c[-1] for x in c] for c in map(list, map(accumulate, U.tolist()))]
     probs = np.zeros((T, n))
-    chosen, winner = [], []
     cumulative, z, top, w = [0.0] * n, [-0.0] * n, -0.0, [1.0] * n  # -0.0 is 0.0 * -eta
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
         total = sum(w)
         probs[t] = p = [x / total for x in w]
         c = draw(p, u_voter)
-        chosen.append(c)
-        winner.append(bisect_right(cdfs[idx.item(t, c)], u_winner))
-        cumulative[c] += losses.item(t, winner[-1]) / p[c]
+        cumulative[c] += losses.item(t, bisect_right(cdfs[idx.item(t, c)], u_winner)) / p[c]
         held, z[c] = z[c] == top, cumulative[c] * -eta
         if held and top != (top := max(z)):  # the chosen voter held the max, and it moved
             w = [math.exp(x - top) for x in z]
         else:
             w[c] = math.exp(z[c] - top)
-    rows = np.arange(T)
-    chosen, winner = np.array(chosen), np.array(winner)
-    return L.copy(), probs, chosen, winner, L[rows, chosen], losses[rows, winner]
+    return probs
 
 
 def _play_adaptive(scheme: SchemeConfig, source, u):
     """Round-by-round play against a source that answers the played
     distribution, never the voter drawn from it. A round is a few voter
-    groups: each voter's loss is its group's, from ``source.unanimous[g]``, a
-    drawn voter's winner comes from its group's row, and only deterministic
-    weights read the round's ``outcome``, the rule's under the distribution."""
+    groups: each voter's loss is its group's, from ``source.unanimous[g]``.
+    Returns what :func:`_trace` takes: the rounds' ``groups`` index the table
+    ``source.unanimous`` for the kinds that draw a voter, and deterministic
+    weights play each round's ``outcome``, the rule's under the distribution.
+    Only EXP3 draws here, since its update needs the draw."""
     T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
     L, probs, losses = np.zeros((T, n)), np.zeros((T, n)), np.zeros((T, source.m))
-    group_ids, rows = np.arange(len(source.unanimous)), source.unanimous.tolist()
-    chosen, winner, scheme_loss = [], [], []
+    sampled = kind != "deterministic_unilateral"
+    groups = np.zeros((T, n), dtype=np.int64) if sampled else None
+    outcome = None if sampled else np.zeros((T, source.m))
+    group_ids, table = np.arange(len(source.unanimous)), source.unanimous.tolist()
     cumulative = np.zeros(n)
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
         p = probs[t]
         if kind == "constant":
-            p[0], c = 1.0, 0  # what a draw from the point mass gives
+            p[0] = 1.0
         else:
             p[:] = exp_weights(cumulative, eta)
-            c = -1 if kind == "deterministic_unilateral" else int(inverse_cdf(p, u_voter))
-        challenge = source.emit(p)  # every kind's question: the distribution, not c
+        challenge = source.emit(p)  # every kind's question: the distribution, not a voter
         if len(challenge.groups) != n:
             raise ConfigError(f"round {t + 1} has {len(challenge.groups)} voters, not {n}")
         losses[t] = challenge.losses
         L[t] = voter_losses(source.unanimous, group_ids, losses[t])[challenge.groups]
-        outcome = challenge.outcome.tolist() if c < 0 else rows[challenge.groups[c]]
-        if c < 0:  # deterministic weights reach the rule as one weighted profile
-            scheme_loss.append(float(np.dot(outcome, losses[t])))
+        if sampled:
+            groups[t] = challenge.groups
         else:
-            scheme_loss.append(L[t, c])
-        chosen.append(c)
-        winner.append(draw(outcome, u_winner))
+            outcome[t] = challenge.outcome
         if kind == "partial_info":
-            cumulative[c] += losses[t, winner[-1]] / p[c]
+            c = int(inverse_cdf(p, u_voter))
+            cumulative[c] += losses[t, draw(table[challenge.groups[c]], u_winner)] / p[c]
         elif kind != "constant":
             cumulative += L[t]
-    winner = np.array(winner)
-    winner_loss = losses[np.arange(T), winner]
-    return L, probs, np.array(chosen), winner, np.array(scheme_loss), winner_loss
+    return probs, groups, source.unanimous, L, losses, outcome
 
 
 # ---------------------------------------------------------------------------
 # Benchmarks and aggregation
 
 
-def voter_totals(trace: Trace) -> np.ndarray:
-    return trace.per_voter_loss.sum(axis=0)
-
-
 def best_voter(trace: Trace) -> tuple[int, float]:
     """Exact minimizer of cumulative per-voter loss; ties go to the smallest index."""
-    totals = voter_totals(trace)
+    totals = trace.per_voter_loss.sum(axis=0)
     idx = int(np.argmin(totals))
     return idx, float(totals[idx])
 

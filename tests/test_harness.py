@@ -27,7 +27,7 @@ from voteweight import (
     top_two_orders,
     unanimity_witness,
 )
-from voteweight.core import rank_codes
+from voteweight.core import all_rankings, draw, rank_codes
 from voteweight.errors import ConfigError, NoWitnessError
 from voteweight.harness import _index_rounds
 from voteweight.schemes import SCHEME_KINDS
@@ -387,11 +387,12 @@ class TestFileSource:
             episode(n=1, T=2, source=source)
 
 
-def scalar_replay(scheme, rule, trace, round_at):
-    """Plain per-round semantics of every scheme kind, replaying the trace's
-    voter and winner draws; round_at(t, weights) returns round t's rankings
-    and losses given the distribution the trace played, never the voter
-    drawn from it."""
+def scalar_replay(scheme, rule, trace, round_at, u):
+    """Plain per-round semantics of every scheme kind, redrawing the trace's
+    voter and winner from the episode's (T, 2) uniforms ``u``: column 0 draws
+    the voter, column 1 the winner. round_at(t, weights) returns round t's
+    rankings and losses given the distribution the trace played, never the
+    voter drawn from it."""
     n, eta = scheme.n, scheme.learning_rate
     cumulative = [0.0] * n
     for t in range(len(trace.scheme_loss)):
@@ -417,10 +418,10 @@ def scalar_replay(scheme, rule, trace, round_at):
             # the played weights: a rule with ties is discontinuous in them
             outcome = rule.evaluate(orders_of(rankings), trace.probs[t])
         else:
-            assert p[c] > 0 and (c == 0 or scheme.kind != "constant")
+            assert c == draw(p, u[t, 0]) and p[c] > 0
             outcome = rule.evaluate(*alone(rankings[c]))
         assert abs(trace.scheme_loss[t] - float(outcome @ ell)) <= TOL
-        assert outcome[win] > 0 and trace.winner_loss[t] == ell[win]
+        assert win == draw(outcome, u[t, 1]) and trace.winner_loss[t] == ell[win]
         if scheme.kind == "partial_info":
             cumulative[c] += ell[win] / p[c]
         elif scheme.kind != "constant":
@@ -522,7 +523,7 @@ class TestScalarReference:
             scheme = SchemeConfig(kind, n=n, horizon=T)
             trace = run_episode(scheme, rule, source, seed=seed)
             again = run_episode(scheme, rule, source, seed=seed)
-            scalar_replay(scheme, rule, trace, round_at)
+            scalar_replay(scheme, rule, trace, round_at, np.random.default_rng(seed).random((T, 2)))
             for column in ("per_voter_loss", "probs", "chosen", "winner",
                            "scheme_loss", "winner_loss"):
                 assert np.array_equal(getattr(trace, column), getattr(again, column))
@@ -542,7 +543,21 @@ class TestScalarReference:
                 round_ = source.emit(weights)
                 return voter_rankings(source, round_), round_.losses.tolist()
 
-            scalar_replay(scheme, rule, trace, round_at)
+            scalar_replay(scheme, rule, trace, round_at, np.random.default_rng(5).random((40, 2)))
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_iid_episodes_match_reference(self, kind):
+        """An iid source draws its rounds first, and the uniforms after them."""
+        n, T, seed, rule = 6, 60, 13, RandomizedPositional("borda")
+        scheme = SchemeConfig(kind, n=n, horizon=T)
+        trace = run_episode(scheme, rule, IIDRandomSource(n, 3), seed=seed)
+        rng = np.random.default_rng(seed)
+        rounds = IIDRandomSource(n, 3).rounds(T, rng)
+
+        def round_at(t, weights):
+            return all_rankings(3)[rounds.codes[t]].tolist(), rounds.losses[t].tolist()
+
+        scalar_replay(scheme, rule, trace, round_at, rng.random((T, 2)))
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
     def test_wide_adaptive_episodes_match_per_voter_rounds(self, kind):
@@ -579,4 +594,4 @@ class TestScalarReference:
         for rule, source, n, T, round_at in cases:
             scheme = SchemeConfig(kind, n=n, horizon=T)
             trace = run_episode(scheme, rule, source, seed=11)
-            scalar_replay(scheme, rule, trace, round_at)
+            scalar_replay(scheme, rule, trace, round_at, np.random.default_rng(11).random((T, 2)))

@@ -21,7 +21,7 @@ from voteweight import (
     run_episode,
 )
 from voteweight.core import draw, inverse_cdf
-from voteweight.harness import Rounds, _index_rounds, voter_totals
+from voteweight.harness import Rounds, _index_rounds
 from voteweight.rules import voter_losses
 from voteweight.schemes import SCHEME_KINDS, exp_weights
 
@@ -120,7 +120,7 @@ class TestTraceLayout:
         totals = np.zeros(n)
         for row in trace.per_voter_loss.tolist():
             totals = totals + row
-        assert np.array_equal(voter_totals(trace), totals)
+        assert np.array_equal(trace.per_voter_loss.sum(axis=0), totals)
 
 
 class TestSingleCount:
