@@ -9,17 +9,18 @@ draws are recorded for replay checks.
 Votes are rank codes and an oblivious episode evaluates the rule once per
 distinct code (:func:`~voteweight.rules.outcome_table`); an adaptive source
 holds its groups' outcomes. Full-information kinds on oblivious sources play
-the whole episode as array operations, EXP3 on oblivious sources runs one
-round-by-round loop over Python floats, and adaptive sources run one
-round-by-round loop over voter groups. Each path returns only what it
-played; :func:`_trace` is the one place that draws the voter and the winner
-and forms the losses, for every kind.
+the whole episode as array operations, EXP3 on oblivious sources one loop
+over Python floats that draws in weight space and normalizes after it, and
+adaptive sources one round-by-round loop over voter groups. Each path
+returns only what it played; :func:`_trace` is the one place that draws the
+voter and the winner and forms the losses, for every kind.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -258,23 +259,32 @@ def _play_sequential(scheme: SchemeConfig, idx, U, losses, u) -> np.ndarray:
     uniforms :func:`_trace` draws them from again. On Python floats: at n in
     the tens, array calls cost more than their work. Each round moves one
     voter's z (-eta * cumulative), so z, max(z) and w = exp(z - max(z)) carry
-    over; winners are drawn from table rows' CDFs normalized once, as
-    :func:`draw` does."""
+    over. The voter is u * total's place among w's running sums; within
+    8 (n + 2) 2**-52 * total of a sum, :func:`draw` redraws it from the
+    normalized row. Rounding moves a normalized cut by ~(2n + 6) 2**-53 at
+    most and w holds exp(0) = 1, so total >= 1: the voter is draw()'s. Rows
+    are normalized after the loop by the same division; winners are drawn
+    from table rows' CDFs normalized once, as :func:`draw` does."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
     cdfs = [[x / c[-1] for x in c] for c in map(list, map(accumulate, U.tolist()))]
-    probs = np.zeros((T, n))
+    weights, totals, slack = array("d"), array("d"), 8 * (n + 2) * 2.0**-52
     cumulative, z, top, w = [0.0] * n, [-0.0] * n, -0.0, [1.0] * n  # -0.0 is 0.0 * -eta
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
-        total = sum(w)
-        probs[t] = p = [x / total for x in w]
-        c = draw(p, u_voter)
-        cumulative[c] += losses.item(t, bisect_right(cdfs[idx.item(t, c)], u_winner)) / p[c]
+        cdf = list(accumulate(w))
+        weights.extend(w)
+        totals.append(total := cdf[-1])
+        at, near = u_voter * total, slack * total
+        if bisect_right(cdf, at - near) != (c := bisect_right(cdf, at + near)):  # near a cut
+            c = draw([x / total for x in w], u_voter)
+        p = w[c] / total
+        cumulative[c] += losses.item(t, bisect_right(cdfs[idx.item(t, c)], u_winner)) / p
         held, z[c] = z[c] == top, cumulative[c] * -eta
         if held and top != (top := max(z)):  # the chosen voter held the max, and it moved
             w = [math.exp(x - top) for x in z]
         else:
             w[c] = math.exp(z[c] - top)
-    return probs
+    probs = np.frombuffer(weights).reshape(T, n)
+    return np.divide(probs, np.frombuffer(totals)[:, None], out=probs)
 
 
 def _play_adaptive(scheme: SchemeConfig, source, u):

@@ -29,7 +29,7 @@ from voteweight import (
 )
 from voteweight.core import all_rankings, draw, rank_codes
 from voteweight.errors import ConfigError, NoWitnessError
-from voteweight.harness import _index_rounds
+from voteweight.harness import _index_rounds, _play_sequential, _trace
 from voteweight.schemes import SCHEME_KINDS
 
 from conftest import alone, file_source, orders_of, random_rankings, voter_rankings
@@ -434,22 +434,27 @@ def _list_draw(weights, u):
     return bisect.bisect_right([x / cdf[-1] for x in cdf], u)
 
 
-def recomputed_exp3(scheme, rule, rounds, u):
+def recomputed_exp3(scheme, rule, rounds, u, pick=None):
     """EXP3 that re-derives the whole softmax and both CDFs every round: the
     engine's round loop before it kept its weights across rounds, verbatim
-    but for its draw, which is `_list_draw`."""
+    but for its draw, which is `_list_draw`, and its total, added in voter
+    order on every Python version. Given ``pick``, round t's voter uniform
+    ``u[t, 0]`` is overwritten with ``pick(t, p)`` for the round's played p."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
     (idx, U, _, L), losses = _index_rounds(rule, rounds, n), rounds.losses
     probs = np.zeros((T, n))
     chosen, winner = [], []
     outcomes = U.tolist()
     cumulative = [0.0] * n
-    for t, (u_voter, u_winner) in enumerate(u.tolist()):
+    for t in range(T):
         z = [x * -eta for x in cumulative]
         top = max(z)
         w = [math.exp(x - top) for x in z]
-        total = sum(w)
+        total = list(itertools.accumulate(w))[-1]  # builtin sum compensates from 3.12
         probs[t] = p = [x / total for x in w]
+        if pick is not None:
+            u[t, 0] = pick(t, p)
+        u_voter, u_winner = u[t].tolist()
         c = _list_draw(p, u_voter)
         chosen.append(c)
         winner.append(_list_draw(outcomes[idx[t, c]], u_winner))
@@ -496,6 +501,33 @@ class TestSequentialKernel:
             line["losses"] = [0.0] * 3
         trace = self.assert_matches_recomputed(5, file_source(lines), 80, eta)
         assert np.all(trace.probs == 0.2)
+
+    @pytest.mark.parametrize("eta", [None, 50.0, 1e6])
+    @pytest.mark.parametrize("n", [1, 2, 10, 200])
+    def test_voter_uniforms_on_the_cuts(self, n, eta):
+        """Round t's voter uniform sits on cut t % n of the played CDF, the
+        value `draw` compares it with, or one ulp below or above it, capped at
+        the largest uniform 1 - 2**-53. There the engine's draw in weight
+        space could round the other way, and must fall back to `draw`'s."""
+        T = 3 * n + 30
+        scheme = SchemeConfig("partial_info", n=n, horizon=T, eta=eta)
+        rule = RandomizedPositional("borda")
+        rng = np.random.default_rng(11)
+        rounds = IIDRandomSource(n, 3).rounds(T, rng)
+        u = rng.random((T, 2))
+
+        def on_a_cut(t, p):
+            cdf = list(itertools.accumulate(p))
+            cut, step = cdf[t % n] / cdf[-1], t // n % 3 - 1
+            cut = math.nextafter(cut, step * math.inf) if step else cut
+            return min(max(cut, 0.0), 1 - 2**-53)
+
+        expected = recomputed_exp3(scheme, rule, rounds, u, on_a_cut)
+        idx, U, _, L = _index_rounds(rule, rounds, n)
+        probs = _play_sequential(scheme, idx, U, rounds.losses, u)
+        trace = _trace("partial_info", u, probs, idx, U, L, rounds.losses, None)
+        for column, want in zip(TRACE_COLUMNS, expected):
+            assert np.array_equal(getattr(trace, column), want), column
 
 
 REFERENCE_RULES = (
