@@ -21,7 +21,7 @@ from .adversaries import (
     random_profile,
     random_rankings,
 )
-from .core import TOL, draw, inverse_cdf
+from .core import TOL, draw, inverse_cdf, whole_number
 from .errors import HypothesisViolatedError
 from .harness import IIDRandomSource, best_voter, regret, run_episode
 from .rules import (
@@ -197,16 +197,16 @@ def check_estimator_second_moment(seed: int, samples: int = 10**5) -> CheckResul
 
 
 def check_estimator_error_path(seed: int) -> CheckResult:
-    """The EXP3 update divides by the chosen voter's probability unguarded, so
-    every draw must land on a positive weight: on rows with zero entries at
-    the edges of [0, 1), and in episodes whose probabilities underflow to 0."""
+    """EXP3 divides by the chosen voter's probability, so no draw may land on
+    a probability of 0: not on rows whose weights are 0 or normalize to 0, at
+    the edges of [0, 1), nor in episodes whose probabilities underflow to 0."""
     rows = ([0.0, 1.0], [1.0, 0.0], [0.0, 0.5, 0.0, 0.5, 0.0], [0.25, 0.0, 0.0, 0.75],
-            [1e-300, 0.0, 1.0], [0.0, 0.0, 3.0, 0.0])
+            [1e-300, 0.0, 1.0], [0.0, 0.0, 3.0, 0.0], [0.0, 5e-324, 3.0])
     bad = []
     for row in rows:
         for u in (0.0, 0.5, math.nextafter(1.0, 0.0)):
             c = draw(row, u)
-            if not (0 <= c < len(row) and row[c] > 0 and c == inverse_cdf(np.array(row), u)):
+            if not (0 <= c < len(row) and row[c] / sum(row) > 0 and c == inverse_cdf(row, u)):
                 bad.append(f"{row} at u={u!r} drew {c}")
     n, T, zeros = 10, 2000, 0
     for eta in (50.0, 1e6):
@@ -218,7 +218,7 @@ def check_estimator_error_path(seed: int) -> CheckResult:
         if not (np.all(p > 0) and np.isfinite(trace.probs).all() and np.isfinite(estimates).all()):
             bad.append(f"eta={eta:g}: a zero-probability voter was chosen or an estimate overflowed")
         zeros += int(np.count_nonzero(trace.probs == 0))
-    detail = bad[0] if bad else (f"{len(rows) * 3} edge draws on positive weight; "
+    detail = bad[0] if bad else (f"{len(rows) * 3} edge draws with positive probability; "
                                  f"{zeros} zero probabilities in EXP3 episodes, none chosen")
     return CheckResult("estimator_error_path", not bad, detail)
 
@@ -280,6 +280,7 @@ def check_condorcet_split(seed: int) -> CheckResult:
 def run_suite(name: str, seed: int = 0, profiles: int = 100) -> list[CheckResult]:
     if profiles < 1:  # a check over no profiles would pass on nothing
         raise ValueError(f"profiles must be at least 1, got {profiles}")
+    seed = whole_number(seed, "seed")  # numpy refuses a negative seed naming no option
     identities = [
         check_single_voter_decomposition,
         check_duple_decomposition,

@@ -172,7 +172,7 @@ def cmd_verify(suite: str, seed: int, profiles: int) -> int:
     try:
         results = run_suite(suite, seed=seed, profiles=profiles)
     except ValueError as exc:
-        print(f"error: verify --suite {suite} --profiles {profiles}: {exc}", file=sys.stderr)
+        print(f"error: verify --seed {seed} --profiles {profiles}: {exc}", file=sys.stderr)
         return 1
     failed = 0
     for res in results:

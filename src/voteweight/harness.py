@@ -10,10 +10,9 @@ Votes are rank codes and an oblivious episode evaluates the rule once per
 distinct code (:func:`~voteweight.rules.outcome_table`); an adaptive source
 holds its groups' outcomes. Full-information kinds on oblivious sources play
 the whole episode as array operations, EXP3 on oblivious sources one loop
-over Python floats that draws in weight space and normalizes after it, and
-adaptive sources one round-by-round loop over voter groups. Each path
-returns only what it played; :func:`_trace` is the one place that draws the
-voter and the winner and forms the losses, for every kind.
+over Python floats, and adaptive sources one round-by-round loop over voter
+groups. Each path returns only what it played, EXP3's the draws its update
+used; :func:`_trace` makes the other draws and forms every kind's losses.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class Trace:
     ``winner`` (T,) is drawn from that voter's (or the weighted) outcome.
     ``scheme_loss`` (T,) is the expected loss given ``chosen``, and
     ``winner_loss`` (T,) the realized loss, all that partial feedback reveals.
-    The draws and losses are formed in one place, :func:`_trace`.
+    EXP3's draws are the ones its update used; :func:`_trace` forms the rest.
     """
 
     per_voter_loss: np.ndarray
@@ -165,7 +164,7 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     """Play the scheme's T = ``scheme.horizon`` rounds: the scheme plays a voter
     distribution, the source emits the round, a voter and then a winner are
     drawn, and feedback follows the scheme kind. Each play path returns what
-    it played and :func:`_trace` makes the draws and forms the losses.
+    it played, EXP3's its draws too, and :func:`_trace` forms the trace.
 
     An adaptive source's outcomes are those of ``source.rule``, the rule it
     was built with; any other ``rule`` object raises before any round.
@@ -184,35 +183,35 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     rounds = source.rounds(T, rng)
     u = rng.random((T, 2))
     idx, U, stats, L = _index_rounds(rule, rounds, n)
+    weighted = drawn = None
     if kind == "partial_info":
-        probs = _play_sequential(scheme, idx, U, rounds.losses, u)
+        probs, *drawn = _play_sequential(scheme, idx, U, rounds.losses, u)
     elif kind == "constant":
         probs = np.eye(1, n).repeat(T, axis=0)
     else:  # before round t, each voter's cumulative loss is an exclusive prefix sum of L.T's row
         before = np.zeros((n, T))
         np.cumsum(L.T[:, :-1], axis=1, out=before[:, 1:])
         probs = exp_weights(before, scheme.learning_rate)
-    weighted = None
     if kind == "deterministic_unilateral":
         weighted = (np.einsum("tn,tnk->tk", probs, np.take(U, idx, axis=0)) if rule.decomposes
                     else _weighted_outcomes(rule, rounds, idx, stats, probs))
-    return _trace(kind, u, probs, idx, U, L, rounds.losses, weighted)
+    return _trace(kind, u, probs, idx, U, L, rounds.losses, weighted, drawn)
 
 
-def _trace(kind: str, u, probs, idx, U, L, losses, weighted) -> Trace:
-    """The one place the trace's draws and losses are formed. A sampled kind
-    draws voter ``chosen`` from ``probs`` with ``u[:, 0]`` and plays its
-    outcome, table row ``U[idx[t, chosen]]``; deterministic weights play the
-    ``weighted`` outcome. The winner is drawn from the outcome with ``u[:, 1]``."""
-    rows = np.arange(len(u))
-    if kind == "deterministic_unilateral":
-        chosen, outcome = np.full(len(u), -1), weighted
-        scheme_loss = np.einsum("tk,tk->t", outcome, losses)
+def _trace(kind: str, u, probs, idx, U, L, losses, weighted, drawn) -> Trace:
+    """The one place the trace's losses are formed. EXP3 passes the voters and
+    winners its update ``drawn``. Another sampled kind draws ``chosen`` from
+    ``probs`` with ``u[:, 0]`` and plays row ``U[idx[t, chosen]]``; deterministic
+    weights play ``weighted``. Both draw the winner with ``u[:, 1]``."""
+    rows = np.arange(len(u))  # L is copied last, after the draws' temporaries are freed
+    if kind == "partial_info":
+        chosen, winner = drawn
+    elif kind == "deterministic_unilateral":
+        chosen, winner = np.full(len(u), -1), inverse_cdf(weighted, u[:, 1])
     else:
         chosen = inverse_cdf(probs, u[:, 0])
-        outcome = U[idx[rows, chosen]]
-        scheme_loss = L[rows, chosen]
-    winner = inverse_cdf(outcome, u[:, 1])  # L is copied last, after the draws
+        winner = inverse_cdf(U[idx[rows, chosen]], u[:, 1])
+    scheme_loss = L[rows, chosen] if weighted is None else np.einsum("tk,tk->t", weighted, losses)
     return Trace(np.ascontiguousarray(L), probs, chosen, winner, scheme_loss,
                  losses[rows, winner])
 
@@ -253,55 +252,53 @@ def _weighted_outcomes(rule: VotingRule, rounds: Rounds, idx, stats, probs) -> n
     return outcome
 
 
-def _play_sequential(scheme: SchemeConfig, idx, U, losses, u) -> np.ndarray:
-    """EXP3's distributions on oblivious rounds, one round at a time since the
-    update depends on the sampled voter and winner, drawn here from the
-    uniforms :func:`_trace` draws them from again. On Python floats: at n in
-    the tens, array calls cost more than their work. Each round moves one
-    voter's z (-eta * cumulative), so z, max(z) and w = exp(z - max(z)) carry
-    over. The voter is u * total's place among w's running sums; within
-    8 (n + 2) 2**-52 * total of a sum, :func:`draw` redraws it from the
-    normalized row. Rounding moves a normalized cut by ~(2n + 6) 2**-53 at
-    most and w holds exp(0) = 1, so total >= 1: the voter is draw()'s. Rows
-    are normalized after the loop by the same division; winners are drawn
-    from table rows' CDFs normalized once, as :func:`draw` does."""
+def _play_sequential(scheme: SchemeConfig, idx, U, losses, u):
+    """EXP3's ``probs`` on oblivious rounds and the voters and winners its
+    update drew, one round at a time on Python floats: at n in the tens,
+    array calls cost more than their work. Each round moves one voter's z
+    (-eta * cumulative), so z, max(z) and w = exp(z - max(z)) carry over. The
+    voter is u * total's place among w's running sums, redrawn by
+    :func:`draw` if its probability w[c] / total rounds to 0. Rows are
+    normalized after the loop by that division; winners are drawn from table
+    rows' CDFs normalized once, as :func:`draw` does."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
     cdfs = [[x / c[-1] for x in c] for c in map(list, map(accumulate, U.tolist()))]
-    weights, totals, slack = array("d"), array("d"), 8 * (n + 2) * 2.0**-52
+    weights, totals, chosen, winner = array("d"), array("d"), [], []
     cumulative, z, top, w = [0.0] * n, [-0.0] * n, -0.0, [1.0] * n  # -0.0 is 0.0 * -eta
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
         cdf = list(accumulate(w))
         weights.extend(w)
         totals.append(total := cdf[-1])
-        at, near = u_voter * total, slack * total
-        if bisect_right(cdf, at - near) != (c := bisect_right(cdf, at + near)):  # near a cut
-            c = draw([x / total for x in w], u_voter)
-        p = w[c] / total
-        cumulative[c] += losses.item(t, bisect_right(cdfs[idx.item(t, c)], u_winner)) / p
+        c = bisect_right(cdf, u_voter * total)
+        if not (p := w[c] / total):  # a subnormal weight, 0 once normalized
+            p = w[c := draw([x / total for x in w], u_voter)] / total
+        chosen.append(c)
+        winner.append(k := bisect_right(cdfs[idx.item(t, c)], u_winner))
+        cumulative[c] += losses.item(t, k) / p
         held, z[c] = z[c] == top, cumulative[c] * -eta
         if held and top != (top := max(z)):  # the chosen voter held the max, and it moved
             w = [math.exp(x - top) for x in z]
         else:
             w[c] = math.exp(z[c] - top)
     probs = np.frombuffer(weights).reshape(T, n)
-    return np.divide(probs, np.frombuffer(totals)[:, None], out=probs)
+    np.divide(probs, np.frombuffer(totals)[:, None], out=probs)
+    return probs, np.array(chosen), np.array(winner)
 
 
 def _play_adaptive(scheme: SchemeConfig, source, u):
     """Round-by-round play against a source that answers the played
     distribution, never the voter drawn from it. A round is a few voter
     groups: each voter's loss is its group's, from ``source.unanimous[g]``.
-    Returns what :func:`_trace` takes: the rounds' ``groups`` index the table
-    ``source.unanimous`` for the kinds that draw a voter, and deterministic
-    weights play each round's ``outcome``, the rule's under the distribution.
-    Only EXP3 draws here, since its update needs the draw."""
+    Returns what :func:`_trace` takes: for ``full_info`` and ``constant`` the
+    rounds' ``groups`` index that table, deterministic weights play each
+    round's ``outcome``, the rule's under the distribution, and EXP3, whose
+    update needs its draws, makes them here and returns them as ``drawn``."""
     T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
     L, probs, losses = np.zeros((T, n)), np.zeros((T, n)), np.zeros((T, source.m))
-    sampled = kind != "deterministic_unilateral"
-    groups = np.zeros((T, n), dtype=np.int64) if sampled else None
-    outcome = None if sampled else np.zeros((T, source.m))
+    groups = np.zeros((T, n), dtype=np.int64) if kind in ("full_info", "constant") else None
+    outcome = np.zeros((T, source.m)) if kind == "deterministic_unilateral" else None
     group_ids, table = np.arange(len(source.unanimous)), source.unanimous.tolist()
-    cumulative = np.zeros(n)
+    cumulative, chosen, winner = np.zeros(n), [], []
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
         p = probs[t]
         if kind == "constant":
@@ -313,16 +310,17 @@ def _play_adaptive(scheme: SchemeConfig, source, u):
             raise ConfigError(f"round {t + 1} has {len(challenge.groups)} voters, not {n}")
         losses[t] = challenge.losses
         L[t] = voter_losses(source.unanimous, group_ids, losses[t])[challenge.groups]
-        if sampled:
+        if groups is not None:
             groups[t] = challenge.groups
-        else:
+        elif outcome is not None:
             outcome[t] = challenge.outcome
         if kind == "partial_info":
-            c = int(inverse_cdf(p, u_voter))
-            cumulative[c] += losses[t, draw(table[challenge.groups[c]], u_winner)] / p[c]
+            chosen.append(c := int(inverse_cdf(p, u_voter)))
+            winner.append(k := draw(table[challenge.groups[c]], u_winner))
+            cumulative[c] += losses[t, k] / p[c]
         elif kind != "constant":
             cumulative += L[t]
-    return probs, groups, source.unanimous, L, losses, outcome
+    return probs, groups, source.unanimous, L, losses, outcome, (np.array(chosen), np.array(winner))
 
 
 # ---------------------------------------------------------------------------

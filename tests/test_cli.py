@@ -591,3 +591,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "--profiles" in captured.err
+
+    def test_run_suite_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative whole number, got -1"):
+            run_suite("identities", seed=-1)
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # numpy's own message for a negative seed names no option
+        assert main(["verify", "--suite", "identities", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--seed -1" in captured.err
+        assert "seed must be a non-negative whole number, got -1" in captured.err

@@ -435,11 +435,12 @@ def _list_draw(weights, u):
 
 
 def recomputed_exp3(scheme, rule, rounds, u, pick=None):
-    """EXP3 that re-derives the whole softmax and both CDFs every round: the
-    engine's round loop before it kept its weights across rounds, verbatim
-    but for its draw, which is `_list_draw`, and its total, added in voter
-    order on every Python version. Given ``pick``, round t's voter uniform
-    ``u[t, 0]`` is overwritten with ``pick(t, p)`` for the round's played p."""
+    """EXP3 that re-derives the whole softmax and both CDFs every round. The
+    voter is drawn in weight space, u * total's place among the running sums
+    of w, and redrawn from the normalized row if its probability is 0; the
+    winner by `_list_draw`. The total is added in voter order on every
+    Python version. Given ``pick``, round t's voter uniform ``u[t, 0]`` is
+    overwritten with ``pick(t, p)`` for the round's played p."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
     (idx, U, _, L), losses = _index_rounds(rule, rounds, n), rounds.losses
     probs = np.zeros((T, n))
@@ -450,12 +451,15 @@ def recomputed_exp3(scheme, rule, rounds, u, pick=None):
         z = [x * -eta for x in cumulative]
         top = max(z)
         w = [math.exp(x - top) for x in z]
-        total = list(itertools.accumulate(w))[-1]  # builtin sum compensates from 3.12
+        cdf = list(itertools.accumulate(w))
+        total = cdf[-1]  # builtin sum compensates from 3.12
         probs[t] = p = [x / total for x in w]
         if pick is not None:
             u[t, 0] = pick(t, p)
         u_voter, u_winner = u[t].tolist()
-        c = _list_draw(p, u_voter)
+        c = bisect.bisect_right(cdf, u_voter * total)
+        if p[c] == 0:
+            c = _list_draw(p, u_voter)
         chosen.append(c)
         winner.append(_list_draw(outcomes[idx[t, c]], u_winner))
         cumulative[c] += float(losses[t, winner[-1]]) / p[c]
@@ -505,10 +509,10 @@ class TestSequentialKernel:
     @pytest.mark.parametrize("eta", [None, 50.0, 1e6])
     @pytest.mark.parametrize("n", [1, 2, 10, 200])
     def test_voter_uniforms_on_the_cuts(self, n, eta):
-        """Round t's voter uniform sits on cut t % n of the played CDF, the
-        value `draw` compares it with, or one ulp below or above it, capped at
-        the largest uniform 1 - 2**-53. There the engine's draw in weight
-        space could round the other way, and must fall back to `draw`'s."""
+        """Round t's voter uniform sits on cut t % n of the played CDF, or
+        one ulp below or above it, capped at the largest uniform 1 - 2**-53.
+        There rounding decides the voter: the engine's must be the
+        reference's, and have positive probability."""
         T = 3 * n + 30
         scheme = SchemeConfig("partial_info", n=n, horizon=T, eta=eta)
         rule = RandomizedPositional("borda")
@@ -524,10 +528,24 @@ class TestSequentialKernel:
 
         expected = recomputed_exp3(scheme, rule, rounds, u, on_a_cut)
         idx, U, _, L = _index_rounds(rule, rounds, n)
-        probs = _play_sequential(scheme, idx, U, rounds.losses, u)
-        trace = _trace("partial_info", u, probs, idx, U, L, rounds.losses, None)
+        probs, *drawn = _play_sequential(scheme, idx, U, rounds.losses, u)
+        trace = _trace("partial_info", u, probs, idx, U, L, rounds.losses, None, drawn)
         for column, want in zip(TRACE_COLUMNS, expected):
             assert np.array_equal(getattr(trace, column), want), column
+        assert np.all(trace.probs[np.arange(T), trace.chosen] > 0)
+
+    def test_a_weight_that_normalizes_to_zero_is_never_chosen(self):
+        """Round 1 charges voter 0 an estimate that leaves it the weight
+        exp(-744.6) = 5e-324, which is 0 once divided by the total 2. The
+        draw in weight space at u = 0 lands on it; the engine must redraw."""
+        n, eta = 3, 1e6
+        scheme = SchemeConfig("partial_info", n=n, horizon=2, eta=eta)
+        idx, U = np.zeros((2, n), dtype=np.int64), np.array([[1.0, 0.0]])
+        losses = np.full((2, 2), 744.6 / (n * eta))
+        probs, chosen, winner = _play_sequential(scheme, idx, U, losses, np.zeros((2, 2)))
+        assert probs[1].tolist() == [0.0, 0.5, 0.5]
+        assert chosen.tolist() == [0, 1] and probs[1, chosen[1]] > 0
+        assert winner.tolist() == [0, 0]
 
 
 REFERENCE_RULES = (

@@ -192,6 +192,13 @@ def _draw_left(weights, u):
     return bisect.bisect_left([x / cdf[-1] for x in cdf], u)
 
 
+def _draw_in_weight_space(weights, u):
+    """A draw at u * total among the running sums, which can land on a weight
+    that normalizes to 0."""
+    cdf = list(itertools.accumulate(weights))
+    return bisect.bisect_right(cdf, u * cdf[-1])
+
+
 class TestEstimatorErrorPath:
     def test_passes(self):
         result = checks.check_estimator_error_path(seed=0)
@@ -203,6 +210,14 @@ class TestEstimatorErrorPath:
         result = checks.check_estimator_error_path(seed=0)
         assert result.passed is False
         assert "[0.0, 1.0] at u=0.0 drew 0" in result.detail
+
+    def test_reports_a_draw_on_a_weight_that_normalizes_to_zero(self, monkeypatch):
+        # both samplers agree and the weight drawn is positive: only its probability is 0
+        monkeypatch.setattr(checks, "draw", _draw_in_weight_space)
+        monkeypatch.setattr(checks, "inverse_cdf", _draw_in_weight_space)
+        result = checks.check_estimator_error_path(seed=0)
+        assert result.passed is False
+        assert "[0.0, 5e-324, 3.0] at u=0.0 drew 1" in result.detail
 
 
 class TestSingleVoterIdentity:
