@@ -6,8 +6,6 @@ schemes, worst-case adversary constructions, and a regret-measuring harness.
 
 from .adversaries import (
     CondorcetSplitSource,
-    PartitionResult,
-    RoundChallenge,
     WinnerPunishingSource,
     majority_prefix_partition,
     orient_gap_pair,

@@ -3,18 +3,20 @@ schemes, plus the random rankings and profiles the checks and tests fuzz with.
 
 The worst-case sources are adaptive: ``emit(weights)`` consumes the voter
 distribution the scheme just played, never its draw, and only then builds the
-round. ``m`` is the number of alternatives a source emits; sources hold no
-per-episode state, so one instance serves every trial. A round has two voter
-groups, voter i reporting ``orders[groups[i]]``: its outcome is decided on
-:func:`~voteweight.rules.group_statistic` of the groups' statistics under the
-played weights, and ``unanimous[g]`` is group g's outcome with all the weight.
-Both are computed once per source. The engine reads only ``rule``, which must
-be the episode's rule, ``m``, ``unanimous`` and ``emit``.
+round as three arrays, ``(groups, losses, outcome)``. ``groups`` is int64 of
+length n, voter i reporting ``orders[groups[i]]``; ``losses`` holds a loss per
+alternative; ``outcome`` is the rule's under the played weights, decided on
+:func:`~voteweight.rules.group_statistic` of the groups' statistics, and the
+engine reads it only under deterministic weights. ``unanimous[g]``, computed
+once per source, is group g's outcome with all the weight. ``m`` is the number
+of alternatives a source emits; sources hold no per-episode state, so one
+instance serves every trial. The engine reads only ``rule``, which must be the
+episode's rule, ``m``, ``unanimous`` and ``emit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,46 +27,24 @@ from .rules import (RandomizedCopeland, VotingRule, condorcet_winner, group_stat
                     pairwise_statistic, unanimity_witness)
 
 
-@dataclass(frozen=True)
-class RoundChallenge:
-    """One election's inputs as voter groups: voter i reports its source's
-    ranking ``orders[groups[i]]``, and ``losses`` holds a loss per alternative.
-
-    ``groups`` is an int64 array of length n. An adaptive round names only a
-    few distinct rankings, so per-voter work is array indexing. ``outcome``
-    is the rule's outcome under the played distribution, the one question a
-    round answers whatever the scheme kind; the engine reads it only for
-    deterministic weights, since a drawn voter's outcome is its group's row.
-    """
-
-    groups: np.ndarray
-    losses: np.ndarray
-    outcome: np.ndarray
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    """Split of the voters into a heavy majority block and the rest; its weight and the total."""
-
-    heavy: np.ndarray
-    heavy_weight: float
-    total: float
-
-
-def majority_prefix_partition(weights: Sequence[float] | np.ndarray) -> PartitionResult:
-    """Shortest prefix of voters, sorted by weight descending, exceeding half
-    the total weight. Weight ties break by ascending voter index."""
+def majority_prefix_partition(weights: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The heavy block: voters sorted by weight descending, ties by ascending
+    index, up to the shortest prefix whose sum exceeds half the total, grown
+    while its mass as a round adds it (:func:`~voteweight.rules.group_statistic`:
+    in voter order, over the same total) is not above 1/2."""
     w, total = as_weights(weights)
     order = np.argsort(-w, kind="stable")
     prefix = np.cumsum(w[order])  # adds in sequence, like a loop over the sorted voters
     j = int(np.searchsorted(prefix, total / 2, side="right"))
-    heavy, acc = order[: j + 1], float(prefix[j])
+    # Only a sum within summation-order error of half can add to 1/2 in voter order.
+    while (prefix[j] - total / 2 <= (j + 1) * math.ulp(1.0) * total
+           and np.cumsum(w[np.sort(order[: j + 1])])[-1] / total <= 0.5):
+        j += 1
     # The top-j prefix of a sorted sequence carries at least j/n of the total.
-    if acc < len(heavy) * total / len(w) - TOL:
-        raise HypothesisViolatedError(
-            f"prefix of {len(heavy)} voters carries {acc}, under its share of {total}"
-        )
-    return PartitionResult(heavy, acc, total)
+    if prefix[j] < (j + 1) * total / len(w) - TOL:
+        raise HypothesisViolatedError(f"prefix of {j + 1} voters carries {prefix[j]}, "
+                                      f"under its share of {total}")
+    return order[: j + 1]
 
 
 def top_two_orders(x: int, y: int, m: int) -> np.ndarray:
@@ -112,12 +92,13 @@ class WinnerPunishingSource:
         self._stat = rule.statistic(witness)
         self.unanimous = rule.decide(self._stat, m)
 
-    def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
+    def emit(self, weights: Sequence[float] | np.ndarray) -> tuple:
+        """``(groups, losses, outcome)``, ``groups`` int64 of length n (voter 0 alone); the
+        rule's ``outcome`` under ``weights`` is read only under deterministic weights."""
         groups = (np.arange(len(weights)) > 0).astype(np.int64)
         outcome = self.rule.decide(group_statistic(self._stat, groups, weights), self.m)
-        losses = np.zeros(self.m)
-        losses[int(np.argmax(outcome))] = 1.0
-        return RoundChallenge(groups, losses, outcome)
+        losses = np.eye(self.m)[np.argmax(outcome)]
+        return groups, losses, outcome
 
 
 class CondorcetSplitSource:
@@ -154,35 +135,34 @@ class CondorcetSplitSource:
         self.losses[[self.a, self.b]] = 1.0, 0.0
         self.losses.flags.writeable = False
 
-    def emit(self, weights: Sequence[float] | np.ndarray) -> RoundChallenge:
+    def emit(self, weights: Sequence[float] | np.ndarray) -> tuple:
+        """``(groups, losses, outcome)``, ``groups`` int64 of length n (heavy block 0); the
+        rule's ``outcome`` under ``weights`` is read only under deterministic weights."""
         n, delta = len(weights), self.delta
         if n < 2 * (3.0 / (2.0 * delta) + 1.0):
-            raise HypothesisViolatedError(
-                f"need n >= 2(3/(2 delta) + 1) = {2 * (3 / (2 * delta) + 1):.3f}, got {n}"
-            )
-        part = majority_prefix_partition(weights)
+            raise HypothesisViolatedError(f"need n >= 2(3/(2 delta) + 1) = "
+                                          f"{2 * (3 / (2 * delta) + 1):.3f}, got {n}")
+        heavy = majority_prefix_partition(weights)
         groups = np.ones(n, dtype=np.int64)
-        groups[part.heavy] = 0
+        groups[heavy] = 0
         stat = group_statistic(self._stat, groups, weights)
         if condorcet_winner(stat[: self.m * self.m]) != self.a:
             raise HypothesisViolatedError(f"{self.a} is not the Condorcet winner of the split")
-        # Case split on how far the heavy block overshoots half the total weight.
-        if part.heavy_weight >= (0.5 + delta / 3.0) * part.total:
-            bounded = len(part.heavy) <= 3.0 / (2.0 * delta) + 1.0 + TOL
+        # Case split on how far the heavy block's mass (its a-over-b share) overshoots half.
+        if stat[self.a * self.m + self.b] >= 0.5 + delta / 3.0:
+            bounded = len(heavy) <= 3.0 / (2.0 * delta) + 1.0 + TOL
         else:
-            bounded = len(part.heavy) < n * (0.5 + delta / 3.0) + TOL
+            bounded = len(heavy) < n * (0.5 + delta / 3.0) + TOL
         if not bounded:
-            raise HypothesisViolatedError(
-                f"heavy block of {len(part.heavy)} voters breaks its size bound"
-            )
+            raise HypothesisViolatedError(f"heavy block of {len(heavy)} voters "
+                                          "breaks its size bound")
         outcome = self.rule.decide(stat[self.m * self.m:], self.m)
         rest = outcome.tolist()
         lead = rest.pop(self.a) - max(rest)
         if lead < delta - TOL:
-            raise HypothesisViolatedError(
-                f"the Condorcet winner {self.a} leads by {lead:.6g}, under delta={delta}"
-            )
-        return RoundChallenge(groups, self.losses, outcome)
+            raise HypothesisViolatedError(f"the Condorcet winner {self.a} leads by {lead:.6g}, "
+                                          f"under delta={delta}")
+        return groups, self.losses, outcome
 
 
 # ---------------------------------------------------------------------------

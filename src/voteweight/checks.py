@@ -21,7 +21,7 @@ from .adversaries import (
     random_profile,
     random_rankings,
 )
-from .core import TOL, draw, inverse_cdf, whole_number
+from .core import SUITES, TOL, draw, inverse_cdf, whole_number
 from .errors import HypothesisViolatedError
 from .harness import IIDRandomSource, best_voter, regret, run_episode
 from .rules import (
@@ -37,8 +37,6 @@ from .rules import (
     validate_scores,
 )
 from .schemes import SchemeConfig
-
-SUITES = ("identities", "estimators", "adversaries", "all")
 
 
 @dataclass
@@ -250,10 +248,10 @@ def check_prefix_bound(seed: int, profiles: int) -> CheckResult:
         n = int(rng.integers(2, 30))
         w = rng.random(n) * 10
         try:
-            part = majority_prefix_partition(w)
+            heavy = majority_prefix_partition(w)
         except HypothesisViolatedError as exc:  # the partition checks the same bound
             return CheckResult("majority_prefix_bound", False, str(exc))
-        worst = min(worst, part.heavy_weight - len(part.heavy) * float(w.sum()) / n)
+        worst = min(worst, np.cumsum(w[heavy])[-1] - len(heavy) * float(w.sum()) / n)
     return CheckResult("majority_prefix_bound", worst >= -TOL, f"worst slack {worst:.3e}")
 
 
@@ -277,17 +275,17 @@ def check_condorcet_split(seed: int) -> CheckResult:
 # suite dispatch
 
 
-def run_suite(name: str, seed: int = 0, profiles: int = 100) -> list[CheckResult]:
+def suite_seed(seed, profiles: int) -> int:
+    """The seed as an int, or ValueError if ``seed`` and ``profiles`` cannot run a suite."""
     if profiles < 1:  # a check over no profiles would pass on nothing
         raise ValueError(f"profiles must be at least 1, got {profiles}")
-    seed = whole_number(seed, "seed")  # numpy refuses a negative seed naming no option
-    identities = [
-        check_single_voter_decomposition,
-        check_duple_decomposition,
-        check_unilateral_decomposition,
-        check_score_conservation,
-        check_condorcet_gap,
-    ]
+    return whole_number(seed, "seed")  # numpy refuses a negative seed naming no option
+
+
+def run_suite(name: str, seed: int = 0, profiles: int = 100) -> list[CheckResult]:
+    seed = suite_seed(seed, profiles)
+    identities = [check_single_voter_decomposition, check_duple_decomposition,
+                  check_unilateral_decomposition, check_score_conservation, check_condorcet_gap]
     results: list[CheckResult] = []
     if name in ("identities", "all"):
         results.extend(fn(seed, profiles) for fn in identities)

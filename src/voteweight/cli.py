@@ -14,8 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .adversaries import CondorcetSplitSource, WinnerPunishingSource
-from .checks import SUITES, run_suite
-from .core import check_alternatives, whole_number
+from .core import SUITES, check_alternatives, whole_number
 from .errors import ConfigError, VoteWeightError
 from .harness import (
     FileSource,
@@ -168,12 +167,20 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
     return 0
 
 
+class UsageParser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, which here means a failed check
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def cmd_verify(suite: str, seed: int, profiles: int) -> int:
-    try:
-        results = run_suite(suite, seed=seed, profiles=profiles)
+    from .checks import run_suite, suite_seed  # simulate loads none of the checks
+    try:  # refused before any check runs; a check's own error is not a usage error
+        suite_seed(seed, profiles)
     except ValueError as exc:
         print(f"error: verify --seed {seed} --profiles {profiles}: {exc}", file=sys.stderr)
         return 1
+    results = run_suite(suite, seed=seed, profiles=profiles)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -187,7 +194,7 @@ def cmd_verify(suite: str, seed: int, profiles: int) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = UsageParser(  # its subparsers are built from its class
         prog="voteweight",
         description="Repeated weighted voting under no-regret learning.",
     )

@@ -32,6 +32,8 @@ TOL = 1e-12
 #: Largest number of alternatives whose m! rank codes fit in int64.
 MAX_M = 20
 
+SUITES = ("identities", "estimators", "adversaries", "all")  # verify's; checks.run_suite runs them
+
 
 def check_alternatives(m: int) -> int:
     """Reject alternative counts outside 2..MAX_M: with one alternative the

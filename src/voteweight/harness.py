@@ -305,18 +305,17 @@ def _play_adaptive(scheme: SchemeConfig, source, u):
             p[0] = 1.0
         else:
             p[:] = exp_weights(cumulative, eta)
-        challenge = source.emit(p)  # every kind's question: the distribution, not a voter
-        if len(challenge.groups) != n:
-            raise ConfigError(f"round {t + 1} has {len(challenge.groups)} voters, not {n}")
-        losses[t] = challenge.losses
-        L[t] = voter_losses(source.unanimous, group_ids, losses[t])[challenge.groups]
+        g, losses[t], o = source.emit(p)  # every kind's question: the distribution, not a voter
+        if len(g) != n:
+            raise ConfigError(f"round {t + 1} has {len(g)} voters, not {n}")
+        L[t] = voter_losses(source.unanimous, group_ids, losses[t])[g]
         if groups is not None:
-            groups[t] = challenge.groups
+            groups[t] = g
         elif outcome is not None:
-            outcome[t] = challenge.outcome
+            outcome[t] = o
         if kind == "partial_info":
             chosen.append(c := int(inverse_cdf(p, u_voter)))
-            winner.append(k := draw(table[challenge.groups[c]], u_winner))
+            winner.append(k := draw(table[g[c]], u_winner))
             cumulative[c] += losses[t, k] / p[c]
         elif kind != "constant":
             cumulative += L[t]

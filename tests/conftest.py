@@ -30,9 +30,9 @@ def alone(ranking):
     return [ranking], [1.0]
 
 
-def voter_rankings(source, challenge):
-    """The (n, m) orders, one per voter, of an adversary's grouped round."""
-    return source.orders[challenge.groups]
+def voter_rankings(source, groups):
+    """The (n, m) orders, one per voter, of an adversary's round with these groups."""
+    return source.orders[groups]
 
 
 def voter_losses(rule, rankings, losses):

@@ -39,24 +39,24 @@ class TestWinnerPunishingRound:
         self.source = WinnerPunishingSource(self.rule, 3)
 
     def test_majority_weight_picks_second_ranking(self):
-        round_ = self.source.emit([1, 1, 1])
-        assert voter_rankings(self.source, round_).tolist() == [[0, 1, 2], [1, 0, 2], [1, 0, 2]]
+        groups, losses, _ = self.source.emit([1, 1, 1])
+        assert voter_rankings(self.source, groups).tolist() == [[0, 1, 2], [1, 0, 2], [1, 0, 2]]
         # 2/3 of the weight puts b on top, so b wins and is punished
-        assert np.array_equal(round_.losses, [0, 1, 0])
+        assert np.array_equal(losses, [0, 1, 0])
 
     def test_dominant_first_voter(self):
-        round_ = self.source.emit([10, 1, 1])
-        assert np.array_equal(round_.losses, [1, 0, 0])
+        _, losses, _ = self.source.emit([10, 1, 1])
+        assert np.array_equal(losses, [1, 0, 0])
 
     def test_scheme_loss_is_one_and_some_voter_escapes(self, rng):
         for _ in range(20):
             w = rng.random(4) + 1e-3
-            round_ = self.source.emit(w)
-            rankings = voter_rankings(self.source, round_)
+            groups, losses, emitted = self.source.emit(w)
+            rankings = voter_rankings(self.source, groups)
             outcome = self.rule.evaluate(orders_of(rankings), w)
-            assert np.array_equal(round_.outcome, outcome)
-            assert outcome @ round_.losses == 1.0
-            voter = voter_losses(self.rule, rankings, round_.losses)
+            assert np.array_equal(emitted, outcome)
+            assert outcome @ losses == 1.0
+            voter = voter_losses(self.rule, rankings, losses)
             assert voter.sum() <= len(w) - 1
 
     def test_randomized_rule_rejected(self):
@@ -68,38 +68,33 @@ class TestWinnerPunishingRound:
 
     def test_groups_are_voter_zero_against_the_rest(self, rng):
         for n in (1, 2, 30):
-            round_ = self.source.emit(rng.random(n) + 1e-3)
-            assert round_.groups.dtype == np.int64
-            assert round_.groups.tolist() == [0] + [1] * (n - 1)
+            groups, _, _ = self.source.emit(rng.random(n) + 1e-3)
+            assert groups.dtype == np.int64
+            assert groups.tolist() == [0] + [1] * (n - 1)
         assert np.array_equal(self.source.orders, self.witness)
 
 
 class TestMajorityPrefixPartition:
     def test_single_heavy_voter(self):
-        part = majority_prefix_partition([5, 1, 1, 1])
-        assert part.heavy.tolist() == [0]
-        assert part.heavy_weight == 5
+        assert majority_prefix_partition([5, 1, 1, 1]).tolist() == [0]
 
     def test_uniform_needs_strict_majority(self):
-        part = majority_prefix_partition(np.ones(8))
         # 4/8 is not strictly more than half, so five voters are needed
-        assert part.heavy.tolist() == [0, 1, 2, 3, 4]
+        assert majority_prefix_partition(np.ones(8)).tolist() == [0, 1, 2, 3, 4]
 
     def test_prefix_sums(self):
-        part = majority_prefix_partition([0.3, 0.3, 0.2, 0.2])
-        assert part.heavy.tolist() == [0, 1]
-        assert part.heavy_weight == pytest.approx(0.6, abs=TOL)
+        assert majority_prefix_partition([0.3, 0.3, 0.2, 0.2]).tolist() == [0, 1]
 
     def test_prefix_bound_fuzz(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 25))
             w = rng.random(n) * 10
-            part = majority_prefix_partition(w)
-            assert part.heavy_weight >= len(part.heavy) * w.sum() / n - TOL
-            assert part.heavy_weight > w.sum() / 2
+            heavy = majority_prefix_partition(w)
+            weight = np.cumsum(w[heavy])[-1]  # summed in the partition's sorted order
+            assert weight >= len(heavy) * w.sum() / n - TOL
+            assert weight > w.sum() / 2
             # removing the lightest member of the prefix drops it to <= half
-            lightest = min(w[i] for i in part.heavy)
-            assert part.heavy_weight - lightest <= w.sum() / 2 + TOL
+            assert weight - w[heavy].min() <= w.sum() / 2 + TOL
 
     def test_degenerate_weights(self):
         with pytest.raises(DegenerateWeightsError):
@@ -119,16 +114,30 @@ class TestMajorityPrefixPartition:
         assert not result.passed
         assert "under its share" in result.detail
 
+    def test_block_is_decided_by_the_rounds_mass(self):
+        # The sorted prefix 0.7 + 0.3 + 0.3 = 1.3 clears half the total, 2.5999999999999996,
+        # but in voter order the same weights add to 1.2999999999999998, a mass of exactly 1/2.
+        w = [0.1, 0.1, 0.3, 0.1, 0.2, 0.3, 0.2, 0.1, 0.2, 0.7, 0.3]
+        assert majority_prefix_partition(w).tolist() == [9, 2, 5, 10]
+        groups, losses, outcome = CondorcetSplitSource(RandomizedCopeland(), 3).emit(w)
+        assert np.flatnonzero(groups == 0).tolist() == [2, 5, 9, 10]
+        assert outcome @ losses == pytest.approx(2 / 3, abs=TOL)
+
     def test_matches_sorted_loop(self, rng):
         def reference(w):
-            """The partition as a plain loop over the voters sorted by weight."""
+            """The partition as a plain loop over the voters sorted by weight, stopping
+            once the prefix exceeds half and its mass in voter order exceeds 1/2."""
             total = float(w.sum())
             heavy, acc = [], 0.0
             for i in sorted(range(len(w)), key=lambda i: (-w[i], i)):
                 heavy.append(i)
                 acc += w[i]
                 if acc > total / 2:
-                    break
+                    mass = 0.0
+                    for k in sorted(heavy):
+                        mass += w[k]
+                    if mass / total > 0.5:
+                        break
             return tuple(heavy), acc
 
         for trial in range(300):
@@ -140,10 +149,10 @@ class TestMajorityPrefixPartition:
                 w[rng.integers(n)] = n  # one dominant voter
             if w.sum() == 0:
                 w[0] = 1.0
-            part = majority_prefix_partition(w)
+            block = majority_prefix_partition(w)
             heavy, acc = reference(w)
-            assert tuple(part.heavy.tolist()) == heavy
-            assert part.heavy_weight == acc
+            assert tuple(block.tolist()) == heavy
+            assert np.cumsum(w[block])[-1] == acc
 
 
 class TestOrientGapPair:
@@ -177,20 +186,20 @@ class TestCondorcetSplitRound:
         self.blocks = top_two_orders(self.source.a, self.source.b, 3)
 
     def test_uniform_eleven_voters(self):
-        round_ = self.source.emit(np.ones(11))
-        n_heavy = (voter_rankings(self.source, round_) == self.blocks[0]).all(axis=1).sum()
+        groups, losses, _ = self.source.emit(np.ones(11))
+        n_heavy = (voter_rankings(self.source, groups) == self.blocks[0]).all(axis=1).sum()
         assert n_heavy == 6
-        assert np.array_equal(round_.losses, [1.0, 0.0, 0.5])
+        assert np.array_equal(losses, [1.0, 0.0, 0.5])
 
     def test_scheme_loss_and_average_gap(self):
         w = np.ones(11)
-        round_ = self.source.emit(w)
-        rankings = voter_rankings(self.source, round_)
+        groups, losses, emitted = self.source.emit(w)
+        rankings = voter_rankings(self.source, groups)
         outcome = self.rule.evaluate(orders_of(rankings), w)
-        assert np.array_equal(round_.outcome, outcome)
-        scheme_loss = outcome @ round_.losses
+        assert np.array_equal(emitted, outcome)
+        scheme_loss = outcome @ losses
         assert scheme_loss == pytest.approx(2 / 3, abs=TOL)
-        avg = voter_losses(self.rule, rankings, round_.losses).mean()
+        avg = voter_losses(self.rule, rankings, losses).mean()
         assert avg == pytest.approx(0.5 + 1 / 66, abs=TOL)
         assert scheme_loss - avg == pytest.approx(5 / 33, abs=TOL)
         assert scheme_loss - avg >= self.delta / 6 - TOL
@@ -198,17 +207,17 @@ class TestCondorcetSplitRound:
     def test_condorcet_winner_holds_for_random_weights(self, rng):
         for _ in range(50):
             w = rng.random(11) + 1e-3
-            round_ = self.source.emit(w)
-            profile = orders_of(voter_rankings(self.source, round_)), w
+            groups, _, _ = self.source.emit(w)
+            profile = orders_of(voter_rankings(self.source, groups)), w
             assert condorcet_winner(profile_statistic(pairwise_statistic, *profile)) == self.source.a
 
     def test_per_round_gap_for_random_weights(self, rng):
         for _ in range(50):
             w = rng.random(11) + 1e-3
-            round_ = self.source.emit(w)
-            rankings = voter_rankings(self.source, round_)
-            scheme_loss = self.rule.evaluate(orders_of(rankings), w) @ round_.losses
-            avg = voter_losses(self.rule, rankings, round_.losses).mean()
+            groups, losses, _ = self.source.emit(w)
+            rankings = voter_rankings(self.source, groups)
+            scheme_loss = self.rule.evaluate(orders_of(rankings), w) @ losses
+            avg = voter_losses(self.rule, rankings, losses).mean()
             assert scheme_loss - avg >= self.delta / 6 - TOL
 
     def test_too_few_voters_rejected(self):
@@ -218,11 +227,11 @@ class TestCondorcetSplitRound:
     def test_groups_are_the_heavy_block(self, rng):
         for n in (11, 1001):
             w = rng.random(n) + 1e-3
-            round_ = self.source.emit(w)
-            heavy = np.sort(majority_prefix_partition(w).heavy)
-            assert round_.groups.dtype == np.int64
-            assert np.array_equal(np.flatnonzero(round_.groups == 0), heavy)
-            assert np.all(round_.groups[round_.groups != 0] == 1)
+            groups, _, _ = self.source.emit(w)
+            heavy = np.sort(majority_prefix_partition(w))
+            assert groups.dtype == np.int64
+            assert np.array_equal(np.flatnonzero(groups == 0), heavy)
+            assert np.all(groups[groups != 0] == 1)
         assert np.array_equal(self.source.orders, self.blocks)
 
 
@@ -243,8 +252,8 @@ class TestPerGroupOutcomes:
     def test_unanimous_is_each_sampled_voters_outcome(self, source, n):
         assert np.array_equal(source.unanimous, source.rule.unanimous_outcomes(source.orders))
         for i in range(n):
-            round_ = source.emit(np.eye(n)[i])
-            assert round_.outcome.tobytes() == source.unanimous[round_.groups[i]].tobytes(), i
+            groups, _, outcome = source.emit(np.eye(n)[i])
+            assert outcome.tobytes() == source.unanimous[groups[i]].tobytes(), i
 
 
 class TestIIDRandomRound:

@@ -10,6 +10,7 @@ import pytest
 
 import voteweight
 import voteweight.cli as cli
+from voteweight import checks
 from voteweight.checks import run_suite
 from voteweight.cli import main
 from voteweight.harness import Trace
@@ -248,6 +249,8 @@ class TestSimulate:
              "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
             {"source": {"kind": "thm5", "delta": 0.5}, "rule": {"kind": "constant_uniform"},
              "n": 11, "T": 10},
+            {"rule": {"kind": "deterministic_positional", "scores": "condorcet"}},
+            {"rule": {"kind": "randomized_positional", "scores": [[2, 1, 0]]}},
             {"scheme": {"kind": "full_info", "eta": 1e308}},
             {"scheme": {"kind": "full_info", "eta": 10**400}},
             {"T": float("inf")},
@@ -270,7 +273,8 @@ class TestSimulate:
              "constant_eta", "unknown_feedback", "nan_eta", "eta_string", "eta_bool",
              "nan_in_summary",
              "zero_trials", "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
-             "thm5_string_delta", "thm5_delta_past_the_rules_gap", "eta_overflows_softmax",
+             "thm5_string_delta", "thm5_delta_past_the_rules_gap", "unknown_score_family",
+             "two_d_scores", "eta_overflows_softmax",
              "eta_past_float_range",
              "infinite_T", "fractional_T", "bool_n", "fractional_m",
              "nan_seed", "bool_trials", "string_T", "string_n", "string_m", "string_seed",
@@ -538,6 +542,12 @@ class TestFreshProcess:
         assert len(warned) == 1  # one line for the run, not one per trial
         assert "UserWarning" not in done.stderr and "cli.py" not in done.stderr
 
+    def test_cli_import_leaves_the_checks_unloaded(self):
+        # simulate never runs a check; verify imports them when it runs
+        code = "import sys, voteweight.cli; print('voteweight.checks' in sys.modules)"
+        done = run_fresh("-c", code)
+        assert done.stdout.splitlines()[-1] == "False", done.stderr
+
     def test_simulate_leaves_numpy_ma_unimported(self, tmp_path):
         # a plain np.unique imports numpy.ma, ~10 ms of every run's setup
         seq = tmp_path / "rounds.jsonl"
@@ -603,3 +613,37 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "--seed -1" in captured.err
         assert "seed must be a non-negative whole number, got -1" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "bogus"], ["verify", "--suite", "all", "--seed", "x"],
+        ["simulate"], ["bogus"],
+    ], ids=["unknown_suite", "non_integer_seed", "simulate_without_config", "unknown_command"])
+    def test_usage_error_exits_1_with_its_usage_line(self, capsys, argv):
+        # 2 is a failed check; a script must tell a typo from it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: voteweight") and "error: " in captured.err
+
+    def test_failed_check_exits_2(self, capsys, monkeypatch):
+        failing = checks.CheckResult("majority_prefix_bound", False, "worst slack -1")
+        monkeypatch.setattr(checks, "check_prefix_bound", lambda seed, profiles: failing)
+        assert main(["verify", "--suite", "adversaries", "--profiles", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL majority_prefix_bound: worst slack -1" in captured.out
+        assert captured.err == "1 of 3 checks failed\n"
+
+    def test_a_checks_own_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def faulty(seed, profiles):
+            raise ValueError("a fault inside the check")
+
+        monkeypatch.setattr(checks, "check_prefix_bound", faulty)
+        with pytest.raises(ValueError, match="a fault inside the check"):
+            main(["verify", "--suite", "adversaries", "--profiles", "5"])
+        assert "error: verify" not in capsys.readouterr().err
+
+    def test_run_suite_refuses_an_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            run_suite("bogus")

@@ -84,6 +84,10 @@ class TestRunEpisode:
         with pytest.raises(ConfigError, match="delta"):
             CondorcetSplitSource(RandomizedCopeland(), 3, delta)
 
+    def test_condorcet_split_needs_delta_for_a_rule_without_a_built_in_gap(self):
+        with pytest.raises(ConfigError, match="no built-in gap for this rule; supply delta"):
+            CondorcetSplitSource(RandomizedPositional("borda"), 3)
+
     def test_non_decomposing_rule_with_deterministic_weights_is_silent(self, recwarn):
         # the caveat is a fact of the config, printed by `simulate`, not by each episode
         episode("deterministic_unilateral", rule=RandomizedCopeland(),
@@ -102,6 +106,20 @@ class TestRunEpisode:
             for rule in rules:
                 with pytest.raises(ConfigError, match="rule it was built with"):
                     run_episode(SchemeConfig(kind, n=n, horizon=50), rule, source)
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["file", "adaptive"])
+    def test_rounds_of_another_voter_count_rejected(self, adaptive):
+        rule = DeterministicPositional("plurality")
+        if adaptive:  # every round one voter short of n=4
+            source = WinnerPunishingSource(rule, 3)
+            groups, losses, outcome = source.emit(np.ones(3))
+            source.emit = lambda weights: (groups, losses, outcome)
+            message = "round 1 has 3 voters, not 4"
+        else:
+            source = file_source([{"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]}])
+            message = "rounds have 2 rankings for n=4"
+        with pytest.raises(ConfigError, match=message):
+            episode(rule=rule, source=source, T=1)
 
     def test_replay_determinism(self):
         a = episode("partial_info", T=60, seed=42)
@@ -164,6 +182,11 @@ class TestMonteCarlo:
         mean, stderr = monte_carlo_regret(lambda s: episode(T=20, seed=s), 1, 7)
         assert stderr == 0.0
         assert mean == pytest.approx(regret(episode(T=20, seed=7)), abs=TOL)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ConfigError, match="need at least one trial"):
+            monte_carlo_regret(lambda s: pytest.fail("an episode was run"), trials)
 
     def test_deterministic_setup_has_zero_variance(self):
         rule = DeterministicPositional("plurality")
@@ -381,6 +404,20 @@ class TestFileSource:
         with pytest.raises(ConfigError, match=r"\.jsonl:2: bad round: losses must"):
             file_source([good, {"rankings": [[0, 1], [1, 0]], "losses": bad}])
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank_lines"])
+    def test_file_without_rounds_rejected(self, tmp_path, text):
+        path = tmp_path / "rounds.jsonl"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"rounds\.jsonl: no rounds"):
+            FileSource(str(path))
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        good = json.dumps({"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]})
+        path = tmp_path / "rounds.jsonl"
+        path.write_text(f"\n{good}\n   \n{good[:-1]}\n")
+        with pytest.raises(ConfigError, match=r"rounds\.jsonl:4: bad round"):
+            FileSource(str(path))
+
     def test_too_short_rejected(self):
         source = file_source([{"rankings": [[0, 1]], "losses": [0.5, 0.5]}])
         with pytest.raises(ConfigError):
@@ -590,8 +627,8 @@ class TestScalarReference:
             trace = run_episode(scheme, rule, source, seed=5)
 
             def round_at(t, weights):
-                round_ = source.emit(weights)
-                return voter_rankings(source, round_), round_.losses.tolist()
+                groups, losses, _ = source.emit(weights)
+                return voter_rankings(source, groups), losses.tolist()
 
             scalar_replay(scheme, rule, trace, round_at, np.random.default_rng(5).random((40, 2)))
 

@@ -54,10 +54,10 @@ def reference_profile(groups, reps, weights):
     return Profile(reference_anonymize([reps[g] for g in groups], weights), len(reps[0]))
 
 
-def challenge_profile(source, round_, weights):
-    """:func:`reference_profile` of an adversary's round."""
+def challenge_profile(source, groups, weights):
+    """:func:`reference_profile` of an adversary's round with these groups."""
     reps = [tuple(order) for order in source.orders.tolist()]
-    return reference_profile(round_.groups, reps, weights)
+    return reference_profile(groups, reps, weights)
 
 
 def positions(ranking):
@@ -233,9 +233,9 @@ class TestTieExactReference:
         source = CondorcetSplitSource(rule, m)
         rng = np.random.default_rng(7)
         for w in [np.ones(n)] + [rng.random(n) + 1e-3 for _ in range(30)]:
-            round_ = source.emit(w)
-            profile = challenge_profile(source, round_, w)
-            assert np.array_equal(round_.outcome, old_evaluate(rule, profile))
+            groups, _, outcome = source.emit(w)
+            profile = challenge_profile(source, groups, w)
+            assert np.array_equal(outcome, old_evaluate(rule, profile))
 
     @pytest.mark.parametrize("rule", [DeterministicPositional("plurality"),
                                       DeterministicPositional("borda"), DeterministicCopeland()])
@@ -244,9 +244,9 @@ class TestTieExactReference:
         rng = np.random.default_rng(8)
         for w in [np.ones(4), np.ones(5), np.array([1.0, 0.0, 1.0])] + [
                 rng.random(6) for _ in range(30)]:
-            round_ = source.emit(w)
-            profile = challenge_profile(source, round_, w)
-            assert np.array_equal(round_.outcome, old_evaluate(rule, profile))
+            groups, _, outcome = source.emit(w)
+            profile = challenge_profile(source, groups, w)
+            assert np.array_equal(outcome, old_evaluate(rule, profile))
 
 
 class TestNoProfilesOnTheEngine:
