@@ -15,7 +15,6 @@ from .core import TOL, orders_from_codes, rank_codes
 from .harness import (
     FileSource,
     IIDRandomSource,
-    Rounds,
     Trace,
     best_voter,
     monte_carlo_regret,

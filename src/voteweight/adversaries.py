@@ -9,9 +9,11 @@ alternative; ``outcome`` is the rule's under the played weights, decided on
 :func:`~voteweight.rules.group_statistic` of the groups' statistics, and the
 engine reads it only under deterministic weights. ``unanimous[g]``, computed
 once per source, is group g's outcome with all the weight. ``m`` is the number
-of alternatives a source emits; sources hold no per-episode state, so one
-instance serves every trial. The engine reads only ``rule``, which must be the
-episode's rule, ``m``, ``unanimous`` and ``emit``.
+of alternatives a source emits; sources hold no per-episode state and learn n
+from the weights, so one instance serves every trial and every n. The engine
+reads only ``rule``, which must be the episode's rule, ``m``, ``unanimous`` and
+``emit``. The oblivious sources in `harness` answer ``rounds(T, n, rng)`` with
+all T rounds at once, as the three arrays ``(m, codes, losses)``.
 """
 
 from __future__ import annotations
@@ -174,11 +176,9 @@ def random_rankings(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.array([rng.permutation(m) for _ in range(n)])
 
 
-def random_profile(
-    m: int, rng: np.random.Generator, support: int = 5
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random profile as (orders, weights): `support` voters, random positive weights."""
-    return random_rankings(support, m, rng), rng.random(support) + 1e-3
+def random_profile(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Random profile as (orders, weights): 5 voters, random positive weights."""
+    return random_rankings(5, m, rng), rng.random(5) + 1e-3
 
 
 def random_distribution(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -136,15 +136,14 @@ def check_condorcet_gap(seed: int, profiles: int) -> CheckResult:
 # estimators
 
 
-def estimator_monte_carlo(
-    seed: int, samples: int, n: int = 5, m: int = 3
-) -> dict[str, float]:
+def estimator_monte_carlo(seed: int) -> dict[str, float]:
     """Draw (voter, winner) pairs at a fixed round and aggregate the
     importance-weighted loss estimates.
 
     Returns the sample means/standard errors of sum_i p_i * est_i and of
     sum_i p_i * est_i^2, along with the exact expected round loss.
     """
+    n, m, samples = 5, 3, 10**5
     rng = np.random.default_rng(seed)
     rule = RandomizedPositional("borda")
     votes = random_rankings(n, m, rng)
@@ -173,8 +172,8 @@ def estimator_monte_carlo(
     }
 
 
-def check_estimator_mean(seed: int, samples: int = 10**5) -> CheckResult:
-    stats = estimator_monte_carlo(seed + 10, samples)
+def check_estimator_mean(seed: int) -> CheckResult:
+    stats = estimator_monte_carlo(seed + 10)
     err = abs(stats["mean"] - stats["exact"])
     bound = 3 * stats["stderr"]
     return CheckResult(
@@ -184,8 +183,8 @@ def check_estimator_mean(seed: int, samples: int = 10**5) -> CheckResult:
     )
 
 
-def check_estimator_second_moment(seed: int, samples: int = 10**5) -> CheckResult:
-    stats = estimator_monte_carlo(seed + 11, samples)
+def check_estimator_second_moment(seed: int) -> CheckResult:
+    stats = estimator_monte_carlo(seed + 11)
     bound = stats["n"] + 3 * stats["second_stderr"]
     return CheckResult(
         "estimator_second_moment",
@@ -209,7 +208,7 @@ def check_estimator_error_path(seed: int) -> CheckResult:
     n, T, zeros = 10, 2000, 0
     for eta in (50.0, 1e6):
         trace = run_episode(SchemeConfig("partial_info", n=n, horizon=T, eta=eta),
-                            RandomizedPositional("borda"), IIDRandomSource(n, 3), seed=seed)
+                            RandomizedPositional("borda"), IIDRandomSource(3), seed=seed)
         p = trace.probs[np.arange(T), trace.chosen]
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero p fails below
             estimates = np.bincount(trace.chosen, trace.winner_loss / p, minlength=n)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .adversaries import CondorcetSplitSource, WinnerPunishingSource
 from .core import SUITES, check_alternatives, whole_number
-from .errors import ConfigError, VoteWeightError
+from .errors import ConfigError
 from .harness import (
     FileSource,
     IIDRandomSource,
@@ -95,7 +95,7 @@ def _simulation(rule, source, n, m, T, scheme={}, seed=0, trials=1, feedback=Non
     source = parse_section("source", source, {
         "thm3": lambda: WinnerPunishingSource(rule, m),
         "thm5": lambda delta=None: CondorcetSplitSource(rule, m, delta),
-        "iid_random": lambda: IIDRandomSource(scheme.n, m),
+        "iid_random": lambda: IIDRandomSource(m),
         "file": lambda path: FileSource(path),
     })
     if source.m != m:  # only a file can disagree: its widest round fixes m
@@ -149,7 +149,7 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
             "config": cfg,
         }
         summary_text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    except (AttributeError, KeyError, TypeError, ValueError, VoteWeightError) as exc:
+    except ValueError as exc:  # every package error, numpy's size refusals, JSON's NaN refusal
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,13 +6,17 @@ distribution. Sampling picks the voter a sampled scheme plays and the winner,
 whose realized loss is the only feedback in partial-information mode; both
 draws are recorded for replay checks.
 
-Votes are rank codes and an oblivious episode evaluates the rule once per
-distinct code (:func:`~voteweight.rules.outcome_table`); an adaptive source
-holds its groups' outcomes. Full-information kinds on oblivious sources play
-the whole episode as array operations, EXP3 on oblivious sources one loop
-over Python floats, and adaptive sources one round-by-round loop over voter
-groups. Each path returns only what it played, EXP3's the draws its update
-used; :func:`_trace` makes the other draws and forms every kind's losses.
+Sources answer in plain arrays, one instance serving every trial and every
+n: an oblivious source's ``rounds(T, n, rng)`` returns all T rounds as
+``(m, codes, losses)``, an adaptive source's ``emit(weights)`` one round as
+``(groups, losses, outcome)``. Votes are rank codes and an oblivious episode
+evaluates the rule once per distinct code (:func:`~voteweight.rules.outcome_table`);
+an adaptive source holds its groups' outcomes. Full-information kinds on
+oblivious sources play the whole episode as array operations, EXP3 on
+oblivious sources one loop over Python floats, and adaptive sources one
+round-by-round loop over voter groups. Each path returns only what it played,
+EXP3's the draws its update used; :func:`_trace` makes the other draws and
+forms every kind's losses.
 """
 
 from __future__ import annotations
@@ -55,33 +59,24 @@ class Trace:
     winner_loss: np.ndarray
 
 
-@dataclass(frozen=True)
-class Rounds:
-    """Rounds as columns: alternatives ``m`` (T,), voters' rank ``codes``
-    (T, n) and ``losses`` (T, width), zero past each round's m."""
-
-    m: np.ndarray
-    codes: np.ndarray
-    losses: np.ndarray
-
-
 # ---------------------------------------------------------------------------
-# Oblivious round sources: ``rounds(T, rng)`` returns all T rounds at once.
-# ``m`` is the most alternatives a source emits. The adaptive sources, which
-# answer each round's weights from ``emit(weights)``, live in `adversaries`.
+# Oblivious round sources: ``rounds(T, n, rng)`` returns all T rounds at once
+# as ``(m, codes, losses)``: alternatives (T,), rank codes (T, n) and losses
+# (T, width), zero past each round's m. The attribute ``m`` is the most a source
+# emits; n comes with each request, so one instance serves every n. The
+# adaptive sources, which answer ``emit(weights)``, live in `adversaries`.
 
 
 class IIDRandomSource:
     """Benign environment: uniform rankings, uniform losses."""
 
-    def __init__(self, n: int, m: int):
-        self.n = n
+    def __init__(self, m: int):
         self.m = check_alternatives(m)
 
-    def rounds(self, T: int, rng: np.random.Generator) -> Rounds:
+    def rounds(self, T: int, n: int, rng: np.random.Generator):
         """All rank codes first, then all losses."""
-        codes = rng.integers(0, math.factorial(self.m), size=(T, self.n))
-        return Rounds(np.full(T, self.m), codes, rng.random((T, self.m)))
+        codes = rng.integers(0, math.factorial(self.m), size=(T, n))
+        return np.full(T, self.m), codes, rng.random((T, self.m))
 
 
 class FileSource:
@@ -146,14 +141,14 @@ class FileSource:
             raise ConfigError(f"{path}:{lineno}: bad round: {exc}") from exc
         if not ms:
             raise ConfigError(f"{path}: no rounds")
-        self.recorded = Rounds(np.array(ms), codes, padded)
+        self.recorded = np.array(ms), codes, padded
 
-    def rounds(self, T: int, rng: np.random.Generator) -> Rounds:
-        """The file's first T rounds; draws nothing."""
-        have = self.recorded
-        if T > len(have.m):
-            raise ConfigError(f"sequence file has {len(have.m)} rounds, {T} requested")
-        return Rounds(have.m[:T], have.codes[:T], have.losses[:T])
+    def rounds(self, T: int, n: int, rng: np.random.Generator):
+        """The file's first T rounds, whatever ``n``; draws nothing."""
+        ms, codes, losses = self.recorded
+        if T > len(ms):
+            raise ConfigError(f"sequence file has {len(ms)} rounds, {T} requested")
+        return ms[:T], codes[:T], losses[:T]
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +161,10 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     drawn, and feedback follows the scheme kind. Each play path returns what
     it played, EXP3's its draws too, and :func:`_trace` forms the trace.
 
-    An adaptive source's outcomes are those of ``source.rule``, the rule it
-    was built with; any other ``rule`` object raises before any round.
+    An oblivious source is asked for all T rounds at the scheme's n,
+    ``rounds(T, n, rng)``, an adaptive one for each round, ``emit(weights)``;
+    the latter's outcomes are those of ``source.rule``, the rule it was built
+    with, and any other ``rule`` object raises before any round.
 
     Randomness: an oblivious source draws its rounds first, then one (T, 2)
     block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
@@ -180,12 +177,12 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
                               "not the one passed to run_episode")
         u = rng.random((T, 2))
         return _trace(kind, u, *_play_adaptive(scheme, source, u))
-    rounds = source.rounds(T, rng)
+    ms, codes, losses = source.rounds(T, n, rng)
     u = rng.random((T, 2))
-    idx, U, stats, L = _index_rounds(rule, rounds, n)
+    idx, U, stats, L = _index_rounds(rule, ms, codes, losses, n)
     weighted = drawn = None
     if kind == "partial_info":
-        probs, *drawn = _play_sequential(scheme, idx, U, rounds.losses, u)
+        probs, *drawn = _play_sequential(scheme, idx, U, losses, u)
     elif kind == "constant":
         probs = np.eye(1, n).repeat(T, axis=0)
     else:  # before round t, each voter's cumulative loss is an exclusive prefix sum of L.T's row
@@ -194,8 +191,8 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
         probs = exp_weights(before, scheme.learning_rate)
     if kind == "deterministic_unilateral":
         weighted = (np.einsum("tn,tnk->tk", probs, np.take(U, idx, axis=0)) if rule.decomposes
-                    else _weighted_outcomes(rule, rounds, idx, stats, probs))
-    return _trace(kind, u, probs, idx, U, L, rounds.losses, weighted, drawn)
+                    else _weighted_outcomes(rule, ms, losses, idx, stats, probs))
+    return _trace(kind, u, probs, idx, U, L, losses, weighted, drawn)
 
 
 def _trace(kind: str, u, probs, idx, U, L, losses, weighted, drawn) -> Trace:
@@ -216,36 +213,36 @@ def _trace(kind: str, u, probs, idx, U, L, losses, weighted, drawn) -> Trace:
                  losses[rows, winner])
 
 
-def _index_rounds(rule: VotingRule, rounds: Rounds, n: int):
+def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
     """The rounds' outcome table, one :func:`outcome_table` per alternative
     count stacked after the counts before it: each vote's row ``idx`` (T, n),
     the rows' outcomes ``U`` zero-padded to the rounds' width, their ``stats``,
     and the per-voter losses ``L`` (T, n). ``idx`` and ``L`` are transposed
     views of voter-major (n, T) arrays, whose rows run along the rounds."""
-    if rounds.codes.shape[1] != n:
-        raise ConfigError(f"rounds have {rounds.codes.shape[1]} rankings for n={n}")
-    counts = set(rounds.m.tolist())
-    idx = np.empty((n, len(rounds.m)), dtype=np.int64)
+    if codes.shape[1] != n:  # only a file or a third-party source can disagree
+        raise ConfigError(f"rounds have {codes.shape[1]} rankings for n={n}")
+    counts = set(ms.tolist())
+    idx = np.empty((n, len(ms)), dtype=np.int64)
     blocks, stats = [], []
     for m in counts:
-        at = rounds.m == m if len(counts) > 1 else slice(None)  # one count: no mask copies
-        rows, outcomes, stat = outcome_table(rule, m, rounds.codes[at])
+        at = ms == m if len(counts) > 1 else slice(None)  # one count: no mask copies
+        rows, outcomes, stat = outcome_table(rule, m, codes[at])
         idx[:, at] = rows.T + len(stats)
         blocks.append((len(stats), outcomes))
         stats.extend(stat)
     del rows  # (T, n) at one count: freed before L's temporaries
-    U = np.zeros((len(stats), rounds.losses.shape[1]))
+    U = np.zeros((len(stats), losses.shape[1]))
     for lo, outcomes in blocks:
         U[lo:lo + len(outcomes), :outcomes.shape[1]] = outcomes
-    return idx.T, U, stats, voter_losses(U, idx, rounds.losses).T
+    return idx.T, U, stats, voter_losses(U, idx, losses).T
 
 
-def _weighted_outcomes(rule: VotingRule, rounds: Rounds, idx, stats, probs) -> np.ndarray:
+def _weighted_outcomes(rule: VotingRule, ms, losses, idx, stats, probs) -> np.ndarray:
     """Each round's outcome with voter i, on table row ``idx[t, i]`` of
     statistic ``stats[idx[t, i]]``, weighted by ``probs[t, i]``: the rows are
     the round's groups."""
-    outcome = np.zeros(rounds.losses.shape)
-    for t, m in enumerate(rounds.m.tolist()):
+    outcome = np.zeros(losses.shape)
+    for t, m in enumerate(ms.tolist()):
         rows, group = np.unique(idx[t], return_inverse=True)
         stat = np.array([stats[r] for r in rows.tolist()])
         outcome[t, :m] = rule.decide(group_statistic(stat, group, probs[t]), m)

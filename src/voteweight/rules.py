@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,9 +46,11 @@ _SCORE_FAMILIES: dict[str, Callable[[int], np.ndarray]] = {
 
 def validate_scores(s: Sequence[float] | np.ndarray) -> np.ndarray:
     """Check s1 >= s2 >= ... >= sm >= 0 with s1 > 0, all finite with a finite sum."""
-    vec = np.asarray(s, dtype=float)
-    if vec.ndim != 1 or len(vec) < 1:
-        raise ShapeError("score vector must be a non-empty 1-d sequence")
+    items = s.tolist() if isinstance(s, np.ndarray) else s
+    if not isinstance(items, (list, tuple)) or not items or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items):
+        raise ShapeError(f"scores must be a non-empty list of numbers, got {s!r}")
+    vec = np.array(items, dtype=float)
     with np.errstate(over="ignore"):  # the sum the rules normalize by; refused, not warned of
         total = float(vec.sum())
     if not math.isfinite(total):  # also false for a NaN or infinite entry

@@ -259,25 +259,27 @@ class TestPerGroupOutcomes:
 class TestIIDRandomRound:
     """The i.i.d. rounds `simulate` draws, from `IIDRandomSource.rounds`."""
 
-    def test_shapes(self, rng):
-        rounds = IIDRandomSource(4, 2).rounds(5, rng)
-        assert rounds.m.tolist() == [2] * 5
-        assert rounds.codes.shape == (5, 4) and set(rounds.codes.ravel().tolist()) <= {0, 1}
-        assert rounds.losses.shape == (5, 2)
-        assert np.all((rounds.losses >= 0) & (rounds.losses < 1))
+    def test_one_source_serves_every_n(self, rng):
+        source = IIDRandomSource(2)  # n comes with each request
+        for n in (4, 1):
+            ms, codes, losses = source.rounds(5, n, rng)
+            assert ms.tolist() == [2] * 5
+            assert codes.shape == (5, n) and set(codes.ravel().tolist()) <= {0, 1}
+            assert losses.shape == (5, 2)
+            assert np.all((losses >= 0) & (losses < 1))
 
     def test_single_alternative(self):
         with pytest.raises(ShapeError):
-            IIDRandomSource(4, 1)
+            IIDRandomSource(1)
 
     def test_deterministic_replay(self):
-        a = IIDRandomSource(5, 3).rounds(20, np.random.default_rng(7))
-        b = IIDRandomSource(5, 3).rounds(20, np.random.default_rng(7))
-        assert np.array_equal(a.codes, b.codes)
-        assert np.array_equal(a.losses, b.losses)
+        _, codes_a, losses_a = IIDRandomSource(3).rounds(20, 5, np.random.default_rng(7))
+        _, codes_b, losses_b = IIDRandomSource(3).rounds(20, 5, np.random.default_rng(7))
+        assert np.array_equal(codes_a, codes_b)
+        assert np.array_equal(losses_a, losses_b)
 
     def test_ranking_uniformity(self):
         draws = 10**4
-        rounds = IIDRandomSource(1, 2).rounds(draws, np.random.default_rng(0))
-        hits = np.count_nonzero(rounds.codes[:, 0] == 0)
+        _, codes, _ = IIDRandomSource(2).rounds(draws, 1, np.random.default_rng(0))
+        hits = np.count_nonzero(codes[:, 0] == 0)
         assert abs(hits / draws - 0.5) <= 3 * math.sqrt(0.25 / draws)

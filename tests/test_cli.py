@@ -224,73 +224,120 @@ class TestSimulate:
             math.sqrt(2 * 200 * 4 * math.log(4)), rel=1e-9
         )
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"m": 1, "rule": {"kind": "randomized_copeland"},
-             "source": {"kind": "iid_random"}, "scheme": {"kind": "full_info"}},
-            {"m": 21, "source": {"kind": "iid_random"}},
-            {"scheme": {"kind": "partial_info"}, "feedback": "full",
-             "rule": {"kind": "randomized_positional", "scores": "borda"},
-             "source": {"kind": "iid_random"}},
-            {"scheme": {"kind": "constant"}, "feedback": "partial"},
-            {"scheme": {"kind": "constant", "eta": 123.0}},
-            {"feedback": "bandit"},
-            {"scheme": {"kind": "full_info", "eta": float("nan")}},
-            {"scheme": {"kind": "full_info", "eta": "0.5"}},
-            {"scheme": {"kind": "full_info", "eta": True}},
-            {"note": float("nan")},
-            {"trials": 0},
-            {"source": "iid_random"},
-            {"source": {"kind": "thm5", "delta": 0}},
-            {"source": {"kind": "thm5", "delta": 2.0}, "rule": {"kind": "randomized_copeland"},
-             "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
-            {"source": {"kind": "thm5", "delta": "0.5"}, "rule": {"kind": "randomized_copeland"},
-             "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
-            {"source": {"kind": "thm5", "delta": 0.5}, "rule": {"kind": "constant_uniform"},
-             "n": 11, "T": 10},
-            {"rule": {"kind": "deterministic_positional", "scores": "condorcet"}},
-            {"rule": {"kind": "randomized_positional", "scores": [[2, 1, 0]]}},
-            {"scheme": {"kind": "full_info", "eta": 1e308}},
-            {"scheme": {"kind": "full_info", "eta": 10**400}},
-            {"T": float("inf")},
-            {"T": 2.7},
-            {"n": True},
-            {"m": 3.5},
-            {"seed": float("nan")},
-            {"trials": True},
-            {"T": "7"},
-            {"n": "4"},
-            {"m": "3"},
-            {"seed": "0"},
-            {"trials": "1"},
-            {"seed": -1},
-            {"trace_csv": 5},
-            {"summary_json": 5},
-            {"out_dir": 5},
-        ],
-        ids=["m_1", "m_21", "partial_info_full_feedback", "constant_partial_feedback",
-             "constant_eta", "unknown_feedback", "nan_eta", "eta_string", "eta_bool",
-             "nan_in_summary",
-             "zero_trials", "source_not_an_object", "thm5_zero_delta", "thm5_delta_over_one",
-             "thm5_string_delta", "thm5_delta_past_the_rules_gap", "unknown_score_family",
-             "two_d_scores", "eta_overflows_softmax",
-             "eta_past_float_range",
-             "infinite_T", "fractional_T", "bool_n", "fractional_m",
-             "nan_seed", "bool_trials", "string_T", "string_n", "string_m", "string_seed",
-             "string_trials", "negative_seed", "trace_csv_int", "summary_json_int",
-             "out_dir_int"],
-    )
-    def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides):
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"m": 1, "rule": {"kind": "randomized_copeland"},
+                      "source": {"kind": "iid_random"}, "scheme": {"kind": "full_info"}},
+                     "need 2 <= m <= 20 alternatives, got 1", id="m_1"),
+        pytest.param({"m": 21, "source": {"kind": "iid_random"}},
+                     "need 2 <= m <= 20 alternatives, got 21", id="m_21"),
+        pytest.param({"scheme": {"kind": "partial_info"}, "feedback": "full",
+                      "rule": {"kind": "randomized_positional", "scores": "borda"},
+                      "source": {"kind": "iid_random"}},
+                     "scheme kind 'partial_info' takes 'partial' feedback, not 'full'",
+                     id="partial_info_full_feedback"),
+        pytest.param({"scheme": {"kind": "constant"}, "feedback": "partial"},
+                     "scheme kind 'constant' takes 'full' feedback, not 'partial'",
+                     id="constant_partial_feedback"),
+        pytest.param({"scheme": {"kind": "constant", "eta": 123.0}},
+                     "scheme kind 'constant' takes no eta, got 123.0", id="constant_eta"),
+        pytest.param({"feedback": "bandit"}, "takes 'full' feedback, not 'bandit'",
+                     id="unknown_feedback"),
+        pytest.param({"scheme": {"kind": "full_info", "eta": float("nan")}},
+                     "eta must be > 0 with eta * horizon * n finite, got nan", id="nan_eta"),
+        pytest.param({"scheme": {"kind": "full_info", "eta": "0.5"}},
+                     "eta must be > 0 with eta * horizon * n finite, got '0.5'", id="eta_string"),
+        pytest.param({"scheme": {"kind": "full_info", "eta": True}},
+                     "eta must be > 0 with eta * horizon * n finite, got True", id="eta_bool"),
+        pytest.param({"note": float("nan")}, "unknown key 'note' in config",
+                     id="nan_under_an_unknown_key"),
+        pytest.param({"trials": 0}, "trials must be at least 1, got 0", id="zero_trials"),
+        pytest.param({"source": "iid_random"}, "source must be an object, got 'iid_random'",
+                     id="source_not_an_object"),
+        pytest.param({"source": {"kind": "thm5", "delta": 0}},
+                     "delta is a selection gap in (0, 1], got 0", id="thm5_zero_delta"),
+        pytest.param({"source": {"kind": "thm5", "delta": 2.0},
+                      "rule": {"kind": "randomized_copeland"},
+                      "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
+                     "delta is a selection gap in (0, 1], got 2.0", id="thm5_delta_over_one"),
+        pytest.param({"source": {"kind": "thm5", "delta": "0.5"},
+                      "rule": {"kind": "randomized_copeland"},
+                      "scheme": {"kind": "deterministic_unilateral"}, "n": 11, "T": 3},
+                     "delta is a selection gap in (0, 1], got '0.5'", id="thm5_string_delta"),
+        pytest.param({"source": {"kind": "thm5", "delta": 0.5},
+                      "rule": {"kind": "constant_uniform"}, "n": 11, "T": 10},
+                     "the Condorcet winner 0 leads by 0, under delta=0.5",
+                     id="thm5_delta_past_the_rules_gap"),
+        pytest.param({"rule": {"kind": "deterministic_positional", "scores": "condorcet"}},
+                     "unknown score family 'condorcet'", id="unknown_score_family"),
+        pytest.param({"rule": {"kind": "randomized_positional", "scores": [[2, 1, 0]]}},
+                     "scores must be a non-empty list of numbers, got [[2, 1, 0]]",
+                     id="two_d_scores"),
+        pytest.param({"rule": {"kind": "randomized_positional", "scores": [True, False, False]}},
+                     "scores must be a non-empty list of numbers, got [True, False, False]",
+                     id="bool_scores"),
+        pytest.param({"rule": {"kind": "randomized_positional", "scores": {"a": 1}}},
+                     "scores must be a non-empty list of numbers, got {'a': 1}",
+                     id="object_scores"),
+        pytest.param({"rule": {"kind": "randomized_positional", "scores": ["a", "b", "c"]}},
+                     "scores must be a non-empty list of numbers, got ['a', 'b', 'c']",
+                     id="string_scores"),
+        pytest.param({"scheme": {"kind": "full_info", "eta": 1e308}},
+                     "eta must be > 0 with eta * horizon * n finite, got 1e+308",
+                     id="eta_overflows_softmax"),
+        pytest.param({"scheme": {"kind": "full_info", "eta": 10**400}},
+                     "eta must be > 0 with eta * horizon * n finite, got 1000",
+                     id="eta_past_float_range"),
+        pytest.param({"T": float("inf")}, "T must be a non-negative whole number, got inf",
+                     id="infinite_T"),
+        pytest.param({"T": 2.7}, "T must be a non-negative whole number, got 2.7",
+                     id="fractional_T"),
+        pytest.param({"n": True}, "n must be a non-negative whole number, got True", id="bool_n"),
+        pytest.param({"m": 3.5}, "m must be a non-negative whole number, got 3.5",
+                     id="fractional_m"),
+        pytest.param({"seed": float("nan")}, "seed must be a non-negative whole number, got nan",
+                     id="nan_seed"),
+        pytest.param({"trials": True}, "trials must be a non-negative whole number, got True",
+                     id="bool_trials"),
+        pytest.param({"T": "7"}, "T must be a non-negative whole number, got '7'", id="string_T"),
+        pytest.param({"n": "4"}, "n must be a non-negative whole number, got '4'", id="string_n"),
+        pytest.param({"m": "3"}, "m must be a non-negative whole number, got '3'", id="string_m"),
+        pytest.param({"seed": "0"}, "seed must be a non-negative whole number, got '0'",
+                     id="string_seed"),
+        pytest.param({"trials": "1"}, "trials must be a non-negative whole number, got '1'",
+                     id="string_trials"),
+        pytest.param({"seed": -1}, "seed must be a non-negative whole number, got -1",
+                     id="negative_seed"),
+        pytest.param({"trace_csv": 5}, "trace_csv must be a non-empty path, got 5",
+                     id="trace_csv_int"),
+        pytest.param({"summary_json": 5}, "summary_json must be a non-empty path, got 5",
+                     id="summary_json_int"),
+        pytest.param({"out_dir": 5}, "out_dir must be a non-empty path, got 5", id="out_dir_int"),
+    ])
+    def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "error" in err
-        for key, section in (("delta", "source"), ("eta", "scheme")):
-            if key in str(overrides.get(section)):
-                assert key in err
+        assert err.startswith("error: ") and message in err
+
+    def test_nan_summary_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # summary.json is strict JSON: a NaN regret is refused, not written as NaN
+        monkeypatch.setattr(cli, "regret", lambda trace: math.nan)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        assert "Out of range float values" in capsys.readouterr().err
+
+    def test_a_fault_inside_an_episode_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "run_episode", broken)
+        with pytest.raises(KeyError, match="x"):
+            main(["simulate", "--config", str(write_config(tmp_path)),
+                  "--out-dir", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("rule, message", [
         ({"kind": "unilateral", "position": 5}, "position=5 needs m > 5"),

@@ -37,7 +37,7 @@ from conftest import alone, file_source, orders_of, random_rankings, voter_ranki
 
 def episode(kind="full_info", rule=None, source=None, n=4, m=3, T=50, seed=0, eta=None):
     rule = rule or RandomizedPositional("borda")
-    source = source or IIDRandomSource(n, m)
+    source = source or IIDRandomSource(m)
     scheme = SchemeConfig(kind, n=n, horizon=T, eta=eta)
     return run_episode(scheme, rule, source, seed=seed)
 
@@ -51,7 +51,7 @@ class TestRunEpisode:
 
     def test_first_round_weights_are_uniform(self):
         scheme = SchemeConfig("deterministic_unilateral", n=5, horizon=1)
-        trace = run_episode(scheme, RandomizedPositional("borda"), IIDRandomSource(5, 3))
+        trace = run_episode(scheme, RandomizedPositional("borda"), IIDRandomSource(3))
         assert np.allclose(trace.probs[0], 0.2, atol=TOL)
 
     def test_winner_punishing_gives_loss_one_every_round(self):
@@ -91,7 +91,7 @@ class TestRunEpisode:
     def test_non_decomposing_rule_with_deterministic_weights_is_silent(self, recwarn):
         # the caveat is a fact of the config, printed by `simulate`, not by each episode
         episode("deterministic_unilateral", rule=RandomizedCopeland(),
-                source=IIDRandomSource(4, 3), T=3)
+                source=IIDRandomSource(3), T=3)
         assert not recwarn.list
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
@@ -124,10 +124,10 @@ class TestRunEpisode:
     def test_replay_determinism(self):
         a = episode("partial_info", T=60, seed=42)
         b = episode("partial_info", T=60, seed=42)
-        ra = IIDRandomSource(4, 3).rounds(60, np.random.default_rng(42))
-        rb = IIDRandomSource(4, 3).rounds(60, np.random.default_rng(42))
-        assert np.array_equal(ra.codes, rb.codes)
-        assert np.array_equal(ra.losses, rb.losses)
+        _, codes_a, losses_a = IIDRandomSource(3).rounds(60, 4, np.random.default_rng(42))
+        _, codes_b, losses_b = IIDRandomSource(3).rounds(60, 4, np.random.default_rng(42))
+        assert np.array_equal(codes_a, codes_b)
+        assert np.array_equal(losses_a, losses_b)
         assert np.array_equal(a.per_voter_loss, b.per_voter_loss)
         assert np.array_equal(a.winner, b.winner)
         assert np.array_equal(a.scheme_loss, b.scheme_loss)
@@ -280,10 +280,10 @@ class TestFileSource:
                 {"rankings": [[1, 0], [0, 1]], "losses": [1.0, 0.0]},
             ]
         )
-        rounds = source.rounds(2, np.random.default_rng(0))
-        assert rounds.m[0] == 3
+        ms, _, _ = source.rounds(2, 2, np.random.default_rng(0))
+        assert ms[0] == 3
         # the alternative count may change between rounds
-        assert rounds.m[1] == 2
+        assert ms[1] == 2
 
     def test_varying_m_episode(self):
         lines = [
@@ -297,12 +297,12 @@ class TestFileSource:
     @settings(max_examples=60, deadline=None)
     def test_interleaved_alternative_counts_encode_per_line(self, case):
         _, lines = case
-        recorded = file_source(lines).recorded
-        assert recorded.m.tolist() == [len(line["losses"]) for line in lines]
-        assert recorded.codes.dtype == np.int64
-        assert recorded.codes.tolist() == [rank_codes(line["rankings"]).tolist() for line in lines]
-        assert recorded.losses.tolist() == [
-            line["losses"] + [0.0] * (recorded.m.max() - len(line["losses"])) for line in lines]
+        ms, codes, losses = file_source(lines).recorded
+        assert ms.tolist() == [len(line["losses"]) for line in lines]
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [rank_codes(line["rankings"]).tolist() for line in lines]
+        assert losses.tolist() == [
+            line["losses"] + [0.0] * (ms.max() - len(line["losses"])) for line in lines]
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -387,7 +387,8 @@ class TestFileSource:
     def test_true_outside_the_rankings_accepted(self):
         source = file_source([{"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3],
                                "note": "true", "flag": False}])
-        assert source.recorded.codes.tolist() == [[0, 5]]
+        _, codes, _ = source.recorded
+        assert codes.tolist() == [[0, 5]]
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, -0.1, 1.5])
     def test_out_of_range_losses_rejected(self, bad):
@@ -479,7 +480,7 @@ def recomputed_exp3(scheme, rule, rounds, u, pick=None):
     Python version. Given ``pick``, round t's voter uniform ``u[t, 0]`` is
     overwritten with ``pick(t, p)`` for the round's played p."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
-    (idx, U, _, L), losses = _index_rounds(rule, rounds, n), rounds.losses
+    (idx, U, _, L), losses = _index_rounds(rule, *rounds, n), rounds[2]
     probs = np.zeros((T, n))
     chosen, winner = [], []
     outcomes = U.tolist()
@@ -517,7 +518,7 @@ class TestSequentialKernel:
         rule = RandomizedPositional("borda")
         trace = run_episode(scheme, rule, source, seed=seed)
         rng = np.random.default_rng(seed)
-        rounds = source.rounds(T, rng)
+        rounds = source.rounds(T, n, rng)
         expected = recomputed_exp3(scheme, rule, rounds, rng.random((T, 2)))
         for column, want in zip(TRACE_COLUMNS, expected):
             assert np.array_equal(getattr(trace, column), want), column
@@ -526,7 +527,7 @@ class TestSequentialKernel:
     @pytest.mark.parametrize("eta", [None, 50.0, 1e6])
     @pytest.mark.parametrize("n", [1, 2, 10, 50])
     def test_iid_rounds(self, n, eta):
-        self.assert_matches_recomputed(n, IIDRandomSource(n, 3), 400, eta)
+        self.assert_matches_recomputed(n, IIDRandomSource(3), 400, eta)
 
     @pytest.mark.parametrize("eta", [None, 50.0, 1e6])
     def test_mixed_m_file_rounds(self, eta):
@@ -554,7 +555,7 @@ class TestSequentialKernel:
         scheme = SchemeConfig("partial_info", n=n, horizon=T, eta=eta)
         rule = RandomizedPositional("borda")
         rng = np.random.default_rng(11)
-        rounds = IIDRandomSource(n, 3).rounds(T, rng)
+        ms, codes, losses = IIDRandomSource(3).rounds(T, n, rng)
         u = rng.random((T, 2))
 
         def on_a_cut(t, p):
@@ -563,10 +564,10 @@ class TestSequentialKernel:
             cut = math.nextafter(cut, step * math.inf) if step else cut
             return min(max(cut, 0.0), 1 - 2**-53)
 
-        expected = recomputed_exp3(scheme, rule, rounds, u, on_a_cut)
-        idx, U, _, L = _index_rounds(rule, rounds, n)
-        probs, *drawn = _play_sequential(scheme, idx, U, rounds.losses, u)
-        trace = _trace("partial_info", u, probs, idx, U, L, rounds.losses, None, drawn)
+        expected = recomputed_exp3(scheme, rule, (ms, codes, losses), u, on_a_cut)
+        idx, U, _, L = _index_rounds(rule, ms, codes, losses, n)
+        probs, *drawn = _play_sequential(scheme, idx, U, losses, u)
+        trace = _trace("partial_info", u, probs, idx, U, L, losses, None, drawn)
         for column, want in zip(TRACE_COLUMNS, expected):
             assert np.array_equal(getattr(trace, column), want), column
         assert np.all(trace.probs[np.arange(T), trace.chosen] > 0)
@@ -637,12 +638,12 @@ class TestScalarReference:
         """An iid source draws its rounds first, and the uniforms after them."""
         n, T, seed, rule = 6, 60, 13, RandomizedPositional("borda")
         scheme = SchemeConfig(kind, n=n, horizon=T)
-        trace = run_episode(scheme, rule, IIDRandomSource(n, 3), seed=seed)
+        trace = run_episode(scheme, rule, IIDRandomSource(3), seed=seed)
         rng = np.random.default_rng(seed)
-        rounds = IIDRandomSource(n, 3).rounds(T, rng)
+        _, codes, losses = IIDRandomSource(3).rounds(T, n, rng)
 
         def round_at(t, weights):
-            return all_rankings(3)[rounds.codes[t]].tolist(), rounds.losses[t].tolist()
+            return all_rankings(3)[codes[t]].tolist(), losses[t].tolist()
 
         scalar_replay(scheme, rule, trace, round_at, rng.random((T, 2)))
 

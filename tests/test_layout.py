@@ -21,7 +21,7 @@ from voteweight import (
     run_episode,
 )
 from voteweight.core import draw, inverse_cdf
-from voteweight.harness import Rounds, _index_rounds
+from voteweight.harness import _index_rounds
 from voteweight.rules import voter_losses
 from voteweight.schemes import SCHEME_KINDS, exp_weights
 
@@ -97,8 +97,8 @@ def _layout_cases():
                       "losses": rng.random(m).tolist()})
     plurality, copeland = DeterministicPositional("plurality"), RandomizedCopeland()
     for name, n, T, rule, make_source in [
-            ("iid_random", 10, 300, borda, lambda: IIDRandomSource(10, 3)),
-            ("iid_random", 129, 40, DeterministicCopeland(), lambda: IIDRandomSource(129, 4)),
+            ("iid_random", 10, 300, borda, lambda: IIDRandomSource(3)),
+            ("iid_random", 129, 40, DeterministicCopeland(), lambda: IIDRandomSource(4)),
             ("file", 9, 60, borda, lambda: file_source(lines)),
             ("file", 9, 60, Duple(0, 1), lambda: file_source(lines)),
             ("thm3", 5, 40, plurality, lambda: WinnerPunishingSource(plurality, 3)),
@@ -124,7 +124,7 @@ class TestTraceLayout:
 
 
 class TestSingleCount:
-    """Rounds with one alternative count skip the mask copies; their tables
+    """Oblivious rounds with one alternative count skip the mask copies; their tables
     must be those the same rounds get with a round of another count after them."""
 
     @pytest.mark.parametrize("rule", [RandomizedPositional("borda"), RandomizedCopeland(),
@@ -137,11 +137,10 @@ class TestSingleCount:
         codes = rng.integers(0, math.factorial(m), (T, n))
         losses = np.zeros((T, width))
         losses[:, :m] = rng.random((T, m))
-        one = _index_rounds(rule, Rounds(np.full(T, m), codes, losses), n)
+        one = _index_rounds(rule, np.full(T, m), codes, losses, n)
         extra = np.array([rng.integers(0, math.factorial(width), n)])
-        two = _index_rounds(rule, Rounds(np.append(np.full(T, m), width),
-                                         np.vstack([codes, extra]),
-                                         np.vstack([losses, rng.random((1, width))])), n)
+        two = _index_rounds(rule, np.append(np.full(T, m), width), np.vstack([codes, extra]),
+                            np.vstack([losses, rng.random((1, width))]), n)
         idx, U, stats, L = one
         assert np.array_equal(two[0][:T], idx) and np.array_equal(two[3][:T], L)
         assert np.array_equal(two[1][:len(U)], U)

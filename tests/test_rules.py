@@ -34,7 +34,7 @@ from voteweight.errors import (
     InvalidRankingError,
     ShapeError,
 )
-from voteweight.harness import Rounds, _index_rounds
+from voteweight.harness import _index_rounds
 from voteweight.rules import (
     borda_scores,
     duple_mixture_copeland,
@@ -461,7 +461,7 @@ class TestOutcomeTable:
         losses = np.zeros((len(ms), width))
         for t, m in enumerate(ms.tolist()):
             losses[t, :m] = rng.random(m)
-        idx, U, stats, L = _index_rounds(rule, Rounds(ms, codes, losses), n)
+        idx, U, stats, L = _index_rounds(rule, ms, codes, losses, n)
         assert len(U) == len(stats) == len(set(zip(ms.repeat(n).tolist(), codes.ravel().tolist())))
         for m in set(ms.tolist()):
             at = ms == m

@@ -19,7 +19,6 @@ from voteweight import (
     Mixture,
     RandomizedCopeland,
     RandomizedPositional,
-    Rounds,
     SchemeConfig,
     Unilateral,
     WinnerPunishingSource,
@@ -198,12 +197,12 @@ class TestTieExactReference:
     def test_decide_matches_the_old_loops(self, case):
         m, reps, groups, weights = case
         orders = np.array([orders_of([reps[g] for g in row]) for row in groups.tolist()])
-        played = Rounds(np.full(len(groups), m), rank_codes(orders), np.zeros((len(groups), m)))
+        ms, codes, losses = np.full(len(groups), m), rank_codes(orders), np.zeros((len(groups), m))
         profiles = [reference_profile(g, reps, w) for g, w in zip(groups, weights)]
         for name, make in RULES.items():
             rule = make(m)
-            idx, _, stats, _ = _index_rounds(rule, played, groups.shape[1])
-            weighted = _weighted_outcomes(rule, played, idx, stats, weights)
+            idx, _, stats, _ = _index_rounds(rule, ms, codes, losses, groups.shape[1])
+            weighted = _weighted_outcomes(rule, ms, losses, idx, stats, weights)
             for t, profile in enumerate(profiles):
                 want = old_evaluate(rule, profile)
                 assert np.array_equal(rule.evaluate(orders[t], weights[t]), want), name
@@ -287,5 +286,5 @@ class TestNoProfilesOnTheEngine:
         run_episode(SchemeConfig("deterministic_unilateral", n=6, horizon=20),
                     rule, WinnerPunishingSource(rule, 3))
         run_episode(SchemeConfig("deterministic_unilateral", n=6, horizon=20),
-                    rule, IIDRandomSource(6, 4))
+                    rule, IIDRandomSource(4))
         assert len(no_profiles) == 40
