@@ -8,8 +8,6 @@ from .adversaries import (
     CondorcetSplitSource,
     WinnerPunishingSource,
     majority_prefix_partition,
-    orient_gap_pair,
-    top_two_orders,
 )
 from .core import TOL, orders_from_codes, rank_codes
 from .harness import (

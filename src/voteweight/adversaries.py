@@ -43,34 +43,11 @@ def majority_prefix_partition(weights: Sequence[float] | np.ndarray) -> np.ndarr
            and np.cumsum(w[np.sort(order[: j + 1])])[-1] / total <= 0.5):
         j += 1
     # The top-j prefix of a sorted sequence carries at least j/n of the total.
-    if prefix[j] < (j + 1) * total / len(w) - TOL:
+    share = (j + 1) * total / len(w)
+    if prefix[j] < share - TOL * total:
         raise HypothesisViolatedError(f"prefix of {j + 1} voters carries {prefix[j]}, "
-                                      f"under its share of {total}")
+                                      f"under its share {share} of the total {total}")
     return order[: j + 1]
-
-
-def top_two_orders(x: int, y: int, m: int) -> np.ndarray:
-    """The (2, m) orders of x, y, ... and y, x, ..., the remaining alternatives
-    in ascending id order in both.
-
-    Positions past the second never matter to the constructed losses, which
-    assign all remaining alternatives the same loss.
-    """
-    rest = [a for a in range(m) if a not in (x, y)]
-    return np.array([[x, y, *rest], [y, x, *rest]])
-
-
-def orient_gap_pair(rule: VotingRule, m: int) -> tuple[int, int]:
-    """Pick and orient the pair (a, b) used by the Condorcet-split construction:
-    the winner's margin when b over a carries all the weight is at least its
-    margin when a over b does.
-
-    Candidate pairs are scanned in ascending id order; after orientation the
-    first pair always qualifies, so this inspects only (0, 1).
-    """
-    x, y = 0, 1
-    d_xy, d_yx = rule.unanimous_outcomes(top_two_orders(x, y, m))
-    return (x, y) if d_yx[y] - d_yx[x] >= d_xy[x] - d_xy[y] else (y, x)
 
 
 class WinnerPunishingSource:
@@ -112,6 +89,10 @@ class CondorcetSplitSource:
     over-select the loss-1 alternative. `delta` is the rule's guaranteed
     selection gap. Built-in values: 2/(m(m-1)) for randomized Copeland and 1
     for deterministic rules; any other rule needs an explicit delta.
+
+    The pair is oriented once, from the rule's outcomes when either block's
+    order carries all the weight: the winner's margin when b over a does is
+    at least its margin when a over b does. (a, b) is (0, 1) or (1, 0).
     """
 
     def __init__(self, rule: VotingRule, m: int, delta: Optional[float] = None):
@@ -126,11 +107,18 @@ class CondorcetSplitSource:
             raise ConfigError(f"delta is a selection gap in (0, 1], got {delta!r}")
         self.rule = rule
         self.delta = delta
-        self.a, self.b = orient_gap_pair(rule, m)
         self.m = m
-        self.orders = top_two_orders(self.a, self.b, m)  # the heavy block's, then the rest's
-        stat = rule.statistic(self.orders)
-        self.unanimous = rule.decide(stat, m)
+        # 0 over 1, then 1 over 0; the remaining alternatives follow in ascending order
+        # and share one loss, so their positions never matter.
+        orders = np.array([[0, 1, *range(2, m)], [1, 0, *range(2, m)]])
+        stat = rule.statistic(orders)
+        unanimous = rule.decide(stat, m)
+        # Keep 0 over 1 only if the winner's margin when the second order carries all the
+        # weight is at least its margin when the first does; else swap the blocks.
+        if not unanimous[1, 1] - unanimous[1, 0] >= unanimous[0, 0] - unanimous[0, 1]:
+            orders, stat, unanimous = orders[[1, 0]], stat[[1, 0]], unanimous[[1, 0]]
+        self.orders, self.unanimous = orders, unanimous  # the heavy block's, then the rest's
+        self.a, self.b = int(orders[0, 0]), int(orders[0, 1])
         # Each block's pairwise statistic, for the Condorcet check, then the rule's.
         self._stat = np.concatenate((pairwise_statistic(self.orders), stat), axis=1)
         self.losses = np.full(m, 0.5)  # every round's, shared, so read-only

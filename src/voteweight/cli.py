@@ -73,6 +73,8 @@ def _simulation(rule, source, n, m, T, scheme={}, seed=0, trials=1, feedback=Non
     trials = whole_number(trials, "trials")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
+    if trials > sys.maxsize:  # such a run would play episodes until killed, writing nothing
+        raise ConfigError(f"trials must be at most {sys.maxsize}, got {trials}")
     paths = {"out_dir": out_dir, "trace_csv": trace_csv, "summary_json": summary_json}
     for key, path in paths.items():
         if not isinstance(path, str) or not path:

@@ -14,13 +14,11 @@ from voteweight import (
     WinnerPunishingSource,
     condorcet_winner,
     majority_prefix_partition,
-    orient_gap_pair,
     pairwise_statistic,
     profile_statistic,
-    top_two_orders,
     unanimity_witness,
 )
-from voteweight import checks
+from voteweight import adversaries, checks
 from voteweight.errors import (
     DegenerateWeightsError,
     HypothesisViolatedError,
@@ -96,6 +94,17 @@ class TestMajorityPrefixPartition:
             # removing the lightest member of the prefix drops it to <= half
             assert weight - w[heavy].min() <= w.sum() / 2 + TOL
 
+    @pytest.mark.parametrize("w", [np.full(11, 1e12 / 3), np.full(3, 999999999999.9973),
+                                   np.full(1001, 123456789012.345)],
+                             ids=["eleven_thirds_of_1e12", "three_near_1e12", "wide_1e11"])
+    def test_large_weights_split_like_their_normalization(self, w):
+        # the share bound scales with the total, so rescaling the weights keeps the block
+        block = majority_prefix_partition(w).tolist()
+        assert block == majority_prefix_partition(w / w.sum()).tolist()
+        if len(w) >= 11:
+            source = CondorcetSplitSource(RandomizedCopeland(), 3)
+            assert np.flatnonzero(source.emit(w)[0] == 0).tolist() == sorted(block)
+
     def test_degenerate_weights(self):
         with pytest.raises(DegenerateWeightsError):
             majority_prefix_partition([0.0, 0.0])
@@ -155,13 +164,24 @@ class TestMajorityPrefixPartition:
             assert np.cumsum(w[block])[-1] == acc
 
 
+def assert_blocks_match_orders(source):
+    """The source's statistic and outcomes are those of its orders, row for row."""
+    rule, orders = source.rule, source.orders
+    stat = np.concatenate((pairwise_statistic(orders), rule.statistic(orders)), axis=1)
+    assert source._stat.tobytes() == stat.tobytes()
+    assert source.unanimous.tobytes() == rule.unanimous_outcomes(orders).tobytes()
+
+
 class TestOrientGapPair:
     def test_randomized_copeland_keeps_ascending_pair(self):
-        assert orient_gap_pair(RandomizedCopeland(), 3) == (0, 1)
-        assert top_two_orders(0, 1, 3).tolist() == [[0, 1, 2], [1, 0, 2]]
+        source = CondorcetSplitSource(RandomizedCopeland(), 3)
+        assert (source.a, source.b) == (0, 1)
+        assert type(source.a) is int and type(source.b) is int
+        assert source.orders.tolist() == [[0, 1, 2], [1, 0, 2]]
 
-    def test_top_two_orders_fill_ascending(self):
-        assert top_two_orders(2, 0, 4).tolist() == [[2, 0, 1, 3], [0, 2, 1, 3]]
+    def test_remaining_alternatives_fill_ascending(self):
+        source = CondorcetSplitSource(RandomizedCopeland(), 4)
+        assert source.orders.tolist() == [[0, 1, 2, 3], [1, 0, 2, 3]]
 
     def test_biased_rule_flips_orientation(self):
         # a rule whose outcome for a ranking alone always favors alternative 1
@@ -171,11 +191,33 @@ class TestOrientGapPair:
                 out[..., 1] += 1 - out.sum(axis=-1)
                 return out
 
-        a, b = orient_gap_pair(Favors1(), 3)
-        top_ab, top_ba = top_two_orders(a, b, 3)
+        source = CondorcetSplitSource(Favors1(), 3, delta=0.5)
+        a, b = source.a, source.b
+        top_ab, top_ba = source.orders
         d_ba = Favors1().evaluate(*alone(top_ba))
         d_ab = Favors1().evaluate(*alone(top_ab))
         assert d_ba[b] - d_ba[a] >= d_ab[a] - d_ab[b]
+        assert_blocks_match_orders(source)
+
+    class LeansTo0(RandomizedPositional):
+        """Half plurality, half alternative 0: 0 over 1 alone gives 0 a margin of 1,
+        1 over 0 alone gives 1 a margin of 0."""
+
+        def decide(self, stat, m):
+            return (super().decide(stat, m) + np.eye(m)[0]) / 2
+
+    # Veto picks 0 from either order alone: its margin is -1 when 1 over 0 carries all
+    # the weight and +1 when 0 over 1 does. Both rules flip the pair to (1, 0); the
+    # second's statistics and outcomes differ between the blocks, so they must move too.
+    @pytest.mark.parametrize("rule", [DeterministicPositional("veto"), LeansTo0("plurality")],
+                             ids=["veto", "leans_to_0"])
+    def test_flipping_rule_swaps_the_blocks(self, rule):
+        source = CondorcetSplitSource(rule, 3, delta=0.5)
+        assert (source.a, source.b) == (1, 0)
+        assert type(source.a) is int and type(source.b) is int
+        assert source.orders.tolist() == [[1, 0, 2], [0, 1, 2]]
+        assert source.losses.tolist() == [0.0, 1.0, 0.5]
+        assert_blocks_match_orders(source)
 
 
 class TestCondorcetSplitRound:
@@ -183,7 +225,7 @@ class TestCondorcetSplitRound:
         self.rule = RandomizedCopeland()
         self.delta = 1 / 3
         self.source = CondorcetSplitSource(self.rule, 3, self.delta)
-        self.blocks = top_two_orders(self.source.a, self.source.b, 3)
+        self.blocks = np.array([[0, 1, 2], [1, 0, 2]])
 
     def test_uniform_eleven_voters(self):
         groups, losses, _ = self.source.emit(np.ones(11))
@@ -223,6 +265,20 @@ class TestCondorcetSplitRound:
     def test_too_few_voters_rejected(self):
         with pytest.raises(HypothesisViolatedError):
             self.source.emit(np.ones(5))
+
+    @pytest.mark.parametrize("weights, block, message", [
+        (np.ones(11), 5, "0 is not the Condorcet winner of the split"),
+        # mass 10/11 >= 1/2 + delta/3, so at most 3/(2 delta) + 1 = 5.5 voters
+        (np.ones(11), 10, "heavy block of 10 voters breaks its size bound"),
+        # mass 7/13 < 1/2 + delta/3, so fewer than 11 (1/2 + delta/3) = 6.7 voters
+        (np.array([1.0] * 7 + [1.5] * 4), 7, "heavy block of 7 voters breaks its size bound"),
+    ], ids=["minority_block", "heavy_block_too_large", "light_block_too_large"])
+    def test_a_block_off_the_construction_is_refused(self, monkeypatch, weights, block,
+                                                      message):
+        monkeypatch.setattr(adversaries, "majority_prefix_partition",
+                            lambda w: np.arange(block))
+        with pytest.raises(HypothesisViolatedError, match=message):
+            self.source.emit(weights)
 
     def test_groups_are_the_heavy_block(self, rng):
         for n in (11, 1001):

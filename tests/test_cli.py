@@ -251,6 +251,10 @@ class TestSimulate:
         pytest.param({"note": float("nan")}, "unknown key 'note' in config",
                      id="nan_under_an_unknown_key"),
         pytest.param({"trials": 0}, "trials must be at least 1, got 0", id="zero_trials"),
+        pytest.param({"trials": 1e308}, f"trials must be at most {sys.maxsize}, got 1000",
+                     id="float_trials_past_maxsize"),
+        pytest.param({"trials": 10**400}, f"trials must be at most {sys.maxsize}, got 1000",
+                     id="int_trials_past_maxsize"),
         pytest.param({"source": "iid_random"}, "source must be an object, got 'iid_random'",
                      id="source_not_an_object"),
         pytest.param({"source": {"kind": "thm5", "delta": 0}},
