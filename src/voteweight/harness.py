@@ -154,6 +154,8 @@ class FileSource:
 # ---------------------------------------------------------------------------
 # Episode engine
 
+GATHER_ELEMENTS = 2**15  # floats in one block of a decomposing rule's (rounds, n, width) gather
+
 
 def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -> Trace:
     """Play the scheme's T = ``scheme.horizon`` rounds: the scheme plays a voter
@@ -168,6 +170,9 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
 
     Randomness: an oblivious source draws its rounds first, then one (T, 2)
     block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
+
+    Memory: an oblivious episode holds about five (T, n) arrays at once and no
+    (T, n, m) one; the rank codes and cumulative losses are dropped once read.
     """
     T, n, kind = scheme.horizon, scheme.n, scheme.kind
     rng = np.random.default_rng(seed)
@@ -180,6 +185,7 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     ms, codes, losses = source.rounds(T, n, rng)
     u = rng.random((T, 2))
     idx, U, stats, L = _index_rounds(rule, ms, codes, losses, n)
+    del codes
     weighted = drawn = None
     if kind == "partial_info":
         probs, *drawn = _play_sequential(scheme, idx, U, losses, u)
@@ -189,8 +195,9 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
         before = np.zeros((n, T))
         np.cumsum(L.T[:, :-1], axis=1, out=before[:, 1:])
         probs = exp_weights(before, scheme.learning_rate)
+        del before
     if kind == "deterministic_unilateral":
-        weighted = (np.einsum("tn,tnk->tk", probs, np.take(U, idx, axis=0)) if rule.decomposes
+        weighted = (_decomposed_outcomes(probs, idx, U) if rule.decomposes
                     else _weighted_outcomes(rule, ms, losses, idx, stats, probs))
     return _trace(kind, u, probs, idx, U, L, losses, weighted, drawn)
 
@@ -218,7 +225,9 @@ def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
     count stacked after the counts before it: each vote's row ``idx`` (T, n),
     the rows' outcomes ``U`` zero-padded to the rounds' width, their ``stats``,
     and the per-voter losses ``L`` (T, n). ``idx`` and ``L`` are transposed
-    views of voter-major (n, T) arrays, whose rows run along the rounds."""
+    views of voter-major (n, T) arrays, whose rows run along the rounds.
+    Besides the caller's codes it holds at most three (T, n) arrays at once;
+    the first count's rows go into ``idx`` with no temporary."""
     if codes.shape[1] != n:  # only a file or a third-party source can disagree
         raise ConfigError(f"rounds have {codes.shape[1]} rankings for n={n}")
     counts = set(ms.tolist())
@@ -227,7 +236,7 @@ def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
     for m in counts:
         at = ms == m if len(counts) > 1 else slice(None)  # one count: no mask copies
         rows, outcomes, stat = outcome_table(rule, m, codes[at])
-        idx[:, at] = rows.T + len(stats)
+        idx[:, at] = rows.T + len(stats) if stats else rows.T
         blocks.append((len(stats), outcomes))
         stats.extend(stat)
     del rows  # (T, n) at one count: freed before L's temporaries
@@ -235,6 +244,18 @@ def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
     for lo, outcomes in blocks:
         U[lo:lo + len(outcomes), :outcomes.shape[1]] = outcomes
     return idx.T, U, stats, voter_losses(U, idx, losses).T
+
+
+def _decomposed_outcomes(probs, idx, U) -> np.ndarray:
+    """A decomposing rule's outcome: each round's table rows ``U[idx[t]]``
+    weighted by ``probs[t]``, gathered at most ``GATHER_ELEMENTS`` floats (or one
+    round) at a time, each round summed as in one gather of all T rounds."""
+    T, n = probs.shape
+    weighted, step = np.empty((T, U.shape[1])), max(1, GATHER_ELEMENTS // (n * U.shape[1]))
+    for lo in range(0, T, step):
+        t = slice(lo, lo + step)
+        np.einsum("tn,tnk->tk", probs[t], np.take(U, idx[t], axis=0), out=weighted[t])
+    return weighted
 
 
 def _weighted_outcomes(rule: VotingRule, ms, losses, idx, stats, probs) -> np.ndarray:

@@ -402,4 +402,5 @@ def voter_losses(U: np.ndarray, idx: np.ndarray, losses: np.ndarray) -> np.ndarr
         term = U[:, k].take(idx)
         term *= losses[..., k]
         out += term
+        del term  # freed before the next one is taken
     return out

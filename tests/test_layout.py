@@ -4,6 +4,7 @@ the trace it hands out must stay C-ordered (T, n)."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from voteweight import (
     run_episode,
 )
 from voteweight.core import draw, inverse_cdf
-from voteweight.harness import _index_rounds
+from voteweight.harness import GATHER_ELEMENTS, _decomposed_outcomes, _index_rounds
 from voteweight.rules import voter_losses
 from voteweight.schemes import SCHEME_KINDS, exp_weights
 
@@ -64,6 +65,20 @@ class TestKernels:
         for t in (0, T // 2, T - 1):  # one round's (n,) cumulative
             assert np.array_equal(exp_weights(cumulative[:, t], 0.5),
                                   row_wise_exp_weights(cumulative[:, t], 0.5))
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_blocked_outcomes_match_the_one_shot_gather(self, rng, n):
+        # mixed-m rounds, zero-padded to width 6, indexed as the engine does
+        width = 6
+        step = GATHER_ELEMENTS // (n * width)
+        for T in (1, step - 1, step, step + 1, 3 * step + 5):
+            ms = rng.integers(2, width + 1, T)
+            codes = rng.integers(0, [[math.factorial(m)] for m in ms.tolist()], (T, n))
+            losses = rng.random((T, width)) * (np.arange(width) < ms[:, None])
+            idx, U, _, _ = _index_rounds(RandomizedPositional("borda"), ms, codes, losses, n)
+            probs = exp_weights(np.cumsum(rng.random((n, T)), axis=1), 0.3)
+            expected = np.einsum("tn,tnk->tk", probs, np.take(U, idx, axis=0))
+            assert _decomposed_outcomes(probs, idx, U).tobytes() == expected.tobytes(), T
 
     def test_many_draws_match_draw_at_every_boundary(self, rng):
         weights, uniforms = [], []
@@ -146,3 +161,40 @@ class TestSingleCount:
         assert np.array_equal(two[1][:len(U)], U)
         assert len(two[2]) > len(stats)
         assert all(np.array_equal(a, b) for a, b in zip(two[2], stats))
+
+
+class TestEpisodeMemory:
+    """An oblivious episode holds a few (T, n) arrays at a time: no (T, n, m)
+    gather and no (T, n) temporary that outlives its use."""
+
+    T, n, m = 400, 500, 6
+
+    def peak(self, call, *args, **kwargs):
+        """The call's tracemalloc peak in (T, n) arrays of 8-byte values; a
+        first call keeps lazy imports out of the count."""
+        call(*args, **kwargs)
+        tracemalloc.start()
+        try:
+            call(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] / (self.T * self.n * 8)
+        finally:
+            tracemalloc.stop()
+
+    def episode_peak(self, kind, source):
+        return self.peak(run_episode, SchemeConfig(kind, n=self.n, horizon=self.T),
+                         RandomizedPositional("borda"), source, seed=1)
+
+    def test_deterministic_weights_on_recorded_rounds(self):
+        rng = np.random.default_rng(8)
+        orders = np.argsort(rng.random((self.T, self.n, self.m)), axis=2).tolist()
+        source = file_source([{"rankings": rankings, "losses": rng.random(self.m).tolist()}
+                              for rankings in orders])
+        assert self.episode_peak("deterministic_unilateral", source) <= 6
+
+    def test_full_information_on_iid_rounds(self):
+        assert self.episode_peak("full_info", IIDRandomSource(self.m)) <= 6
+
+    def test_voter_losses_hold_one_term_at_a_time(self, rng):
+        U, losses = rng.random((700, self.m)), rng.random((self.T, self.m))
+        idx = rng.integers(0, len(U), (self.n, self.T))
+        assert self.peak(voter_losses, U, idx, losses) <= 2.5  # the sum and one term
