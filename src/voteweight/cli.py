@@ -79,6 +79,9 @@ def _simulation(rule, source, n, m, T, scheme={}, seed=0, trials=1, feedback=Non
     for key, path in paths.items():
         if not isinstance(path, str) or not path:
             raise ConfigError(f"{key} must be a non-empty path, got {path!r}")
+    if os.path.normpath(trace_csv) == os.path.normpath(summary_json):  # the summary would win
+        raise ConfigError(f"trace_csv {trace_csv!r} and summary_json {summary_json!r} "
+                          "name the same file")
     rule = parse_section("rule", rule, {
         "deterministic_positional": lambda scores: DeterministicPositional(scores),
         "randomized_positional": lambda scores: RandomizedPositional(scores),
@@ -155,8 +158,12 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    try:
-        os.makedirs(destination, exist_ok=True)
+    try:  # both paths are made ready before either file is written
+        for path in (trace_path, summary_path):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        for path in (trace_path, summary_path):
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path!r} is a directory")
         _write_trace_csv(trace_path, first)
         with open(summary_path, "w") as fh:
             fh.write(summary_text + "\n")

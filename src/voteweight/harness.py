@@ -184,7 +184,7 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
         return _trace(kind, u, *_play_adaptive(scheme, source, u))
     ms, codes, losses = source.rounds(T, n, rng)
     u = rng.random((T, 2))
-    idx, U, stats, L = _index_rounds(rule, ms, codes, losses, n)
+    idx, U, tables, L = _index_rounds(rule, ms, codes, losses, n)
     del codes
     weighted = drawn = None
     if kind == "partial_info":
@@ -198,7 +198,7 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
         del before
     if kind == "deterministic_unilateral":
         weighted = (_decomposed_outcomes(probs, idx, U) if rule.decomposes
-                    else _weighted_outcomes(rule, ms, losses, idx, stats, probs))
+                    else _weighted_outcomes(rule, ms, losses, idx, tables, probs))
     return _trace(kind, u, probs, idx, U, L, losses, weighted, drawn)
 
 
@@ -223,7 +223,8 @@ def _trace(kind: str, u, probs, idx, U, L, losses, weighted, drawn) -> Trace:
 def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
     """The rounds' outcome table, one :func:`outcome_table` per alternative
     count stacked after the counts before it: each vote's row ``idx`` (T, n),
-    the rows' outcomes ``U`` zero-padded to the rounds' width, their ``stats``,
+    the rows' outcomes ``U`` zero-padded to the rounds' width, ``tables[m] =
+    (lo, outcomes, stat)``, count m's table and the row of ``U`` it starts at,
     and the per-voter losses ``L`` (T, n). ``idx`` and ``L`` are transposed
     views of voter-major (n, T) arrays, whose rows run along the rounds.
     Besides the caller's codes it holds at most three (T, n) arrays at once;
@@ -231,19 +232,17 @@ def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
     if codes.shape[1] != n:  # only a file or a third-party source can disagree
         raise ConfigError(f"rounds have {codes.shape[1]} rankings for n={n}")
     counts = set(ms.tolist())
-    idx = np.empty((n, len(ms)), dtype=np.int64)
-    blocks, stats = [], []
+    idx, tables, lo = np.empty((n, len(ms)), dtype=np.int64), {}, 0
     for m in counts:
         at = ms == m if len(counts) > 1 else slice(None)  # one count: no mask copies
         rows, outcomes, stat = outcome_table(rule, m, codes[at])
-        idx[:, at] = rows.T + len(stats) if stats else rows.T
-        blocks.append((len(stats), outcomes))
-        stats.extend(stat)
+        idx[:, at] = rows.T + lo if lo else rows.T
+        tables[m], lo = (lo, outcomes, stat), lo + len(outcomes)
     del rows  # (T, n) at one count: freed before L's temporaries
-    U = np.zeros((len(stats), losses.shape[1]))
-    for lo, outcomes in blocks:
+    U = np.zeros((lo, losses.shape[1]))
+    for lo, outcomes, _ in tables.values():
         U[lo:lo + len(outcomes), :outcomes.shape[1]] = outcomes
-    return idx.T, U, stats, voter_losses(U, idx, losses).T
+    return idx.T, U, tables, voter_losses(U, idx, losses).T
 
 
 def _decomposed_outcomes(probs, idx, U) -> np.ndarray:
@@ -258,15 +257,14 @@ def _decomposed_outcomes(probs, idx, U) -> np.ndarray:
     return weighted
 
 
-def _weighted_outcomes(rule: VotingRule, ms, losses, idx, stats, probs) -> np.ndarray:
-    """Each round's outcome with voter i, on table row ``idx[t, i]`` of
-    statistic ``stats[idx[t, i]]``, weighted by ``probs[t, i]``: the rows are
-    the round's groups."""
+def _weighted_outcomes(rule: VotingRule, ms, losses, idx, tables, probs) -> np.ndarray:
+    """Each round's outcome with voter i weighted by ``probs[t, i]``: the
+    round's table rows ``idx[t] - lo`` in its count's table are the groups of
+    :func:`group_statistic` over that table's ``stat``."""
     outcome = np.zeros(losses.shape)
     for t, m in enumerate(ms.tolist()):
-        rows, group = np.unique(idx[t], return_inverse=True)
-        stat = np.array([stats[r] for r in rows.tolist()])
-        outcome[t, :m] = rule.decide(group_statistic(stat, group, probs[t]), m)
+        lo, _, stat = tables[m]
+        outcome[t, :m] = rule.decide(group_statistic(stat, idx[t] - lo, probs[t]), m)
     return outcome
 
 

@@ -197,10 +197,6 @@ class _Positional(VotingRule):
         np.put_along_axis(scores, orders, self.score_vector(orders.shape[1]), axis=1)
         return scores
 
-    def __repr__(self) -> str:
-        tag = self._family if self._family is not None else list(self._scores)
-        return f"{type(self).__name__}({tag})"
-
 
 class DeterministicPositional(_Positional):
     """Point mass on the highest positional score, smallest id on ties."""
@@ -247,18 +243,14 @@ class Unilateral(VotingRule):
 
     decomposes = True
 
-    def __init__(self, selector: Callable[[np.ndarray], np.ndarray], name: str = "unilateral"):
+    def __init__(self, selector: Callable[[np.ndarray], np.ndarray]):
         self.selector = selector
-        self.name = name
 
     def statistic(self, orders: np.ndarray) -> np.ndarray:
         return np.eye(orders.shape[1])[self.selector(orders)]
 
     def decide(self, stat: np.ndarray, m: int) -> np.ndarray:
         return stat
-
-    def __repr__(self) -> str:
-        return f"Unilateral({self.name})"
 
 
 def position_selector(k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -293,9 +285,6 @@ class Duple(VotingRule):
         out = np.zeros(stat.shape[:-1] + (m,))
         out[..., self.a], out[..., self.b] = win, 1.0 - win
         return out
-
-    def __repr__(self) -> str:
-        return f"Duple({self.a}, {self.b})"
 
 
 class Mixture(VotingRule):
@@ -349,7 +338,7 @@ def unilateral_mixture_positional(s: Sequence[float] | np.ndarray) -> Mixture:
     """Position-selector unilaterals weighted by s; equals randomized positional."""
     vec = validate_scores(s)
     total = float(vec.sum())
-    return Mixture([(Unilateral(position_selector(k), name=f"position_{k}"), q / total)
+    return Mixture([(Unilateral(position_selector(k)), q / total)
                     for k, q in enumerate(vec.tolist())])
 
 

@@ -316,6 +316,12 @@ class TestSimulate:
         pytest.param({"summary_json": 5}, "summary_json must be a non-empty path, got 5",
                      id="summary_json_int"),
         pytest.param({"out_dir": 5}, "out_dir must be a non-empty path, got 5", id="out_dir_int"),
+        pytest.param({"trace_csv": "out.txt", "summary_json": "out.txt"},
+                     "trace_csv 'out.txt' and summary_json 'out.txt' name the same file",
+                     id="same_output_file"),
+        pytest.param({"trace_csv": "./out.txt", "summary_json": "out.txt"},
+                     "trace_csv './out.txt' and summary_json 'out.txt' name the same file",
+                     id="same_output_file_spelled_apart"),
     ])
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, **overrides)
@@ -411,6 +417,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert (tmp_path / "afile").read_text() == "kept\n"
         assert capsys.readouterr().err.startswith("error: cannot write")
+
+    def test_output_in_a_new_subdirectory_is_written(self, tmp_path):
+        cfg = write_config(tmp_path, summary_json="missing/summary.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert (out / "trace.csv").is_file()
+        assert json.loads((out / "missing" / "summary.json").read_text())["trials"] == 1
+
+    def test_output_on_a_directory_writes_no_trace(self, tmp_path, capsys):
+        # checked before the first write, so no trace.csv is left behind
+        cfg = write_config(tmp_path, summary_json=".")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not (out / "trace.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the outputs") and "is a directory" in err
 
     def test_file_line_with_one_alternative_writes_nothing(self, tmp_path):
         seq = tmp_path / "rounds.jsonl"

@@ -453,26 +453,34 @@ class TestOutcomeTable:
     )
     def test_batches_match_scalar_build(self, rng, name):
         """`_index_rounds` on mixed-m rounds against `evaluate` one vote at a
-        time: each count's rows form one block in ascending code order, and
-        every vote's outcome, statistic and loss match bit for bit."""
+        time: each count's table is one block of rows in ascending code order,
+        starting where the one before it ends, and every vote's outcome,
+        statistic and loss match bit for bit."""
         rule, width, n = SHIPPED_RULES[name](None), 5, 7
         ms = np.array([4, 3, 4, 5, 4, 2, 5, 3, 4, 2, 3, 4])
         codes = np.array([rng.integers(0, math.factorial(m), size=n) for m in ms.tolist()])
         losses = np.zeros((len(ms), width))
         for t, m in enumerate(ms.tolist()):
             losses[t, :m] = rng.random(m)
-        idx, U, stats, L = _index_rounds(rule, ms, codes, losses, n)
-        assert len(U) == len(stats) == len(set(zip(ms.repeat(n).tolist(), codes.ravel().tolist())))
-        for m in set(ms.tolist()):
+        idx, U, tables, L = _index_rounds(rule, ms, codes, losses, n)
+        assert tables.keys() == set(ms.tolist())
+        end = 0
+        for lo, outcomes, stat in sorted(tables.values(), key=lambda table: table[0]):
+            assert lo == end and len(outcomes) == len(stat)  # each count's block follows the last
+            end += len(outcomes)
+        assert end == len(U) == len(set(zip(ms.repeat(n).tolist(), codes.ravel().tolist())))
+        for m, (lo, outcomes, stat) in tables.items():
             at = ms == m
             rank = np.searchsorted(np.unique(codes[at]), codes[at])
-            assert np.array_equal(idx[at] - idx[at].min(), rank)
+            assert np.array_equal(idx[at] - lo, rank)
+            assert np.array_equal(U[lo:lo + len(outcomes), :m], outcomes)
         for (t, i), code in np.ndenumerate(codes):
             m = int(ms[t])
+            lo, _, stat = tables[m]
             order = all_rankings(m)[code]
             outcome = rule.evaluate(*alone(order)).tolist() + [0.0] * (width - m)
             assert U[idx[t, i]].tolist() == outcome
-            assert stats[idx[t, i]].tolist() == rule.statistic(order[None])[0].tolist()
+            assert stat[idx[t, i] - lo].tolist() == rule.statistic(order[None])[0].tolist()
             assert L[t, i] == sum(o * x for o, x in zip(outcome, losses[t].tolist()))
 
 

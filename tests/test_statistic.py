@@ -21,6 +21,7 @@ from voteweight import (
     RandomizedPositional,
     SchemeConfig,
     Unilateral,
+    VotingRule,
     WinnerPunishingSource,
     condorcet_winner,
     pairwise_statistic,
@@ -201,8 +202,8 @@ class TestTieExactReference:
         profiles = [reference_profile(g, reps, w) for g, w in zip(groups, weights)]
         for name, make in RULES.items():
             rule = make(m)
-            idx, _, stats, _ = _index_rounds(rule, ms, codes, losses, groups.shape[1])
-            weighted = _weighted_outcomes(rule, ms, losses, idx, stats, weights)
+            idx, _, tables, _ = _index_rounds(rule, ms, codes, losses, groups.shape[1])
+            weighted = _weighted_outcomes(rule, ms, losses, idx, tables, weights)
             for t, profile in enumerate(profiles):
                 want = old_evaluate(rule, profile)
                 assert np.array_equal(rule.evaluate(orders[t], weights[t]), want), name
@@ -246,6 +247,77 @@ class TestTieExactReference:
             groups, _, outcome = source.emit(w)
             profile = challenge_profile(source, groups, w)
             assert np.array_equal(outcome, old_evaluate(rule, profile))
+
+
+class PerCount(VotingRule):
+    """``make(m)``'s statistic and decision at each alternative count m, so that
+    a rule RULES builds for one count (tied scores) can play rounds of several."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def statistic(self, orders):
+        return self.make(orders.shape[1]).statistic(orders)
+
+    def decide(self, stat, m):
+        return self.make(m).decide(stat, m)
+
+
+@st.composite
+def mixed_rounds(draw):
+    """Rounds of two or three alternative counts, indexed together. The first
+    round of each count puts its voters on every ranking of the count's pool,
+    so a count of m > 2 has a table of at least three rows; each later round
+    puts them on one, two or all of its pool. Weights tie, hold zeros, or put
+    all the mass on one voter."""
+    counts = draw(st.lists(st.integers(2, 5), min_size=2, max_size=3, unique=True))
+    ms = counts + draw(st.lists(st.sampled_from(counts), min_size=1, max_size=6))
+    n = draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pools = {m: all_rankings(m)[rng.permutation(len(all_rankings(m)))[:4]] for m in counts}
+    orders = []
+    for t, m in enumerate(ms):
+        pool = pools[m]
+        if t < len(counts):
+            reps, on = pool, np.arange(n) % len(pool)
+        else:
+            reps = pool[rng.permutation(len(pool))[:draw(st.sampled_from([1, 2, len(pool)]))]]
+            on = rng.integers(0, len(reps), n)
+        orders.append(reps[on])
+    mode = draw(st.sampled_from(["uniform", "integers", "one", "random"]))
+    if mode == "uniform":
+        weights = np.ones((len(ms), n))
+    elif mode == "integers":  # exact ties and zeros
+        weights = rng.integers(0, 3, size=(len(ms), n)).astype(float)
+        weights[:, -1] += 1.0
+    elif mode == "one":  # every other voter weighs 0
+        weights = np.zeros((len(ms), n))
+        weights[np.arange(len(ms)), rng.integers(0, n, len(ms))] = 1.0
+    else:
+        weights = rng.random((len(ms), n))
+    return np.array(ms), orders, weights
+
+
+class TestMixedCountReference:
+    @given(case=mixed_rounds())
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_outcomes_match_the_old_loops(self, case):
+        """`_weighted_outcomes` on rounds of several counts, whose tables start
+        past row 0 of the stacked table, against the old loops and `evaluate`."""
+        ms, orders, weights = case
+        width, n = int(ms.max()), weights.shape[1]
+        codes = np.array([rank_codes(o) for o in orders])
+        losses = np.zeros((len(ms), width))
+        profiles = [reference_profile(range(n), [tuple(r) for r in o.tolist()], w)
+                    for o, w in zip(orders, weights)]
+        for name, make in RULES.items():
+            idx, _, tables, _ = _index_rounds(PerCount(make), ms, codes, losses, n)
+            weighted = _weighted_outcomes(PerCount(make), ms, losses, idx, tables, weights)
+            for t, m in enumerate(ms.tolist()):
+                want = old_evaluate(make(m), profiles[t])
+                assert np.array_equal(make(m).evaluate(orders[t], weights[t]), want), name
+                assert np.array_equal(weighted[t, :m], want), name
+                assert not weighted[t, m:].any(), name
 
 
 class TestNoProfilesOnTheEngine:
