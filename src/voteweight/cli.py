@@ -79,9 +79,6 @@ def _simulation(rule, source, n, m, T, scheme={}, seed=0, trials=1, feedback=Non
     for key, path in paths.items():
         if not isinstance(path, str) or not path:
             raise ConfigError(f"{key} must be a non-empty path, got {path!r}")
-    if os.path.normpath(trace_csv) == os.path.normpath(summary_json):  # the summary would win
-        raise ConfigError(f"trace_csv {trace_csv!r} and summary_json {summary_json!r} "
-                          "name the same file")
     rule = parse_section("rule", rule, {
         "deterministic_positional": lambda scores: DeterministicPositional(scores),
         "randomized_positional": lambda scores: RandomizedPositional(scores),
@@ -135,6 +132,9 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
         destination = out_dir or paths["out_dir"]
         trace_path = os.path.join(destination, paths["trace_csv"])
         summary_path = os.path.join(destination, paths["summary_json"])
+        if os.path.realpath(trace_path) == os.path.realpath(summary_path):  # the summary would win
+            raise ConfigError(f"trace_csv {paths['trace_csv']!r} and summary_json "
+                              f"{paths['summary_json']!r} name the same file")
         first = run_episode(scheme, rule, source, seed=seed)
         mean, stderr = monte_carlo_regret(
             lambda s: first if s == seed else run_episode(scheme, rule, source, seed=s),

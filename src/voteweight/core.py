@@ -10,7 +10,6 @@ supplies.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Sequence
@@ -108,21 +107,13 @@ def inverse_cdf(weights: np.ndarray, u) -> np.ndarray:
     """Row-wise inverse-CDF draws from unnormalized non-negative weights.
 
     `weights` has shape (..., k) and `u` (uniforms in [0, 1)) the shape of its
-    leading axes. Each draw is the first index whose normalized cumulative
-    weight exceeds u. The normalized total is exactly 1, so the draw always
-    lands on a positive weight, zero padding included. More draws than k**2
-    add one category at a time along the draws, in a cumsum's order.
+    leading axes. Each draw is the first index whose normalized cumulative weight
+    exceeds u, bisect_right's in a normalized row. The normalized total is exactly
+    1, so the draw always lands on a positive weight, zero padding included. More
+    draws than k**2 add one category at a time along the draws, in a cumsum's order.
     """
     if np.size(weights) > np.shape(weights)[-1] ** 3:
         cdf = list(itertools.accumulate(np.moveaxis(weights, -1, 0)))
         return sum(c / cdf[-1] <= u for c in cdf)
     cdf = np.cumsum(weights, axis=-1)
     return np.add.reduce(cdf / cdf[..., -1:] <= np.asarray(u)[..., None], axis=-1)
-
-
-def draw(weights: Sequence[float], u: float) -> int:
-    """:func:`inverse_cdf` for one row of Python floats: the same comparisons,
-    log k divisions and none of the per-call cost of array operations."""
-    cdf = list(itertools.accumulate(weights))
-    return bisect.bisect_right(cdf, u, key=lambda x: x / cdf[-1])
-

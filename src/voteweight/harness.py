@@ -16,7 +16,8 @@ oblivious sources play the whole episode as array operations, EXP3 on
 oblivious sources one loop over Python floats, and adaptive sources one
 round-by-round loop over voter groups. Each path returns only what it played,
 EXP3's the draws its update used; :func:`_trace` makes the other draws and
-forms every kind's losses.
+forms every kind's losses. A draw is one :func:`inverse_cdf` or, in the EXP3
+loops, a bisection of table rows' CDFs normalized once, :func:`_row_cdfs`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import check_alternatives, draw, inverse_cdf, rank_codes
+from .core import check_alternatives, inverse_cdf, rank_codes
 from .errors import ConfigError, InvalidRankingError, ShapeError
 from .rules import VotingRule, group_statistic, outcome_table, voter_losses
 from .schemes import SchemeConfig, exp_weights
@@ -204,16 +205,16 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
 
 def _trace(kind: str, u, probs, idx, U, L, losses, weighted, drawn) -> Trace:
     """The one place the trace's losses are formed. EXP3 passes the voters and
-    winners its update ``drawn``. Another sampled kind draws ``chosen`` from
-    ``probs`` with ``u[:, 0]`` and plays row ``U[idx[t, chosen]]``; deterministic
-    weights play ``weighted``. Both draw the winner with ``u[:, 1]``."""
+    winners its update ``drawn``. ``full_info`` draws ``chosen`` from ``probs``
+    with ``u[:, 0]`` (``constant`` plays voter 0) and plays ``U[idx[t, chosen]]``;
+    deterministic weights play ``weighted``. All draw the winner with ``u[:, 1]``."""
     rows = np.arange(len(u))  # L is copied last, after the draws' temporaries are freed
     if kind == "partial_info":
         chosen, winner = drawn
     elif kind == "deterministic_unilateral":
         chosen, winner = np.full(len(u), -1), inverse_cdf(weighted, u[:, 1])
     else:
-        chosen = inverse_cdf(probs, u[:, 0])
+        chosen = np.zeros(len(u), np.int64) if kind == "constant" else inverse_cdf(probs, u[:, 0])
         winner = inverse_cdf(U[idx[rows, chosen]], u[:, 1])
     scheme_loss = L[rows, chosen] if weighted is None else np.einsum("tk,tk->t", weighted, losses)
     return Trace(np.ascontiguousarray(L), probs, chosen, winner, scheme_loss,
@@ -268,17 +269,22 @@ def _weighted_outcomes(rule: VotingRule, ms, losses, idx, tables, probs) -> np.n
     return outcome
 
 
+def _row_cdfs(U) -> list[list[float]]:
+    """Rows' running sums over their totals: bisect_right(cdfs[r], u) is inverse_cdf(U[r], u)."""
+    return [[x / c[-1] for x in c] for c in map(list, map(accumulate, U.tolist()))]
+
+
 def _play_sequential(scheme: SchemeConfig, idx, U, losses, u):
     """EXP3's ``probs`` on oblivious rounds and the voters and winners its
     update drew, one round at a time on Python floats: at n in the tens,
     array calls cost more than their work. Each round moves one voter's z
     (-eta * cumulative), so z, max(z) and w = exp(z - max(z)) carry over. The
     voter is u * total's place among w's running sums, redrawn by
-    :func:`draw` if its probability w[c] / total rounds to 0. Rows are
-    normalized after the loop by that division; winners are drawn from table
-    rows' CDFs normalized once, as :func:`draw` does."""
+    :func:`inverse_cdf` over w / total if its probability w[c] / total rounds
+    to 0. Rows are normalized after the loop by that division; winners bisect
+    the table rows' CDFs from :func:`_row_cdfs`."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
-    cdfs = [[x / c[-1] for x in c] for c in map(list, map(accumulate, U.tolist()))]
+    cdfs = _row_cdfs(U)
     weights, totals, chosen, winner = array("d"), array("d"), [], []
     cumulative, z, top, w = [0.0] * n, [-0.0] * n, -0.0, [1.0] * n  # -0.0 is 0.0 * -eta
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
@@ -287,7 +293,7 @@ def _play_sequential(scheme: SchemeConfig, idx, U, losses, u):
         totals.append(total := cdf[-1])
         c = bisect_right(cdf, u_voter * total)
         if not (p := w[c] / total):  # a subnormal weight, 0 once normalized
-            p = w[c := draw([x / total for x in w], u_voter)] / total
+            p = w[c := int(inverse_cdf([x / total for x in w], u_voter))] / total
         chosen.append(c)
         winner.append(k := bisect_right(cdfs[idx.item(t, c)], u_winner))
         cumulative[c] += losses.item(t, k) / p
@@ -308,12 +314,13 @@ def _play_adaptive(scheme: SchemeConfig, source, u):
     Returns what :func:`_trace` takes: for ``full_info`` and ``constant`` the
     rounds' ``groups`` index that table, deterministic weights play each
     round's ``outcome``, the rule's under the distribution, and EXP3, whose
-    update needs its draws, makes them here and returns them as ``drawn``."""
+    update needs its draws, makes them here (winners from :func:`_row_cdfs`,
+    built once) and returns them as ``drawn``."""
     T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
     L, probs, losses = np.zeros((T, n)), np.zeros((T, n)), np.zeros((T, source.m))
     groups = np.zeros((T, n), dtype=np.int64) if kind in ("full_info", "constant") else None
     outcome = np.zeros((T, source.m)) if kind == "deterministic_unilateral" else None
-    group_ids, table = np.arange(len(source.unanimous)), source.unanimous.tolist()
+    group_ids, cdfs = np.arange(len(source.unanimous)), _row_cdfs(source.unanimous)
     cumulative, chosen, winner = np.zeros(n), [], []
     for t, (u_voter, u_winner) in enumerate(u.tolist()):
         p = probs[t]
@@ -331,7 +338,7 @@ def _play_adaptive(scheme: SchemeConfig, source, u):
             outcome[t] = o
         if kind == "partial_info":
             chosen.append(c := int(inverse_cdf(p, u_voter)))
-            winner.append(k := draw(table[g[c]], u_winner))
+            winner.append(k := bisect_right(cdfs[g[c]], u_winner))
             cumulative[c] += losses[t, k] / p[c]
         elif kind != "constant":
             cumulative += L[t]

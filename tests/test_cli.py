@@ -322,14 +322,24 @@ class TestSimulate:
         pytest.param({"trace_csv": "./out.txt", "summary_json": "out.txt"},
                      "trace_csv './out.txt' and summary_json 'out.txt' name the same file",
                      id="same_output_file_spelled_apart"),
+        pytest.param({"trace_csv": "<tmp>/out/out.txt", "summary_json": "out.txt"},
+                     "trace_csv '<tmp>/out/out.txt' and summary_json 'out.txt' name the same file",
+                     id="same_output_file_as_an_absolute_path"),
+        pytest.param({"summary_json": "<tmp>/link.json"},
+                     "trace_csv 'trace.csv' and summary_json '<tmp>/link.json' name the same file",
+                     id="same_output_file_through_a_symlink"),
     ])
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, overrides, message):
-        cfg = write_config(tmp_path, **overrides)
+        # <tmp> is tmp_path, where link.json links to the trace's path, out/trace.csv
         out = tmp_path / "out"
+        os.symlink(out / "trace.csv", tmp_path / "link.json")
+        overrides = {key: value.replace("<tmp>", str(tmp_path)) if isinstance(value, str)
+                     else value for key, value in overrides.items()}
+        cfg = write_config(tmp_path, **overrides)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message.replace("<tmp>", str(tmp_path)) in err
 
     def test_nan_summary_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # summary.json is strict JSON: a NaN regret is refused, not written as NaN

@@ -21,7 +21,6 @@ from voteweight.core import (
     MAX_M,
     all_rankings,
     check_alternatives,
-    draw,
     inverse_cdf,
     orders_from_codes,
 )
@@ -31,6 +30,7 @@ from voteweight.errors import (
     InvalidRankingError,
     ShapeError,
 )
+from voteweight.harness import _row_cdfs
 
 from conftest import alone, file_source, orders_of, random_rankings, ranking
 
@@ -248,7 +248,6 @@ class TestSample:
     def test_point_mass(self, rng):
         dist = np.array([0.0, 1.0, 0.0])
         assert np.all(inverse_cdf(np.tile(dist, (20, 1)), rng.random(20)) == 1)
-        assert all(draw(dist.tolist(), u) == 1 for u in rng.random(20).tolist())
 
     def test_point_mass_any_seed(self):
         dist = np.array([1.0, 0.0, 0.0])
@@ -256,22 +255,25 @@ class TestSample:
         stale.random(100)
         fresh = np.random.default_rng(99)
         for u in (stale.random(), fresh.random()):
-            assert inverse_cdf(dist, u) == draw(dist.tolist(), u) == 0
+            assert inverse_cdf(dist, u) == 0
 
     def test_draw_matches_normalized_cdf_at_every_boundary(self, rng):
-        # draw divides only the entries its bisection visits; the result must
-        # be the bisection of the whole normalized list, ulp for ulp
+        # the array draw and the EXP3 loops' row CDFs must both be the
+        # bisection of the whole normalized list, ulp for ulp
         for _ in range(300):
             weights = (rng.random(7) * (rng.random(7) < 0.7)).tolist()
             if not any(weights):
                 continue
             cdf = list(itertools.accumulate(weights))
             normalized = [x / cdf[-1] for x in cdf]
+            [row] = _row_cdfs(np.array([weights]))
+            assert row == normalized
             for q in normalized:
                 for u in (math.nextafter(q, 0.0), q, math.nextafter(q, 1.0)):
                     if u < 1.0:
                         expected = bisect.bisect_right(normalized, u)
-                        assert draw(weights, u) == expected == inverse_cdf(np.array(weights), u)
+                        assert bisect.bisect_right(row, u) == expected
+                        assert inverse_cdf(np.array(weights), u) == expected
 
     def test_monte_carlo_frequency(self, rng):
         draws = 10**5

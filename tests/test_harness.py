@@ -25,7 +25,7 @@ from voteweight import (
     run_episode,
     unanimity_witness,
 )
-from voteweight.core import all_rankings, draw, rank_codes
+from voteweight.core import all_rankings, rank_codes
 from voteweight.errors import ConfigError, NoWitnessError
 from voteweight.harness import _index_rounds, _play_sequential, _trace
 from voteweight.schemes import SCHEME_KINDS
@@ -454,10 +454,10 @@ def scalar_replay(scheme, rule, trace, round_at, u):
             # the played weights: a rule with ties is discontinuous in them
             outcome = rule.evaluate(orders_of(rankings), trace.probs[t])
         else:
-            assert c == draw(p, u[t, 0]) and p[c] > 0
+            assert c == _list_draw(p, u[t, 0]) and p[c] > 0
             outcome = rule.evaluate(*alone(rankings[c]))
         assert abs(trace.scheme_loss[t] - float(outcome @ ell)) <= TOL
-        assert win == draw(outcome, u[t, 1]) and trace.winner_loss[t] == ell[win]
+        assert win == _list_draw(outcome, u[t, 1]) and trace.winner_loss[t] == ell[win]
         if scheme.kind == "partial_info":
             cumulative[c] += ell[win] / p[c]
         elif scheme.kind != "constant":
@@ -465,7 +465,7 @@ def scalar_replay(scheme, rule, trace, round_at, u):
 
 
 def _list_draw(weights, u):
-    """`draw` as a bisection of the whole normalized CDF list."""
+    """An inverse-CDF draw as a bisection of the whole normalized CDF list."""
     cdf = list(itertools.accumulate(weights))
     return bisect.bisect_right([x / cdf[-1] for x in cdf], u)
 

@@ -21,7 +21,7 @@ from voteweight import (
     WinnerPunishingSource,
     run_episode,
 )
-from voteweight.core import draw, inverse_cdf
+from voteweight.core import inverse_cdf
 from voteweight.harness import GATHER_ELEMENTS, _decomposed_outcomes, _index_rounds
 from voteweight.rules import voter_losses
 from voteweight.schemes import SCHEME_KINDS, exp_weights
@@ -98,8 +98,9 @@ class TestKernels:
         for draws in (len(weights), 40):  # more draws than 7**2 add along the draws
             got = inverse_cdf(weights[:draws], uniforms[:draws])
             assert np.array_equal(got, row_wise[:draws])
-            assert got.tolist() == [draw(w, u) for w, u in zip(weights[:draws].tolist(),
-                                                                uniforms[:draws].tolist())]
+            # one row at a time takes the cumsum branch
+            per_row = [int(inverse_cdf(w, u)) for w, u in zip(weights[:draws], uniforms[:draws])]
+            assert got.tolist() == per_row
 
 
 def _layout_cases():
@@ -193,6 +194,10 @@ class TestEpisodeMemory:
 
     def test_full_information_on_iid_rounds(self):
         assert self.episode_peak("full_info", IIDRandomSource(self.m)) <= 6
+
+    def test_constant_draws_no_voter(self):
+        # voter 0 by construction: no cumulative sums over the point mass
+        assert self.episode_peak("constant", IIDRandomSource(self.m)) <= 4.5
 
     def test_voter_losses_hold_one_term_at_a_time(self, rng):
         U, losses = rng.random((700, self.m)), rng.random((self.T, self.m))

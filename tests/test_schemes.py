@@ -187,7 +187,7 @@ class TestAct:
 
 
 def _draw_left(weights, u):
-    """`draw` with bisect_left, which can land on a zero weight."""
+    """An inverse-CDF draw with bisect_left, which can land on a zero weight."""
     cdf = list(itertools.accumulate(weights))
     return bisect.bisect_left([x / cdf[-1] for x in cdf], u)
 
@@ -206,14 +206,13 @@ class TestEstimatorErrorPath:
         assert "none chosen" in result.detail
 
     def test_reports_a_draw_on_zero_weight(self, monkeypatch):
-        monkeypatch.setattr(checks, "draw", _draw_left)
+        monkeypatch.setattr(checks, "inverse_cdf", _draw_left)
         result = checks.check_estimator_error_path(seed=0)
         assert result.passed is False
         assert "[0.0, 1.0] at u=0.0 drew 0" in result.detail
 
     def test_reports_a_draw_on_a_weight_that_normalizes_to_zero(self, monkeypatch):
-        # both samplers agree and the weight drawn is positive: only its probability is 0
-        monkeypatch.setattr(checks, "draw", _draw_in_weight_space)
+        # the weight drawn is positive: only its probability is 0
         monkeypatch.setattr(checks, "inverse_cdf", _draw_in_weight_space)
         result = checks.check_estimator_error_path(seed=0)
         assert result.passed is False
