@@ -70,6 +70,8 @@ class WinnerPunishingSource:
         self.orders = witness
         self._stat = rule.statistic(witness)
         self.unanimous = rule.decide(self._stat, m)
+        for table in (self.orders, self._stat, self.unanimous):  # shared by every trial
+            table.flags.writeable = False
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> tuple:
         """``(groups, losses, outcome)``, ``groups`` int64 of length n (voter 0 alone); the
@@ -121,9 +123,10 @@ class CondorcetSplitSource:
         self.a, self.b = int(orders[0, 0]), int(orders[0, 1])
         # Each block's pairwise statistic, for the Condorcet check, then the rule's.
         self._stat = np.concatenate((pairwise_statistic(self.orders), stat), axis=1)
-        self.losses = np.full(m, 0.5)  # every round's, shared, so read-only
+        self.losses = np.full(m, 0.5)  # every round's
         self.losses[[self.a, self.b]] = 1.0, 0.0
-        self.losses.flags.writeable = False
+        for table in (self.orders, self._stat, self.unanimous, self.losses):  # every trial's
+            table.flags.writeable = False
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> tuple:
         """``(groups, losses, outcome)``, ``groups`` int64 of length n (heavy block 0); the

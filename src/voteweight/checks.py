@@ -50,73 +50,73 @@ class CheckResult:
 # identities
 
 
+def _fuzz(rng: np.random.Generator, profiles: int, deviation, *args) -> float:
+    """The worst of ``profiles`` draws of ``deviation(rng, *args)``, or 0."""
+    return max([0.0] + [deviation(rng, *args) for _ in range(profiles)])
+
+
+def _random_scores(m: int, rng: np.random.Generator) -> np.ndarray:
+    """A random non-increasing score vector with a positive top score."""
+    return validate_scores(np.sort(rng.random(m))[::-1] + np.array([1.0] + [0.0] * (m - 1)))
+
+
 def check_single_voter_decomposition(seed: int, profiles: int) -> CheckResult:
     """Averaging the rule over single-voter profiles must equal evaluating the
     profile built from the voter distribution, for score-based randomized rules."""
+    def deviation(rng, rule):  # 6 voters, 4 alternatives
+        votes, p = random_rankings(6, 4, rng), random_distribution(6, rng)
+        averaged = sum(p[i] * alone for i, alone in enumerate(rule.unanimous_outcomes(votes)))
+        return float(np.max(np.abs(rule.evaluate(votes, p) - averaged)))
+
     rng = np.random.default_rng(seed)
-    n, m = 6, 4
-    worst = 0.0
-    for name in ("plurality", "veto", "borda"):
-        rule = RandomizedPositional(name)
-        for _ in range(profiles):
-            votes = random_rankings(n, m, rng)
-            p = random_distribution(n, rng)
-            mixed = rule.evaluate(votes, p)
-            alone = rule.unanimous_outcomes(votes)
-            averaged = sum(p[i] * alone[i] for i in range(n))
-            worst = max(worst, float(np.max(np.abs(mixed - averaged))))
+    worst = max(_fuzz(rng, profiles, deviation, RandomizedPositional(name))
+                for name in ("plurality", "veto", "borda"))
     return CheckResult("single_voter_decomposition", worst <= TOL, f"max deviation {worst:.3e}")
 
 
 def check_duple_decomposition(seed: int, profiles: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for _ in range(profiles):
+    def deviation(rng):
         m = int(rng.integers(3, 6))
         profile = random_profile(m, rng)
-        dev = np.abs(RandomizedCopeland().evaluate(*profile)
-                     - duple_mixture_copeland(m).evaluate(*profile)).max()
-        worst = max(worst, float(dev))
+        return float(np.abs(RandomizedCopeland().evaluate(*profile)
+                            - duple_mixture_copeland(m).evaluate(*profile)).max())
+
+    worst = _fuzz(np.random.default_rng(seed + 1), profiles, deviation)
     return CheckResult("duple_decomposition", worst <= TOL, f"max deviation {worst:.3e}")
 
 
 def check_unilateral_decomposition(seed: int, profiles: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 2)
-    worst = 0.0
-    for _ in range(profiles):
-        m = int(rng.integers(3, 6))
-        s = validate_scores(np.sort(rng.random(m))[::-1] + np.array([1.0] + [0.0] * (m - 1)))
-        profile = random_profile(m, rng)
-        dev = np.abs(RandomizedPositional(s).evaluate(*profile)
-                     - unilateral_mixture_positional(s).evaluate(*profile)).max()
-        worst = max(worst, float(dev))
+    def deviation(rng):
+        s = _random_scores(int(rng.integers(3, 6)), rng)
+        profile = random_profile(len(s), rng)
+        return float(np.abs(RandomizedPositional(s).evaluate(*profile)
+                            - unilateral_mixture_positional(s).evaluate(*profile)).max())
+
+    worst = _fuzz(np.random.default_rng(seed + 2), profiles, deviation)
     return CheckResult("unilateral_decomposition", worst <= TOL, f"max deviation {worst:.3e}")
 
 
 def check_score_conservation(seed: int, profiles: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 3)
-    worst = 0.0
-    for _ in range(profiles):
+    def deviation(rng):
         m = int(rng.integers(2, 7))
         profile = random_profile(m, rng)
-        s = np.sort(rng.random(m))[::-1] + np.array([1.0] + [0.0] * (m - 1))
+        s = _random_scores(m, rng)
         scores = profile_statistic(RandomizedPositional(s).statistic, *profile)
         pairwise = profile_statistic(pairwise_statistic, *profile)
-        worst = max(
-            worst,
-            abs(float(scores.sum()) - float(s.sum())),
-            abs(float(copeland_scores(pairwise).sum()) - m * (m - 1) / 2),
-        )
+        return max(abs(float(scores.sum()) - float(s.sum())),
+                   abs(float(copeland_scores(pairwise).sum()) - m * (m - 1) / 2))
+
+    worst = _fuzz(np.random.default_rng(seed + 3), profiles, deviation)
     return CheckResult("score_conservation", worst <= TOL, f"max deviation {worst:.3e}")
 
 
 def check_condorcet_gap(seed: int, profiles: int) -> CheckResult:
     """Wherever a Condorcet winner exists, randomized Copeland must select it
-    with a lead of at least 2/(m(m-1)) over every other alternative."""
+    with a lead over every other alternative of at least its Theorem 5 delta."""
     rng = np.random.default_rng(seed + 4)
     rule = RandomizedCopeland()
-    found = 0
-    worst_slack = math.inf
+    delta = {m: CondorcetSplitSource(rule, m).delta for m in range(3, 6)}
+    found, worst_slack = 0, math.inf
     while found < profiles:
         m = int(rng.integers(3, 6))
         profile = random_profile(m, rng)
@@ -125,8 +125,7 @@ def check_condorcet_gap(seed: int, profiles: int) -> CheckResult:
             continue
         found += 1
         dist = rule.evaluate(*profile)
-        others = np.delete(dist, winner)
-        slack = float(dist[winner] - others.max()) - 2.0 / (m * (m - 1))
+        slack = float(dist[winner] - np.delete(dist, winner).max()) - delta[m]
         worst_slack = min(worst_slack, slack)
     return CheckResult("condorcet_gap", worst_slack >= -TOL,
                        f"{found} Condorcet instances, worst slack {worst_slack:.3e}")
@@ -154,9 +153,7 @@ def estimator_monte_carlo(seed: int) -> dict[str, float]:
     exact = float(p @ (dists @ ell))
 
     voters = rng.choice(n, size=samples, p=p)
-    u = rng.random(samples)
-    cdfs = np.cumsum(dists, axis=1)
-    winners = (cdfs[voters] < u[:, None]).sum(axis=1)
+    winners = inverse_cdf(dists[voters], rng.random(samples))
 
     # sum_i p_i * est_i collapses to the winner's observed loss; the second
     # moment collapses to that loss squared over the selection probability.
@@ -255,11 +252,10 @@ def check_prefix_bound(seed: int, profiles: int) -> CheckResult:
 
 
 def check_condorcet_split(seed: int) -> CheckResult:
-    n, m, T = 11, 3, 200
-    rule = RandomizedCopeland()
-    delta = 2.0 / (m * (m - 1))
+    n, T, source = 11, 200, CondorcetSplitSource(RandomizedCopeland(), 3)
+    delta = source.delta
     scheme = SchemeConfig("deterministic_unilateral", n=n, horizon=T)
-    trace = run_episode(scheme, rule, CondorcetSplitSource(rule, m, delta), seed=seed)
+    trace = run_episode(scheme, source.rule, source, seed=seed)
     worst_gap = float(np.min(trace.scheme_loss - trace.per_voter_loss.mean(axis=1)))
     ok = worst_gap >= delta / 6 - TOL and regret(trace) >= T * delta / 6 - TOL
     return CheckResult(

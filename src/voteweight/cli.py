@@ -132,7 +132,10 @@ def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:
         destination = out_dir or paths["out_dir"]
         trace_path = os.path.join(destination, paths["trace_csv"])
         summary_path = os.path.join(destination, paths["summary_json"])
-        if os.path.realpath(trace_path) == os.path.realpath(summary_path):  # the summary would win
+        # The summary would overwrite the trace: one path, a symlink or a hard link.
+        if os.path.realpath(trace_path) == os.path.realpath(summary_path) or (
+                os.path.exists(trace_path) and os.path.exists(summary_path)
+                and os.path.samefile(trace_path, summary_path)):
             raise ConfigError(f"trace_csv {paths['trace_csv']!r} and summary_json "
                               f"{paths['summary_json']!r} name the same file")
         first = run_episode(scheme, rule, source, seed=seed)

@@ -143,6 +143,8 @@ class FileSource:
         if not ms:
             raise ConfigError(f"{path}: no rounds")
         self.recorded = np.array(ms), codes, padded
+        for recorded in self.recorded:  # every trial's rounds are views of these
+            recorded.flags.writeable = False
 
     def rounds(self, T: int, n: int, rng: np.random.Generator):
         """The file's first T rounds, whatever ``n``; draws nothing."""
@@ -168,6 +170,9 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     ``rounds(T, n, rng)``, an adaptive one for each round, ``emit(weights)``;
     the latter's outcomes are those of ``source.rule``, the rule it was built
     with, and any other ``rule`` object raises before any round.
+
+    A round with a group outside ``source.unanimous`` or a loss outside [0, 1]
+    raises :class:`ConfigError` naming the first such round.
 
     Randomness: an oblivious source draws its rounds first, then one (T, 2)
     block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
@@ -232,6 +237,7 @@ def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
     the first count's rows go into ``idx`` with no temporary."""
     if codes.shape[1] != n:  # only a file or a third-party source can disagree
         raise ConfigError(f"rounds have {codes.shape[1]} rankings for n={n}")
+    _check_losses(losses)
     counts = set(ms.tolist())
     idx, tables, lo = np.empty((n, len(ms)), dtype=np.int64), {}, 0
     for m in counts:
@@ -244,6 +250,13 @@ def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
     for lo, outcomes, _ in tables.values():
         U[lo:lo + len(outcomes), :outcomes.shape[1]] = outcomes
     return idx.T, U, tables, voter_losses(U, idx, losses).T
+
+
+def _check_losses(losses) -> None:
+    """Refuse rounds with a loss outside [0, 1], naming the first."""
+    if not (losses.min() >= 0 and losses.max() <= 1):  # false for a NaN too
+        t = int(np.argmin(((losses >= 0) & (losses <= 1)).all(axis=1)))
+        raise ConfigError(f"round {t + 1} has a loss outside [0, 1]: {losses[t].tolist()}")
 
 
 def _decomposed_outcomes(probs, idx, U) -> np.ndarray:
@@ -331,6 +344,8 @@ def _play_adaptive(scheme: SchemeConfig, source, u):
         g, losses[t], o = source.emit(p)  # every kind's question: the distribution, not a voter
         if len(g) != n:
             raise ConfigError(f"round {t + 1} has {len(g)} voters, not {n}")
+        if g.min() < 0 or g.max() >= len(group_ids):  # a negative group would wrap
+            raise ConfigError(f"round {t + 1} has groups outside 0..{len(group_ids) - 1}")
         L[t] = voter_losses(source.unanimous, group_ids, losses[t])[g]
         if groups is not None:
             groups[t] = g
@@ -342,6 +357,7 @@ def _play_adaptive(scheme: SchemeConfig, source, u):
             cumulative[c] += losses[t, k] / p[c]
         elif kind != "constant":
             cumulative += L[t]
+    _check_losses(losses)
     return probs, groups, source.unanimous, L, losses, outcome, (np.array(chosen), np.array(winner))
 
 

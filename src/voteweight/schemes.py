@@ -66,18 +66,19 @@ class SchemeConfig:
         return "partial" if self.kind == "partial_info" else "full"
 
     @property
+    def _rounds(self) -> int:  # times n for EXP3: its estimates' second moment is up to n
+        return self.horizon * (self.n if self.kind == "partial_info" else 1)
+
+    @property
     def regret_bound(self) -> float:
         """sqrt(2 T ln n) for full information, sqrt(2 T n ln n) for partial."""
-        rounds = self.horizon * (self.n if self.kind == "partial_info" else 1)
-        return math.sqrt(2.0 * rounds * math.log(self.n))
+        return math.sqrt(2.0 * self._rounds * math.log(self.n))
 
     @property
     def learning_rate(self) -> float:
         if self.eta is not None:
             return self.eta
-        if self.kind == "partial_info":
-            return math.sqrt(2.0 * math.log(self.n) / (self.horizon * self.n))
-        return math.sqrt(2.0 * math.log(self.n) / self.horizon)
+        return math.sqrt(2.0 * math.log(self.n) / self._rounds)
 
 
 def exp_weights(cumulative: np.ndarray, eta: float) -> np.ndarray:

@@ -58,11 +58,6 @@ def abc():
 
 
 @pytest.fixture
-def bac():
-    return ranking(1, 0, 2)
-
-
-@pytest.fixture
 def bca():
     return ranking(1, 2, 0)
 

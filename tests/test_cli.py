@@ -341,6 +341,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message.replace("<tmp>", str(tmp_path)) in err
 
+    def test_hard_linked_outputs_refused_before_any_episode(self, tmp_path, capsys, monkeypatch):
+        # one inode under both names: their realpaths differ, so only samefile sees it
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace.csv").write_bytes(b"round\r\n1\r\n")
+        os.link(out / "trace.csv", out / "summary.json")
+        monkeypatch.setattr(cli, "run_episode", lambda *args, **kwargs: pytest.fail("ran"))
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert (out / "trace.csv").read_bytes() == b"round\r\n1\r\n"
+        assert capsys.readouterr().err == ("error: trace_csv 'trace.csv' and summary_json "
+                                           "'summary.json' name the same file\n")
+        os.unlink(out / "summary.json")  # two files that both exist are overwritten
+        (out / "summary.json").write_text("{}")
+        monkeypatch.undo()
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert len(read_rows(out / "trace.csv")) == 50
+        assert json.loads((out / "summary.json").read_text())["trials"] == 1
+
     def test_nan_summary_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # summary.json is strict JSON: a NaN regret is refused, not written as NaN
         monkeypatch.setattr(cli, "regret", lambda trace: math.nan)

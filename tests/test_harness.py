@@ -131,6 +131,61 @@ class TestRunEpisode:
         assert np.array_equal(a.scheme_loss, b.scheme_loss)
 
 
+class TestSourceArrays:
+    """One source instance serves every trial, so what it hands out is read-only,
+    and the engine refuses rounds a third-party source got wrong."""
+
+    def test_shared_arrays_refuse_writes(self):
+        file = file_source([{"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]}] * 3)
+        thm3 = WinnerPunishingSource(DeterministicPositional("plurality"), 3)
+        thm5 = CondorcetSplitSource(RandomizedCopeland(), 3)
+        shared = [*file.recorded, *file.rounds(2, 2, np.random.default_rng(0)), thm5.losses]
+        for source in (thm3, thm5):
+            shared += [source.orders, source._stat, source.unanimous]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 1
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @pytest.mark.parametrize("shift", [lambda g: -g, lambda g: g + 1],
+                             ids=["negative", "past_the_table"])
+    def test_adaptive_groups_outside_the_table_rejected(self, kind, shift):
+        class Shifted(WinnerPunishingSource):
+            def emit(self, weights):
+                groups, losses, outcome = super().emit(weights)
+                return shift(groups), losses, outcome
+
+        rule = DeterministicPositional("plurality")
+        with pytest.raises(ConfigError, match=r"round 1 has groups outside 0\.\.1"):
+            episode(kind, rule=rule, source=Shifted(rule, 3), T=20)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_adaptive_losses_outside_unit_interval_rejected(self, kind):
+        class Tripled(WinnerPunishingSource):  # from round 3 on
+            played = 0
+
+            def emit(self, weights):
+                groups, losses, outcome = super().emit(weights)
+                self.played += 1
+                return groups, 3 * losses if self.played >= 3 else losses, outcome
+
+        rule = DeterministicPositional("plurality")
+        with pytest.raises(ConfigError, match=r"round 3 has a loss outside \[0, 1\]"):
+            episode(kind, rule=rule, source=Tripled(rule, 3), T=20)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])
+    def test_oblivious_losses_outside_unit_interval_rejected(self, kind, bad):
+        class Edited(IIDRandomSource):  # one loss of round 5
+            def rounds(self, T, n, rng):
+                ms, codes, losses = super().rounds(T, n, rng)
+                losses[4, 1] = bad
+                return ms, codes, losses
+
+        with pytest.raises(ConfigError, match=r"round 5 has a loss outside \[0, 1\]"):
+            episode(kind, source=Edited(3), T=20)
+
+
 class TestBestVoter:
     def test_single_voter(self):
         trace = episode(n=1, T=20)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from voteweight import (
     TOL,
+    CondorcetSplitSource,
     ConstantUniform,
     DeterministicCopeland,
     DeterministicPositional,
@@ -30,6 +31,7 @@ from voteweight.core import all_rankings
 from voteweight.errors import (
     ConfigError,
     EnumerationRefusedError,
+    HypothesisViolatedError,
     InvalidPairError,
     InvalidRankingError,
     ShapeError,
@@ -353,6 +355,20 @@ class TestInvariants:
         result = checks.check_condorcet_gap(seed=12345, profiles=50)
         assert result.passed, result.detail
         assert result.detail.startswith("50 Condorcet instances")
+
+    def test_condorcet_checks_take_delta_from_the_source(self, monkeypatch):
+        # delta is stated once, by Theorem 5's source; both checks test the value it uses
+        class WiderGap(CondorcetSplitSource):
+            def __init__(self, rule, m, delta=None):
+                super().__init__(rule, m, delta)
+                self.delta *= 1.5
+
+        monkeypatch.setattr(checks, "CondorcetSplitSource", WiderGap)
+        result = checks.check_condorcet_gap(seed=12345, profiles=50)
+        assert not result.passed, result.detail
+        # the split's episode plays the widened source, whose lead check refuses it
+        with pytest.raises(HypothesisViolatedError, match="under delta=0.5"):
+            checks.check_condorcet_split(seed=0)
 
 
 class TestUnanimityWitness:

@@ -31,15 +31,13 @@ def play(kind, lines, eta=None, rule=None, seed=0):
 
 
 class TestConfig:
-    def test_default_eta_full_info(self):
-        cfg = config(n=10, T=400)
-        assert cfg.learning_rate == pytest.approx(math.sqrt(2 * math.log(10) / 400))
-
-    def test_default_eta_partial_info(self):
-        cfg = config("partial_info", n=10, T=400)
-        assert cfg.learning_rate == pytest.approx(
-            math.sqrt(2 * math.log(10) / (400 * 10))
-        )
+    @pytest.mark.parametrize("n, T", [(1, 1), (1, 50), (2, 7), (10, 400), (1001, 60)])
+    def test_default_eta_and_bound_share_one_rounds_count(self, n, T):
+        # T rounds, times n for EXP3; the rate is not rederived from the bound (0/0 at n = 1)
+        for kind, rounds in (("full_info", T), ("partial_info", T * n)):
+            cfg = config(kind, n=n, T=T)
+            assert cfg.learning_rate == math.sqrt(2.0 * math.log(n) / rounds)
+            assert cfg.regret_bound == math.sqrt(2.0 * rounds * math.log(n))
 
     def test_explicit_eta_wins(self):
         assert config(eta=0.25).learning_rate == 0.25
