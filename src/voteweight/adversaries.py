@@ -7,10 +7,11 @@ round as three arrays, ``(groups, losses, outcome)``. ``groups`` is int64 of
 length n, voter i reporting ``orders[groups[i]]``; ``losses`` holds a loss per
 alternative; ``outcome`` is the rule's under the played weights, decided on
 :func:`~voteweight.rules.group_statistic` of the groups' statistics, and the
-engine reads it only under deterministic weights. ``unanimous[g]``, computed
-once per source, is group g's outcome with all the weight. ``m`` is the number
-of alternatives a source emits; sources hold no per-episode state and learn n
-from the weights, so one instance serves every trial and every n. The engine
+engine reads it only under deterministic weights on a rule that does not
+decompose. ``unanimous[g]``, computed once per source, is group g's outcome
+with all the weight. ``m`` is the number of alternatives a source emits,
+checked first; sources hold no per-episode state and learn n from the
+weights, so one instance serves every trial and every n. The engine
 reads only ``rule``, which must be the episode's rule, ``m``, ``unanimous`` and
 ``emit``. The oblivious sources in `harness` answer ``rounds(T, n, rng)`` with
 all T rounds at once, as the three arrays ``(m, codes, losses)``.
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, as_weights
+from .core import TOL, as_weights, check_alternatives
 from .errors import ConfigError, HypothesisViolatedError, NoWitnessError
 from .rules import (RandomizedCopeland, VotingRule, condorcet_winner, group_statistic,
                     pairwise_statistic, unanimity_witness)
@@ -60,13 +61,13 @@ class WinnerPunishingSource:
     """
 
     def __init__(self, rule: VotingRule, m: int):
+        self.m = m = check_alternatives(m)
         if not rule.deterministic:
             raise NoWitnessError("winner punishment requires a deterministic rule")
         witness = unanimity_witness(rule, m)
         if witness is None:
             raise NoWitnessError("rule is constant when one ranking carries all the weight")
         self.rule = rule
-        self.m = m
         self.orders = witness
         self._stat = rule.statistic(witness)
         self.unanimous = rule.decide(self._stat, m)
@@ -74,8 +75,8 @@ class WinnerPunishingSource:
             table.flags.writeable = False
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> tuple:
-        """``(groups, losses, outcome)``, ``groups`` int64 of length n (voter 0 alone); the
-        rule's ``outcome`` under ``weights`` is read only under deterministic weights."""
+        """``(groups, losses, outcome)``, ``groups`` int64 of length n (voter 0 alone) and
+        ``outcome`` the rule's under ``weights``."""
         groups = (np.arange(len(weights)) > 0).astype(np.int64)
         outcome = self.rule.decide(group_statistic(self._stat, groups, weights), self.m)
         losses = np.eye(self.m)[np.argmax(outcome)]
@@ -98,6 +99,7 @@ class CondorcetSplitSource:
     """
 
     def __init__(self, rule: VotingRule, m: int, delta: Optional[float] = None):
+        self.m = m = check_alternatives(m)
         if delta is None:
             if isinstance(rule, RandomizedCopeland):
                 delta = 2.0 / (m * (m - 1))
@@ -109,7 +111,6 @@ class CondorcetSplitSource:
             raise ConfigError(f"delta is a selection gap in (0, 1], got {delta!r}")
         self.rule = rule
         self.delta = delta
-        self.m = m
         # 0 over 1, then 1 over 0; the remaining alternatives follow in ascending order
         # and share one loss, so their positions never matter.
         orders = np.array([[0, 1, *range(2, m)], [1, 0, *range(2, m)]])
@@ -129,8 +130,8 @@ class CondorcetSplitSource:
             table.flags.writeable = False
 
     def emit(self, weights: Sequence[float] | np.ndarray) -> tuple:
-        """``(groups, losses, outcome)``, ``groups`` int64 of length n (heavy block 0); the
-        rule's ``outcome`` under ``weights`` is read only under deterministic weights."""
+        """``(groups, losses, outcome)``, ``groups`` int64 of length n (heavy block 0) and
+        ``outcome`` the rule's under ``weights``."""
         n, delta = len(weights), self.delta
         if n < 2 * (3.0 / (2.0 * delta) + 1.0):
             raise HypothesisViolatedError(f"need n >= 2(3/(2 delta) + 1) = "

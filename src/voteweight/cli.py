@@ -85,9 +85,8 @@ def _simulation(rule, source, n, m, T, scheme={}, seed=0, trials=1, feedback=Non
         "deterministic_copeland": lambda: DeterministicCopeland(),
         "randomized_copeland": lambda: RandomizedCopeland(),
         "constant_uniform": lambda: ConstantUniform(),
-        "duple": lambda a, b: Duple(whole_number(a, "a"), whole_number(b, "b")),
-        "unilateral": lambda position: Unilateral(
-            position_selector(whole_number(position, "position"))),
+        "duple": lambda a, b: Duple(a, b),
+        "unilateral": lambda position: Unilateral(position_selector(position)),
     })
     scheme = parse_section(
         "scheme", scheme, lambda kind="full_info", eta=None: SchemeConfig(kind, n, T, eta))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -35,18 +36,22 @@ SUITES = ("identities", "estimators", "adversaries", "all")  # verify's; checks.
 
 
 def check_alternatives(m: int) -> int:
-    """Reject alternative counts outside 2..MAX_M: with one alternative the
-    positional score sums vanish, and past MAX_M rank codes overflow."""
+    """An alternative count as an int: booleans and other non-integers are
+    refused, numpy integers accepted. Counts outside 2..MAX_M are refused too:
+    with one alternative the positional score sums vanish, and past MAX_M rank
+    codes overflow."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ShapeError(f"the number of alternatives must be an integer, got {m!r}")
     if not 2 <= m <= MAX_M:
         raise ShapeError(f"need 2 <= m <= {MAX_M} alternatives, got {m}")
-    return m
+    return int(m)
 
 
 def whole_number(value, key: str) -> int:
     """A config count, seed or index as an int: JSON true and false, strings,
     negative numbers and floats that are not whole numbers (infinity and NaN
-    included) are refused."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+    included) are refused; numpy integers are accepted."""
+    if (isinstance(value, bool) or not isinstance(value, (numbers.Integral, float))
             or isinstance(value, float) and not value.is_integer() or value < 0):
         raise ConfigError(f"{key} must be a non-negative whole number, got {value!r}")
     return int(value)
@@ -115,5 +120,6 @@ def inverse_cdf(weights: np.ndarray, u) -> np.ndarray:
     if np.size(weights) > np.shape(weights)[-1] ** 3:
         cdf = list(itertools.accumulate(np.moveaxis(weights, -1, 0)))
         return sum(c / cdf[-1] <= u for c in cdf)
-    cdf = np.cumsum(weights, axis=-1)
-    return np.add.reduce(cdf / cdf[..., -1:] <= np.asarray(u)[..., None], axis=-1)
+    cdf = np.cumsum(weights, axis=-1, dtype=float)  # integer weights too divide in place
+    cdf /= cdf[..., -1:].copy()  # an overlapping operand would copy all of cdf
+    return np.add.reduce(cdf <= np.asarray(u)[..., None], axis=-1)

@@ -46,9 +46,9 @@ class Trace:
     and ``probs`` (T, n) the distribution over voters the scheme played (a
     point mass on voter 0 for ``constant``). ``chosen`` (T,) is the voter
     drawn from it, or -1 when the distribution itself is the weight vector;
-    ``winner`` (T,) is drawn from that voter's (or the weighted) outcome.
-    ``scheme_loss`` (T,) is the expected loss given ``chosen``, and
-    ``winner_loss`` (T,) the realized loss, all that partial feedback reveals.
+    ``winner`` (T,) is drawn from that voter's outcome, or the weighted one.
+    ``scheme_loss`` (T,) is the expected loss given ``chosen`` or the weights,
+    and ``winner_loss`` (T,) the realized loss, all that partial feedback reveals.
     EXP3's draws are the ones its update used; :func:`_trace` forms the rest.
     """
 
@@ -157,8 +157,6 @@ class FileSource:
 # ---------------------------------------------------------------------------
 # Episode engine
 
-GATHER_ELEMENTS = 2**15  # floats in one block of a decomposing rule's (rounds, n, width) gather
-
 
 def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -> Trace:
     """Play the scheme's T = ``scheme.horizon`` rounds: the scheme plays a voter
@@ -177,17 +175,19 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     Randomness: an oblivious source draws its rounds first, then one (T, 2)
     block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
 
-    Memory: an oblivious episode holds about five (T, n) arrays at once and no
+    Memory: an oblivious episode holds about four (T, n) arrays at once and no
     (T, n, m) one; the rank codes and cumulative losses are dropped once read.
     """
     T, n, kind = scheme.horizon, scheme.n, scheme.kind
     rng = np.random.default_rng(seed)
+    # a decomposing rule's weighted outcome is a voter's, drawn as full_info draws it
+    plays_outcome = kind == "deterministic_unilateral" and not rule.decomposes
     if not hasattr(source, "rounds"):
         if source.rule is not rule:
             raise ConfigError("an adaptive source plays the rule it was built with, "
                               "not the one passed to run_episode")
         u = rng.random((T, 2))
-        return _trace(kind, u, *_play_adaptive(scheme, source, u))
+        return _trace(kind, u, *_play_adaptive(scheme, source, u, plays_outcome))
     ms, codes, losses = source.rounds(T, n, rng)
     u = rng.random((T, 2))
     idx, U, tables, L = _index_rounds(rule, ms, codes, losses, n)
@@ -202,28 +202,34 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
         np.cumsum(L.T[:, :-1], axis=1, out=before[:, 1:])
         probs = exp_weights(before, scheme.learning_rate)
         del before
-    if kind == "deterministic_unilateral":
-        weighted = (_decomposed_outcomes(probs, idx, U) if rule.decomposes
-                    else _weighted_outcomes(rule, ms, losses, idx, tables, probs))
+    if plays_outcome:
+        weighted = _weighted_outcomes(rule, ms, losses, idx, tables, probs)
     return _trace(kind, u, probs, idx, U, L, losses, weighted, drawn)
 
 
 def _trace(kind: str, u, probs, idx, U, L, losses, weighted, drawn) -> Trace:
     """The one place the trace's losses are formed. EXP3 passes the voters and
-    winners its update ``drawn``. ``full_info`` draws ``chosen`` from ``probs``
-    with ``u[:, 0]`` (``constant`` plays voter 0) and plays ``U[idx[t, chosen]]``;
-    deterministic weights play ``weighted``. All draw the winner with ``u[:, 1]``."""
-    rows = np.arange(len(u))  # L is copied last, after the draws' temporaries are freed
+    winners its update ``drawn``, deterministic weights on a rule that does not
+    decompose the ``weighted`` outcomes. The rest draw a voter from ``probs``
+    with ``u[:, 0]`` (``constant`` plays voter 0) and play ``U[idx[t, voter]]``;
+    under deterministic weights it is the rule's draw, so ``chosen`` is -1 and
+    the loss ``probs · L``. All draw the winner with ``u[:, 1]``."""
+    rows = np.arange(len(u))
     if kind == "partial_info":
         chosen, winner = drawn
-    elif kind == "deterministic_unilateral":
+    elif weighted is not None:
         chosen, winner = np.full(len(u), -1), inverse_cdf(weighted, u[:, 1])
     else:
         chosen = np.zeros(len(u), np.int64) if kind == "constant" else inverse_cdf(probs, u[:, 0])
         winner = inverse_cdf(U[idx[rows, chosen]], u[:, 1])
-    scheme_loss = L[rows, chosen] if weighted is None else np.einsum("tk,tk->t", weighted, losses)
-    return Trace(np.ascontiguousarray(L), probs, chosen, winner, scheme_loss,
-                 losses[rows, winner])
+    L = np.ascontiguousarray(L)  # copied after the draws' temporaries are freed
+    if kind != "deterministic_unilateral":
+        scheme_loss = L[rows, chosen]
+    elif weighted is None:
+        chosen, scheme_loss = np.full(len(u), -1), np.einsum("tn,tn->t", probs, L)
+    else:
+        scheme_loss = np.einsum("tk,tk->t", weighted, losses)
+    return Trace(L, probs, chosen, winner, scheme_loss, losses[rows, winner])
 
 
 def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
@@ -257,18 +263,6 @@ def _check_losses(losses) -> None:
     if not (losses.min() >= 0 and losses.max() <= 1):  # false for a NaN too
         t = int(np.argmin(((losses >= 0) & (losses <= 1)).all(axis=1)))
         raise ConfigError(f"round {t + 1} has a loss outside [0, 1]: {losses[t].tolist()}")
-
-
-def _decomposed_outcomes(probs, idx, U) -> np.ndarray:
-    """A decomposing rule's outcome: each round's table rows ``U[idx[t]]``
-    weighted by ``probs[t]``, gathered at most ``GATHER_ELEMENTS`` floats (or one
-    round) at a time, each round summed as in one gather of all T rounds."""
-    T, n = probs.shape
-    weighted, step = np.empty((T, U.shape[1])), max(1, GATHER_ELEMENTS // (n * U.shape[1]))
-    for lo in range(0, T, step):
-        t = slice(lo, lo + step)
-        np.einsum("tn,tnk->tk", probs[t], np.take(U, idx[t], axis=0), out=weighted[t])
-    return weighted
 
 
 def _weighted_outcomes(rule: VotingRule, ms, losses, idx, tables, probs) -> np.ndarray:
@@ -320,19 +314,19 @@ def _play_sequential(scheme: SchemeConfig, idx, U, losses, u):
     return probs, np.array(chosen), np.array(winner)
 
 
-def _play_adaptive(scheme: SchemeConfig, source, u):
+def _play_adaptive(scheme: SchemeConfig, source, u, plays_outcome: bool):
     """Round-by-round play against a source that answers the played
     distribution, never the voter drawn from it. A round is a few voter
     groups: each voter's loss is its group's, from ``source.unanimous[g]``.
-    Returns what :func:`_trace` takes: for ``full_info`` and ``constant`` the
-    rounds' ``groups`` index that table, deterministic weights play each
-    round's ``outcome``, the rule's under the distribution, and EXP3, whose
-    update needs its draws, makes them here (winners from :func:`_row_cdfs`,
-    built once) and returns them as ``drawn``."""
+    Returns what :func:`_trace` takes: if ``plays_outcome``, each round's
+    ``outcome``, the rule's under the distribution; EXP3, whose update needs
+    its draws, makes them here (winners from :func:`_row_cdfs`, built once)
+    and returns them as ``drawn``; every other kind keeps the rounds'
+    ``groups``, which index that table."""
     T, n, kind, eta = len(u), scheme.n, scheme.kind, scheme.learning_rate
     L, probs, losses = np.zeros((T, n)), np.zeros((T, n)), np.zeros((T, source.m))
-    groups = np.zeros((T, n), dtype=np.int64) if kind in ("full_info", "constant") else None
-    outcome = np.zeros((T, source.m)) if kind == "deterministic_unilateral" else None
+    outcome = np.zeros((T, source.m)) if plays_outcome else None
+    groups = None if plays_outcome or kind == "partial_info" else np.zeros((T, n), dtype=np.int64)
     group_ids, cdfs = np.arange(len(source.unanimous)), _row_cdfs(source.unanimous)
     cumulative, chosen, winner = np.zeros(n), [], []
     for t, (u_voter, u_winner) in enumerate(u.tolist()):

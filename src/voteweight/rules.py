@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import TOL, all_rankings, as_weights, orders_from_codes
+from .core import TOL, all_rankings, as_weights, orders_from_codes, whole_number
 from .errors import ConfigError, InvalidPairError, InvalidRankingError, ShapeError
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,7 @@ class Unilateral(VotingRule):
 
 def position_selector(k: int) -> Callable[[np.ndarray], np.ndarray]:
     """Selector returning the alternative each order ranks at 0-based position k."""
+    k = whole_number(k, "unilateral position")
 
     def select(orders: np.ndarray) -> np.ndarray:
         if k >= orders.shape[1]:
@@ -269,10 +270,9 @@ class Duple(VotingRule):
     The statistic is the indicator of a above b."""
 
     def __init__(self, a: int, b: int):
-        if a == b:
-            raise InvalidPairError(f"duple needs distinct alternatives, got {a}")
-        self.a = a
-        self.b = b
+        self.a, self.b = whole_number(a, "duple a"), whole_number(b, "duple b")
+        if self.a == self.b:
+            raise InvalidPairError(f"duple needs distinct alternatives, got {self.a}")
 
     def statistic(self, orders: np.ndarray) -> np.ndarray:
         for field, x in (("a", self.a), ("b", self.b)):

@@ -7,8 +7,10 @@ Four kinds are shipped, all played by :func:`voteweight.harness.run_episode`:
 - ``partial_info``: the same update driven by importance-weighted loss
   estimates built from the selected winner's loss only.
 - ``deterministic_unilateral``: plays the exponential-weights distribution
-  itself as the weight vector, with no voter sampling. Matches the sampled
-  schemes round-for-round whenever the rule decomposes across voters.
+  itself as the weight vector. When the rule decomposes across voters the
+  weighted outcome is the distribution's mixture of the voters' own, so the
+  episode is ``full_info``'s bit for bit, draws included, but for ``chosen``,
+  which is -1, and ``scheme_loss``, the mixture's expected loss.
 - ``constant``: always the first voter's basis vector; ignores feedback.
 """
 

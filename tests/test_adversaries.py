@@ -339,3 +339,32 @@ class TestIIDRandomRound:
         _, codes, _ = IIDRandomSource(2).rounds(draws, 1, np.random.default_rng(0))
         hits = np.count_nonzero(codes[:, 0] == 0)
         assert abs(hits / draws - 0.5) <= 3 * math.sqrt(0.25 / draws)
+
+
+SOURCES_BY_M = {
+    "thm3": lambda m: WinnerPunishingSource(DeterministicPositional("plurality"), m),
+    "thm5_copeland": lambda m: CondorcetSplitSource(RandomizedCopeland(), m),
+    "thm5_plurality": lambda m: CondorcetSplitSource(DeterministicPositional("plurality"), m),
+    "iid_random": IIDRandomSource,
+}
+
+
+class TestAlternativeCount:
+    """Every source checks its m first, as the rounds it builds need 2..MAX_M of them."""
+
+    @pytest.mark.parametrize("m, message", [
+        (0, "need 2 <= m <= 20 alternatives, got 0"),
+        (1, "need 2 <= m <= 20 alternatives, got 1"),
+        (21, "need 2 <= m <= 20 alternatives, got 21"),
+        (2.5, "the number of alternatives must be an integer, got 2.5"),
+        (True, "the number of alternatives must be an integer, got True"),
+    ])
+    @pytest.mark.parametrize("name", list(SOURCES_BY_M))
+    def test_count_refused_at_construction(self, name, m, message):
+        with pytest.raises(ShapeError, match=rf"^{message}$"):
+            SOURCES_BY_M[name](m)
+
+    @pytest.mark.parametrize("name", list(SOURCES_BY_M))
+    def test_numpy_integer_accepted(self, name):
+        source = SOURCES_BY_M[name](np.int64(3))
+        assert source.m == 3 and type(source.m) is int

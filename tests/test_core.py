@@ -2,6 +2,7 @@ import bisect
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,15 @@ class TestSample:
                         assert bisect.bisect_right(row, u) == expected
                         assert inverse_cdf(np.array(weights), u) == expected
 
+    def test_integer_weights_draw_as_their_float_copy(self, rng):
+        weights = rng.integers(0, 4, (60, 5))
+        weights[:, 2] += 1  # every row has mass
+        for row, u in zip(weights, rng.random(60)):  # one row takes the cumsum branch
+            assert inverse_cdf(row, u) == inverse_cdf(row.astype(float), u)
+        assert inverse_cdf([0, 2, 0, 1], 0.5) == inverse_cdf([0.0, 2.0, 0.0, 1.0], 0.5) == 1
+        assert np.array_equal(inverse_cdf(weights[:8], [0.5] * 8),
+                              inverse_cdf(weights[:8].astype(float), [0.5] * 8))
+
     def test_monte_carlo_frequency(self, rng):
         draws = 10**5
         dist = np.array([0.5, 0.5])
@@ -347,6 +357,13 @@ class TestRankCodes:
 
     def test_alternative_range(self):
         assert check_alternatives(2) == 2 and check_alternatives(MAX_M) == MAX_M
+        assert type(check_alternatives(np.int64(3))) is int
         for m in (1, MAX_M + 1):
-            with pytest.raises(ShapeError):
+            with pytest.raises(ShapeError, match=rf"^need 2 <= m <= 20 alternatives, got {m}$"):
                 check_alternatives(m)
+
+    @pytest.mark.parametrize("m", [True, False, 2.5, 3.0, "3", None])
+    def test_alternative_count_must_be_an_integer(self, m):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"the number of alternatives must be an integer, got {m!r}")):
+            check_alternatives(m)

@@ -15,12 +15,15 @@ from voteweight import (
     DeterministicPositional,
     FileSource,
     IIDRandomSource,
+    Mixture,
     RandomizedCopeland,
     RandomizedPositional,
     SchemeConfig,
+    Unilateral,
     WinnerPunishingSource,
     best_voter,
     monte_carlo_regret,
+    position_selector,
     regret,
     run_episode,
     unanimity_witness,
@@ -303,17 +306,49 @@ class TestOracle:
         assert trace.scheme_loss[0] > trace.probs[0] @ trace.per_voter_loss[0] + 0.05
 
 
+class DecomposingPunisher(WinnerPunishingSource):
+    """Winner punishment played by a decomposing rule, which no shipped
+    adaptive source accepts: voter 0 ranks 0 1 2, the rest 2 1 0, and the
+    weighted outcome's likeliest alternative gets loss 1."""
+
+    def __init__(self, rule, m):
+        self.rule, self.m, self.orders = rule, m, np.array([[0, 1, 2], [2, 1, 0]])
+        self._stat = rule.statistic(self.orders)
+        self.unanimous = rule.decide(self._stat, m)
+
+
+DECOMPOSING_RULES = {
+    "plurality": RandomizedPositional("plurality"),
+    "veto": RandomizedPositional("veto"),
+    "borda": RandomizedPositional("borda"),
+    "unilateral": Unilateral(position_selector(0)),
+    "constant_uniform": ConstantUniform(),
+    "mixture": Mixture([(RandomizedPositional("plurality"), 0.5),
+                        (Unilateral(position_selector(2)), 0.3), (ConstantUniform(), 0.2)]),
+}
+
+
 class TestDeterministicMatchesSampledMarginal:
-    def test_same_state_same_expected_loss(self, rng):
+    @pytest.mark.parametrize("source_kind", ["iid_random", "file", "adaptive"])
+    @pytest.mark.parametrize("name", list(DECOMPOSING_RULES))
+    def test_same_state_same_expected_loss(self, name, source_kind):
         # with identical cumulative losses, playing the voter distribution as
-        # weights costs exactly the sampled schemes' marginal, for rules that
-        # decompose across voters
-        source = file_source(random_lines(5, 3, 20, rng))
-        sampled = episode("full_info", source=source, n=5, T=20)
-        deterministic = episode("deterministic_unilateral", source=source, n=5, T=20)
-        assert np.array_equal(sampled.probs, deterministic.probs)
-        marginal = np.einsum("tn,tn->t", sampled.probs, sampled.per_voter_loss)
-        assert np.max(np.abs(marginal - deterministic.scheme_loss)) <= TOL
+        # weights is the full-information scheme's voter-then-winner draw, and
+        # costs exactly the sampled schemes' marginal
+        rule, n, T = DECOMPOSING_RULES[name], 5, 40
+        assert rule.decomposes
+        for seed in (0, 7):
+            rng = np.random.default_rng(100 + seed)
+            source = {"iid_random": lambda: IIDRandomSource(3),
+                      "file": lambda: file_source(random_lines(n, 3, T, rng)),
+                      "adaptive": lambda: DecomposingPunisher(rule, 3)}[source_kind]()
+            sampled = episode("full_info", rule, source, n=n, T=T, seed=seed)
+            deterministic = episode("deterministic_unilateral", rule, source, n=n, T=T, seed=seed)
+            for column in ("probs", "per_voter_loss", "winner", "winner_loss"):
+                assert np.array_equal(getattr(deterministic, column), getattr(sampled, column))
+            assert np.all(deterministic.chosen == -1)
+            marginal = np.einsum("tn,tn->t", deterministic.probs, deterministic.per_voter_loss)
+            assert deterministic.scheme_loss.tobytes() == marginal.tobytes()
 
 
 class TestEpisodeCrossCheck:
@@ -481,9 +516,11 @@ class TestFileSource:
 def scalar_replay(scheme, rule, trace, round_at, u):
     """Plain per-round semantics of every scheme kind, redrawing the trace's
     voter and winner from the episode's (T, 2) uniforms ``u``: column 0 draws
-    the voter, column 1 the winner. round_at(t, weights) returns round t's
-    rankings and losses given the distribution the trace played, never the
-    voter drawn from it."""
+    the voter, column 1 the winner. Under deterministic weights a decomposing
+    rule's winner comes from the outcome of the voter column 0 draws, and any
+    other rule's from the weighted profile's. round_at(t, weights) returns
+    round t's rankings and losses given the distribution the trace played,
+    never the voter drawn from it."""
     n, eta = scheme.n, scheme.learning_rate
     cumulative = [0.0] * n
     for t in range(len(trace.scheme_loss)):
@@ -507,12 +544,14 @@ def scalar_replay(scheme, rule, trace, round_at, u):
         if scheme.kind == "deterministic_unilateral":
             assert c == -1
             # the played weights: a rule with ties is discontinuous in them
-            outcome = rule.evaluate(orders_of(rankings), trace.probs[t])
+            outcome = drawn_from = rule.evaluate(orders_of(rankings), trace.probs[t])
+            if rule.decomposes:  # its mixture passes through one voter's outcome
+                drawn_from = rule.evaluate(*alone(rankings[_list_draw(p, u[t, 0])]))
         else:
             assert c == _list_draw(p, u[t, 0]) and p[c] > 0
-            outcome = rule.evaluate(*alone(rankings[c]))
+            outcome = drawn_from = rule.evaluate(*alone(rankings[c]))
         assert abs(trace.scheme_loss[t] - float(outcome @ ell)) <= TOL
-        assert win == _list_draw(outcome, u[t, 1]) and trace.winner_loss[t] == ell[win]
+        assert win == _list_draw(drawn_from, u[t, 1]) and trace.winner_loss[t] == ell[win]
         if scheme.kind == "partial_info":
             cumulative[c] += ell[win] / p[c]
         elif scheme.kind != "constant":
@@ -674,6 +713,7 @@ class TestScalarReference:
         cases = [
             (DeterministicPositional("plurality"), WinnerPunishingSource, 4),
             (RandomizedCopeland(), CondorcetSplitSource, 11),
+            (RandomizedPositional("borda"), DecomposingPunisher, 4),
         ]
         for rule, source_cls, n in cases:
             source = source_cls(rule, 3)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,29 @@ class TestUnilateralAndDuple:
     def test_duple_same_alternative_rejected(self):
         with pytest.raises(InvalidPairError):
             Duple(1, 1)
+        with pytest.raises(InvalidPairError, match="got 2"):
+            Duple(2, 2.0)
+
+    @pytest.mark.parametrize("a, b, message", [
+        (-1, 2, "duple a must be a non-negative whole number, got -1"),
+        (1.5, 0, "duple a must be a non-negative whole number, got 1.5"),
+        (0, -2, "duple b must be a non-negative whole number, got -2"),
+        (0, True, "duple b must be a non-negative whole number, got True"),
+    ])
+    def test_duple_indices_refused_at_construction(self, a, b, message):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            Duple(a, b)
+
+    @pytest.mark.parametrize("k", [-1, -4, 0.5, "1"])
+    def test_position_refused_at_construction(self, k):
+        message = f"unilateral position must be a non-negative whole number, got {k!r}"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            position_selector(k)
+
+    def test_whole_float_and_numpy_indices_accepted(self, abc):
+        assert np.array_equal(Duple(np.int64(2), 0.0).evaluate(*alone(abc)), [1, 0, 0])
+        assert np.array_equal(Unilateral(position_selector(np.int64(1))).evaluate(*alone(abc)),
+                              [0, 1, 0])
 
 
 class TestMixture:
