@@ -29,6 +29,8 @@ from .rules import (ConstantUniform, DeterministicCopeland, DeterministicPositio
                     RandomizedCopeland, RandomizedPositional, Unilateral, position_selector)
 from .schemes import SchemeConfig
 
+TRACE_BLOCK_ROWS = 1024  # rows per % call in the trace writer; more raise its peak memory
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -106,15 +108,14 @@ def _simulation(rule, source, n, m, T, scheme={}, seed=0, trials=1, feedback=Non
 
 
 def _write_trace_csv(path: str, trace: Trace) -> None:
-    """The bytes ``csv.writer`` would write (CRLF, :func:`_fmt` numbers), one format per row."""
-    cumulative_scheme = np.cumsum(trace.scheme_loss)
-    best = np.cumsum(trace.per_voter_loss, axis=0).min(axis=1)
-    columns = (trace.scheme_loss, cumulative_scheme, best, cumulative_scheme - best)
-    rows = zip(range(1, len(best) + 1), *(c.tolist() for c in columns))
+    """The bytes ``csv.writer`` would write (CRLF, :func:`_fmt` numbers, float rounds as ``%d``)."""
+    total, best = np.cumsum(trace.scheme_loss), np.cumsum(trace.per_voter_loss, axis=0).min(axis=1)
+    table = np.column_stack((range(1, len(best) + 1), trace.scheme_loss, total, best, total - best))
     with open(path, "w", newline="") as fh:
         fh.write("round,scheme_expected_loss,cumulative_scheme_loss,"
                  "best_voter_cumulative_loss_so_far,cumulative_regret\r\n")
-        fh.writelines("%d,%.12g,%.12g,%.12g,%.12g\r\n" % row for row in rows)
+        for block in np.split(table, range(TRACE_BLOCK_ROWS, len(table), TRACE_BLOCK_ROWS)):
+            fh.write("%d,%.12g,%.12g,%.12g,%.12g\r\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def cmd_simulate(config_path: str, out_dir: Optional[str]) -> int:

@@ -283,20 +283,19 @@ def _row_cdfs(U) -> list[list[float]]:
 
 def _play_sequential(scheme: SchemeConfig, idx, U, losses, u):
     """EXP3's ``probs`` on oblivious rounds and the voters and winners its
-    update drew, one round at a time on Python floats: at n in the tens,
-    array calls cost more than their work. Each round moves one voter's z
-    (-eta * cumulative), so z, max(z) and w = exp(z - max(z)) carry over. The
-    voter is u * total's place among w's running sums, redrawn by
-    :func:`inverse_cdf` over w / total if its probability w[c] / total rounds
-    to 0. Rows are normalized after the loop by that division; winners bisect
-    the table rows' CDFs from :func:`_row_cdfs`."""
-    T, n, eta = len(u), scheme.n, scheme.learning_rate
-    cdfs = _row_cdfs(U)
+    update drew, one round at a time on Python floats: at n in the tens, array
+    calls cost more than their work. Each round moves one voter's z (-eta *
+    cumulative), so z, max(z) and w = exp(z - max(z)) carry over. The voter is
+    u * total's place among w's running sums, redrawn by :func:`inverse_cdf`
+    over w / total if w[c] / total rounds to 0. u is read as two column lists,
+    each w copied by ``array.fromlist`` and normalized after the loop by that
+    division; winners bisect the table rows' CDFs from :func:`_row_cdfs`."""
+    T, n, eta, cdfs = len(u), scheme.n, scheme.learning_rate, _row_cdfs(U)
     weights, totals, chosen, winner = array("d"), array("d"), [], []
     cumulative, z, top, w = [0.0] * n, [-0.0] * n, -0.0, [1.0] * n  # -0.0 is 0.0 * -eta
-    for t, (u_voter, u_winner) in enumerate(u.tolist()):
+    for t, u_voter, u_winner in zip(range(T), *u.T.tolist()):
         cdf = list(accumulate(w))
-        weights.extend(w)
+        weights.fromlist(w)
         totals.append(total := cdf[-1])
         c = bisect_right(cdf, u_voter * total)
         if not (p := w[c] / total):  # a subnormal weight, 0 once normalized

@@ -293,6 +293,13 @@ class Mixture(VotingRule):
     component does."""
 
     def __init__(self, components: Sequence[tuple[VotingRule, float]]):
+        for part in components:  # bool is a numbers.Real, so it is refused by name
+            rule, q = part if isinstance(part, (tuple, list)) and len(part) == 2 else (None, 0)
+            if not isinstance(rule, VotingRule):
+                raise ShapeError(f"a mixture component must be a (rule, probability) pair, "
+                                 f"got {part!r}")
+            if isinstance(q, bool) or not isinstance(q, numbers.Real):
+                raise ShapeError(f"mixture probabilities must be real numbers, got {q!r}")
         probabilities = [q for _, q in components]  # a NaN fails the check of their sum
         if not (abs(sum(probabilities) - 1.0) <= TOL and all(q >= 0 for q in probabilities)):
             raise ShapeError(f"mixture probabilities must be >= 0 with sum 1, got {probabilities}")

@@ -101,6 +101,25 @@ class TestSimulate:
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert b"\r\n1,-0,-0," in written and b",1e-300," in written and b",1e+17," in written
 
+    @pytest.mark.parametrize("blocks_of", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_trace_csv_bytes_match_csv_writer_across_blocks(self, tmp_path, blocks_of):
+        # T = a * B + b rows for the writer's block size B; the edge values
+        # sit at the first and last rows and across the block boundaries
+        B = cli.TRACE_BLOCK_ROWS
+        T = blocks_of[0] * B + blocks_of[1]
+        rng = np.random.default_rng(T)
+        scheme_loss, per_voter = rng.random(T), rng.random((T, 3))
+        for row, value in zip([0, B - 1, B, 2 * B, T - 1], [-0.0, 1e-300, 1e17, 1e-5, -0.0]):
+            if row < T:
+                scheme_loss[row] = per_voter[row, row % 3] = value
+        trace = Trace(per_voter, np.full((T, 3), 1 / 3), np.zeros(T, dtype=int),
+                      np.zeros(T, dtype=int), scheme_loss, scheme_loss)
+        cli._write_trace_csv(tmp_path / "fast.csv", trace)
+        reference_trace_csv(tmp_path / "reference.csv", trace)
+        written = (tmp_path / "fast.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b"\r\n") == T + 1 and written.endswith(b"\r\n")
+
     def test_byte_identical_replay(self, tmp_path):
         cfg = write_config(
             tmp_path,

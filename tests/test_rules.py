@@ -286,6 +286,10 @@ class TestUnilateralAndDuple:
                               [0, 1, 0])
 
 
+REAL = "mixture probabilities must be real numbers, got "
+PAIR = "a mixture component must be a (rule, probability) pair, got "
+
+
 class TestMixture:
     def test_uniform_duples_equal_randomized_copeland(self, abc):
         dist = duple_mixture_copeland(3).evaluate(*alone(abc))
@@ -316,6 +320,24 @@ class TestMixture:
         r = RandomizedCopeland()
         with pytest.raises(ShapeError, match=r"must be >= 0 .*got \[1\.5, -0\.5\]"):
             Mixture([(r, 1.5), (r, -0.5)])
+
+    @pytest.mark.parametrize("components, message", [
+        ([(RandomizedPositional("borda"), True)], f"{REAL}True"),
+        ([(RandomizedCopeland(), 0.5), (RandomizedCopeland(), "0.5")], f"{REAL}'0.5'"),
+        ([(RandomizedCopeland(), np.bool_(True))], f"{REAL}{np.bool_(True)!r}"),
+        ([("borda", 1.0)], f"{PAIR}('borda', 1.0)"),
+        ([RandomizedCopeland()], f"{PAIR}<"),
+        ([(RandomizedCopeland(), 0.5, 0.5)], f"{PAIR}(<"),
+    ])
+    def test_malformed_components_refused(self, components, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}"):
+            Mixture(components)
+
+    def test_numpy_and_list_pairs_accepted(self, rng):
+        r = RandomizedCopeland()
+        mix = Mixture([[r, np.float64(0.25)], (r, np.float32(0.5)), (r, np.int64(0)), (r, 0.25)])
+        profile = random_profile(3, rng)
+        assert np.allclose(mix.evaluate(*profile), r.evaluate(*profile), atol=TOL)
 
     def test_components_of_every_statistic_width(self, rng):
         # statistic widths 0, 1, m and m * m: decide splits by each one's length
