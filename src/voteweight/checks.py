@@ -135,59 +135,35 @@ def check_condorcet_gap(seed: int, profiles: int) -> CheckResult:
 # estimators
 
 
-def estimator_monte_carlo(seed: int) -> dict[str, float]:
-    """Draw (voter, winner) pairs at a fixed round and aggregate the
-    importance-weighted loss estimates.
-
-    Returns the sample means/standard errors of sum_i p_i * est_i and of
-    sum_i p_i * est_i^2, along with the exact expected round loss.
-    """
+def check_estimator_moments(seed: int) -> list[CheckResult]:
+    """EXP3's importance-weighted loss estimates over one sample of (voter,
+    winner) draws at a fixed round: their mean is the exact round loss within 3
+    standard errors, and their second moment is at most n plus 3 standard errors."""
     n, m, samples = 5, 3, 10**5
-    rng = np.random.default_rng(seed)
-    rule = RandomizedPositional("borda")
+    rng = np.random.default_rng(seed + 10)
     votes = random_rankings(n, m, rng)
     ell = rng.random(m)
     p = random_distribution(n, rng)
 
-    dists = rule.unanimous_outcomes(votes)
+    dists = RandomizedPositional("borda").unanimous_outcomes(votes)
     exact = float(p @ (dists @ ell))
 
-    voters = rng.choice(n, size=samples, p=p)
+    voters = inverse_cdf(np.broadcast_to(p, (samples, n)), rng.random(samples))
     winners = inverse_cdf(dists[voters], rng.random(samples))
 
     # sum_i p_i * est_i collapses to the winner's observed loss; the second
     # moment collapses to that loss squared over the selection probability.
-    first = ell[winners]
-    second = ell[winners] ** 2 / p[voters]
-    return {
-        "mean": float(first.mean()),
-        "stderr": float(first.std(ddof=1) / math.sqrt(samples)),
-        "second_moment": float(second.mean()),
-        "second_stderr": float(second.std(ddof=1) / math.sqrt(samples)),
-        "exact": exact,
-        "n": n,
-    }
-
-
-def check_estimator_mean(seed: int) -> CheckResult:
-    stats = estimator_monte_carlo(seed + 10)
-    err = abs(stats["mean"] - stats["exact"])
-    bound = 3 * stats["stderr"]
-    return CheckResult(
-        "estimator_mean",
-        err <= bound,
-        f"|{stats['mean']:.6f} - {stats['exact']:.6f}| = {err:.2e} vs 3se {bound:.2e}",
-    )
-
-
-def check_estimator_second_moment(seed: int) -> CheckResult:
-    stats = estimator_monte_carlo(seed + 11)
-    bound = stats["n"] + 3 * stats["second_stderr"]
-    return CheckResult(
-        "estimator_second_moment",
-        stats["second_moment"] <= bound,
-        f"{stats['second_moment']:.4f} <= {bound:.4f}",
-    )
+    first, second = ell[winners], ell[winners] ** 2 / p[voters]
+    mean, moment = float(first.mean()), float(second.mean())
+    err = abs(mean - exact)
+    bound = 3 * float(first.std(ddof=1) / math.sqrt(samples))
+    moment_bound = n + 3 * float(second.std(ddof=1) / math.sqrt(samples))
+    return [
+        CheckResult("estimator_mean", err <= bound,
+                    f"|{mean:.6f} - {exact:.6f}| = {err:.2e} vs 3se {bound:.2e}"),
+        CheckResult("estimator_second_moment", moment <= moment_bound,
+                    f"{moment:.4f} <= {moment_bound:.4f}"),
+    ]
 
 
 def check_estimator_error_path(seed: int) -> CheckResult:
@@ -285,8 +261,7 @@ def run_suite(name: str, seed: int = 0, profiles: int = 100) -> list[CheckResult
     if name in ("identities", "all"):
         results.extend(fn(seed, profiles) for fn in identities)
     if name in ("estimators", "all"):
-        results += [check_estimator_mean(seed), check_estimator_second_moment(seed),
-                    check_estimator_error_path(seed)]
+        results += [*check_estimator_moments(seed), check_estimator_error_path(seed)]
     if name in ("adversaries", "all"):
         results += [check_winner_punishing(seed), check_prefix_bound(seed, profiles),
                     check_condorcet_split(seed)]

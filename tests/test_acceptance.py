@@ -30,8 +30,7 @@ from voteweight.adversaries import random_profile
 from voteweight.checks import (
     check_condorcet_gap,
     check_duple_decomposition,
-    check_estimator_mean,
-    check_estimator_second_moment,
+    check_estimator_moments,
     check_prefix_bound,
     check_score_conservation,
     check_single_voter_decomposition,
@@ -191,12 +190,17 @@ class TestClosedFormIdentities:
 
 
 class TestEstimatorMoments:
-    def test_mean_matches_expected_loss(self):
-        res = check_estimator_mean(seed=0)
+    @pytest.fixture(scope="class")
+    def moments(self):
+        # both moments read one sample, drawn once for the class
+        return check_estimator_moments(seed=0)
+
+    def test_mean_matches_expected_loss(self, moments):
+        res = moments[0]
         report(res.name, res.passed, res.detail)
 
-    def test_second_moment_bounded_by_n(self):
-        res = check_estimator_second_moment(seed=0)
+    def test_second_moment_bounded_by_n(self, moments):
+        res = moments[1]
         report(res.name, res.passed, res.detail)
 
 

@@ -702,6 +702,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "estimator_error_path" in out
 
+    def test_estimator_moments_read_one_sample(self, capsys):
+        # both lines come from the seed + 10 sample, its voters drawn by inverse_cdf
+        assert main(["verify", "--suite", "estimators", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "PASS estimator_mean: |0.666870 - 0.668212| = 1.34e-03 vs 3se 2.23e-03",
+            "PASS estimator_second_moment: 2.5247 <= 5.0153",
+        ]
+
     def test_adversaries_suite_passes(self, capsys):
         assert main(["verify", "--suite", "adversaries", "--profiles", "50"]) == 0
         out = capsys.readouterr().out

@@ -285,6 +285,21 @@ class TestSample:
         assert np.array_equal(inverse_cdf(weights[:8], [0.5] * 8),
                               inverse_cdf(weights[:8].astype(float), [0.5] * 8))
 
+    def test_broadcast_row_draws_as_generator_choice(self):
+        # inverse_cdf over one broadcast row takes the uniforms Generator.choice
+        # takes and lands on its voters, in both of inverse_cdf's branches
+        for seed in range(50):
+            n = 2 + seed % 6
+            p = np.random.default_rng(seed + 1000).random(n)
+            if seed % 5 == 0:
+                p[seed % n] = 0.0  # a voter no draw may land on
+            p /= p.sum()
+            draws = 500 if seed % 2 else n * n
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            voters = inverse_cdf(np.broadcast_to(p, (draws, n)), b.random(draws))
+            assert np.array_equal(voters, a.choice(n, draws, p=p))
+            assert a.random() == b.random()  # both generators end in one state
+
     def test_monte_carlo_frequency(self, rng):
         draws = 10**5
         dist = np.array([0.5, 0.5])
