@@ -47,8 +47,8 @@ class Trace:
     point mass on voter 0 for ``constant``). ``chosen`` (T,) is the voter
     drawn from it, or -1 when the distribution itself is the weight vector;
     ``winner`` (T,) is drawn from that voter's outcome, or the weighted one.
-    ``scheme_loss`` (T,) is the expected loss given ``chosen`` or the weights,
-    and ``winner_loss`` (T,) the realized loss, all that partial feedback reveals.
+    ``scheme_loss`` (T,) is the expected loss of what was played, ``probs`` or the
+    weights, and ``winner_loss`` (T,) the realized loss, all that partial feedback reveals.
     EXP3's draws are the ones its update used; :func:`_trace` forms the rest.
     """
 
@@ -211,22 +211,22 @@ def _trace(kind: str, u, probs, idx, U, L, losses, weighted, drawn) -> Trace:
     """The one place the trace's losses are formed. EXP3 passes the voters and
     winners its update ``drawn``, deterministic weights on a rule that does not
     decompose the ``weighted`` outcomes. The rest draw a voter from ``probs``
-    with ``u[:, 0]`` (``constant`` plays voter 0) and play ``U[idx[t, voter]]``;
-    under deterministic weights it is the rule's draw, so ``chosen`` is -1 and
-    the loss ``probs · L``. All draw the winner with ``u[:, 1]``."""
+    with ``u[:, 0]`` (``constant`` plays voter 0) and play ``U[idx[t, voter]]``,
+    the rule's draw under deterministic weights, whose ``chosen`` is -1. All
+    draw the winner with ``u[:, 1]``, and lose in expectation over what they played."""
     rows = np.arange(len(u))
     if kind == "partial_info":
         chosen, winner = drawn
     elif weighted is not None:
-        chosen, winner = np.full(len(u), -1), inverse_cdf(weighted, u[:, 1])
+        winner = inverse_cdf(weighted, u[:, 1])
     else:
         chosen = np.zeros(len(u), np.int64) if kind == "constant" else inverse_cdf(probs, u[:, 0])
         winner = inverse_cdf(U[idx[rows, chosen]], u[:, 1])
+    if kind == "deterministic_unilateral":
+        chosen = np.full(len(u), -1)
     L = np.ascontiguousarray(L)  # copied after the draws' temporaries are freed
-    if kind != "deterministic_unilateral":
-        scheme_loss = L[rows, chosen]
-    elif weighted is None:
-        chosen, scheme_loss = np.full(len(u), -1), np.einsum("tn,tn->t", probs, L)
+    if weighted is None:
+        scheme_loss = np.einsum("tn,tn->t", probs, L)
     else:
         scheme_loss = np.einsum("tk,tk->t", weighted, losses)
     return Trace(L, probs, chosen, winner, scheme_loss, losses[rows, winner])
@@ -366,7 +366,7 @@ def best_voter(trace: Trace) -> tuple[int, float]:
 
 
 def regret(trace: Trace) -> float:
-    """Cumulative scheme expected loss minus the best voter's cumulative loss."""
+    """Cumulative expected loss over the scheme's own draws minus the best voter's loss."""
     # Summed as per-round gaps, so a scheme that always matches the best voter
     # has exactly zero regret whatever the summation order.
     best, _ = best_voter(trace)

@@ -9,8 +9,8 @@ Four kinds are shipped, all played by :func:`voteweight.harness.run_episode`:
 - ``deterministic_unilateral``: plays the exponential-weights distribution
   itself as the weight vector. When the rule decomposes across voters the
   weighted outcome is the distribution's mixture of the voters' own, so the
-  episode is ``full_info``'s bit for bit, draws included, but for ``chosen``,
-  which is -1, and ``scheme_loss``, the mixture's expected loss.
+  episode is ``full_info``'s bit for bit, draws and losses included, but for
+  ``chosen``, which is -1.
 - ``constant``: always the first voter's basis vector; ignores feedback.
 """
 

@@ -150,7 +150,9 @@ class TestMonteCarloUpperBounds:
 class TestAdaptiveUpperBounds:
     """The randomized kinds stay no-regret against the adaptive sources, which
     answer the played distribution but never see the voter drawn from it.
-    Deterministic weights are the ones these sources defeat (the floors above)."""
+    Deterministic weights are the ones these sources defeat (the floors above).
+    Full information's distribution follows the true losses, which follow the
+    distribution, so its expected loss takes no draw: one episode is exact."""
 
     T = 4000
     trials = 4
@@ -165,11 +167,19 @@ class TestAdaptiveUpperBounds:
             rule, n = RandomizedCopeland(), 11
             adversary = CondorcetSplitSource(rule, 3)
         scheme = SchemeConfig(kind, n=n, horizon=self.T)
-        mean_regret_gate(
-            f"adaptive_regret_bound {source} {kind}",
-            lambda seed: run_episode(scheme, rule, adversary, seed=seed),
-            self.trials, scheme.regret_bound, seconds=30.0,
-        )
+        traces = {}
+
+        def play(seed):
+            traces[seed] = run_episode(scheme, rule, adversary, seed=seed)
+            return traces[seed]
+
+        name = f"adaptive_regret_bound {source} {kind}"
+        mean_regret_gate(name, play, self.trials, scheme.regret_bound, seconds=30.0)
+        if kind == "full_info":  # seeds 0 and 1 of the gate's trials
+            exact = traces[0].scheme_loss.tobytes() == traces[1].scheme_loss.tobytes()
+            report(f"{name} exact", exact and regret(traces[0]) <= scheme.regret_bound,
+                   f"seeds 0 and 1 byte-equal: {exact}, "
+                   f"regret {regret(traces[0]):.4f} vs bound {scheme.regret_bound:.1f}")
 
 
 class TestClosedFormIdentities:

@@ -296,6 +296,15 @@ class TestOracle:
             assert trace.scheme_loss[t] == pytest.approx(sampled, abs=TOL)
             assert mixed == pytest.approx(sampled, abs=TOL)
 
+    @pytest.mark.parametrize("kind", ["full_info", "partial_info"])
+    def test_sampled_kind_scores_its_distribution(self, kind, rng):
+        # the expectation over the voter the scheme draws, not the drawn voter's loss
+        lines = random_lines(5, 3, 40, rng)
+        trace = episode(kind, source=file_source(lines), n=5, T=40)
+        for t in range(40):
+            played = trace.probs[t] @ trace.per_voter_loss[t]
+            assert trace.scheme_loss[t] == pytest.approx(played, abs=TOL)
+
     def test_condorcet_split_breaks_decomposition(self):
         # on a split round, mixing the profile costs strictly more than
         # averaging over voters: the non-decomposability witness
@@ -334,7 +343,7 @@ class TestDeterministicMatchesSampledMarginal:
     def test_same_state_same_expected_loss(self, name, source_kind):
         # with identical cumulative losses, playing the voter distribution as
         # weights is the full-information scheme's voter-then-winner draw, and
-        # costs exactly the sampled schemes' marginal
+        # costs exactly its expected loss
         rule, n, T = DECOMPOSING_RULES[name], 5, 40
         assert rule.decomposes
         for seed in (0, 7):
@@ -344,11 +353,9 @@ class TestDeterministicMatchesSampledMarginal:
                       "adaptive": lambda: DecomposingPunisher(rule, 3)}[source_kind]()
             sampled = episode("full_info", rule, source, n=n, T=T, seed=seed)
             deterministic = episode("deterministic_unilateral", rule, source, n=n, T=T, seed=seed)
-            for column in ("probs", "per_voter_loss", "winner", "winner_loss"):
-                assert np.array_equal(getattr(deterministic, column), getattr(sampled, column))
+            for column in ("probs", "per_voter_loss", "winner", "scheme_loss", "winner_loss"):
+                assert getattr(deterministic, column).tobytes() == getattr(sampled, column).tobytes()
             assert np.all(deterministic.chosen == -1)
-            marginal = np.einsum("tn,tn->t", deterministic.probs, deterministic.per_voter_loss)
-            assert deterministic.scheme_loss.tobytes() == marginal.tobytes()
 
 
 class TestEpisodeCrossCheck:
@@ -518,7 +525,9 @@ def scalar_replay(scheme, rule, trace, round_at, u):
     voter and winner from the episode's (T, 2) uniforms ``u``: column 0 draws
     the voter, column 1 the winner. Under deterministic weights a decomposing
     rule's winner comes from the outcome of the voter column 0 draws, and any
-    other rule's from the weighted profile's. round_at(t, weights) returns
+    other rule's from the weighted profile's, whose loss is the scheme's; a
+    sampled kind's loss is its played distribution's mixture of the voters'
+    losses, summed as plain floats. round_at(t, weights) returns
     round t's rankings and losses given the distribution the trace played,
     never the voter drawn from it."""
     n, eta = scheme.n, scheme.learning_rate
@@ -547,10 +556,12 @@ def scalar_replay(scheme, rule, trace, round_at, u):
             outcome = drawn_from = rule.evaluate(orders_of(rankings), trace.probs[t])
             if rule.decomposes:  # its mixture passes through one voter's outcome
                 drawn_from = rule.evaluate(*alone(rankings[_list_draw(p, u[t, 0])]))
+            expected = float(outcome @ ell)
         else:
             assert c == _list_draw(p, u[t, 0]) and p[c] > 0
-            outcome = drawn_from = rule.evaluate(*alone(rankings[c]))
-        assert abs(trace.scheme_loss[t] - float(outcome @ ell)) <= TOL
+            drawn_from = rule.evaluate(*alone(rankings[c]))
+            expected = sum(q * x for q, x in zip(trace.probs[t].tolist(), per_voter))
+        assert abs(trace.scheme_loss[t] - expected) <= TOL
         assert win == _list_draw(drawn_from, u[t, 1]) and trace.winner_loss[t] == ell[win]
         if scheme.kind == "partial_info":
             cumulative[c] += ell[win] / p[c]
@@ -570,7 +581,9 @@ def recomputed_exp3(scheme, rule, rounds, u, pick=None):
     of w, and redrawn from the normalized row if its probability is 0; the
     winner by `_list_draw`. The total is added in voter order on every
     Python version. Given ``pick``, round t's voter uniform ``u[t, 0]`` is
-    overwritten with ``pick(t, p)`` for the round's played p."""
+    overwritten with ``pick(t, p)`` for the round's played p. The scheme's
+    loss is the played distribution's expectation, ``probs · L`` on C-ordered
+    columns as the engine forms it."""
     T, n, eta = len(u), scheme.n, scheme.learning_rate
     (idx, U, _, L), losses = _index_rounds(rule, *rounds, n), rounds[2]
     probs = np.zeros((T, n))
@@ -593,9 +606,9 @@ def recomputed_exp3(scheme, rule, rounds, u, pick=None):
         chosen.append(c)
         winner.append(_list_draw(outcomes[idx[t, c]], u_winner))
         cumulative[c] += float(losses[t, winner[-1]]) / p[c]
-    rows = np.arange(T)
+    L = np.ascontiguousarray(L)
     chosen, winner = np.array(chosen), np.array(winner)
-    return L, probs, chosen, winner, L[rows, chosen], losses[rows, winner]
+    return L, probs, chosen, winner, np.einsum("tn,tn->t", probs, L), losses[np.arange(T), winner]
 
 
 TRACE_COLUMNS = ("per_voter_loss", "probs", "chosen", "winner", "scheme_loss", "winner_loss")
