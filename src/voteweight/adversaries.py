@@ -77,7 +77,8 @@ class WinnerPunishingSource:
     def emit(self, weights: Sequence[float] | np.ndarray) -> tuple:
         """``(groups, losses, outcome)``, ``groups`` int64 of length n (voter 0 alone) and
         ``outcome`` the rule's under ``weights``."""
-        groups = (np.arange(len(weights)) > 0).astype(np.int64)
+        groups = np.ones(len(weights), dtype=np.int64)
+        groups[:1] = 0  # a slice: no voters reach as_weights' refusal, not an IndexError
         outcome = self.rule.decide(group_statistic(self._stat, groups, weights), self.m)
         losses = np.eye(self.m)[np.argmax(outcome)]
         return groups, losses, outcome

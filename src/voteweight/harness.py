@@ -113,7 +113,8 @@ class FileSource:
                     n, widths = n or len(rankings), sorted(set(map(len, rankings)))
                     if widths != [m] or len(rankings) != n:  # ragged rows list their widths
                         got = (len(rankings), widths[0] if len(widths) == 1 else widths)
-                        raise ShapeError(f"rankings of shape {got}, expected {(n, m)}")
+                        raise ShapeError(f"rankings of shape {got}, expected {(n, m)}" if widths
+                                         else "rankings must list at least one voter")
                     try:  # bytes refuses floats, strings, lists and ids outside 0..255
                         line_ids = bytes(chain.from_iterable(rankings))
                     except (TypeError, ValueError):
@@ -175,8 +176,8 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
     Randomness: an oblivious source draws its rounds first, then one (T, 2)
     block of uniforms is drawn; column 0 draws the voter, column 1 the winner.
 
-    Memory: an oblivious episode holds about four (T, n) arrays at once and no
-    (T, n, m) one; the rank codes and cumulative losses are dropped once read.
+    Memory: an oblivious episode holds about four (T, n) arrays at once, no (T, n, m)
+    one and no copy of ``L``; the rank codes and cumulative losses go once read.
     """
     T, n, kind = scheme.horizon, scheme.n, scheme.kind
     rng = np.random.default_rng(seed)
@@ -197,7 +198,7 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
         probs, *drawn = _play_sequential(scheme, idx, U, losses, u)
     elif kind == "constant":
         probs = np.eye(1, n).repeat(T, axis=0)
-    else:  # before round t, each voter's cumulative loss is an exclusive prefix sum of L.T's row
+    else:  # voter-major for the softmax's max over voters: an exclusive prefix sum of L.T's rows
         before = np.zeros((n, T))
         np.cumsum(L.T[:, :-1], axis=1, out=before[:, 1:])
         probs = exp_weights(before, scheme.learning_rate)
@@ -208,12 +209,12 @@ def run_episode(scheme: SchemeConfig, rule: VotingRule, source, seed: int = 0) -
 
 
 def _trace(kind: str, u, probs, idx, U, L, losses, weighted, drawn) -> Trace:
-    """The one place the trace's losses are formed. EXP3 passes the voters and
-    winners its update ``drawn``, deterministic weights on a rule that does not
-    decompose the ``weighted`` outcomes. The rest draw a voter from ``probs``
-    with ``u[:, 0]`` (``constant`` plays voter 0) and play ``U[idx[t, voter]]``,
-    the rule's draw under deterministic weights, whose ``chosen`` is -1. All
-    draw the winner with ``u[:, 1]``, and lose in expectation over what they played."""
+    """The one place the trace's losses are formed; ``L`` (T, n) is its column as
+    built. EXP3 passes the voters and winners its update ``drawn``, deterministic
+    weights on a rule that does not decompose the ``weighted`` outcomes. The rest
+    draw a voter from ``probs`` with ``u[:, 0]`` (``constant`` plays voter 0) and play
+    ``U[idx[t, voter]]``, the rule's draw under deterministic weights, whose ``chosen``
+    is -1. All draw the winner with ``u[:, 1]``, and lose in expectation over what they played."""
     rows = np.arange(len(u))
     if kind == "partial_info":
         chosen, winner = drawn
@@ -224,7 +225,6 @@ def _trace(kind: str, u, probs, idx, U, L, losses, weighted, drawn) -> Trace:
         winner = inverse_cdf(U[idx[rows, chosen]], u[:, 1])
     if kind == "deterministic_unilateral":
         chosen = np.full(len(u), -1)
-    L = np.ascontiguousarray(L)  # copied after the draws' temporaries are freed
     if weighted is None:
         scheme_loss = np.einsum("tn,tn->t", probs, L)
     else:
@@ -237,25 +237,24 @@ def _index_rounds(rule: VotingRule, ms, codes, losses, n: int):
     count stacked after the counts before it: each vote's row ``idx`` (T, n),
     the rows' outcomes ``U`` zero-padded to the rounds' width, ``tables[m] =
     (lo, outcomes, stat)``, count m's table and the row of ``U`` it starts at,
-    and the per-voter losses ``L`` (T, n). ``idx`` and ``L`` are transposed
-    views of voter-major (n, T) arrays, whose rows run along the rounds.
+    and the per-voter losses ``L`` (T, n), both C-ordered in the trace's layout.
     Besides the caller's codes it holds at most three (T, n) arrays at once;
     the first count's rows go into ``idx`` with no temporary."""
     if codes.shape[1] != n:  # only a file or a third-party source can disagree
         raise ConfigError(f"rounds have {codes.shape[1]} rankings for n={n}")
     _check_losses(losses)
     counts = set(ms.tolist())
-    idx, tables, lo = np.empty((n, len(ms)), dtype=np.int64), {}, 0
+    idx, tables, lo = np.empty((len(ms), n), dtype=np.int64), {}, 0
     for m in counts:
         at = ms == m if len(counts) > 1 else slice(None)  # one count: no mask copies
         rows, outcomes, stat = outcome_table(rule, m, codes[at])
-        idx[:, at] = rows.T + lo if lo else rows.T
+        idx[at] = rows + lo if lo else rows
         tables[m], lo = (lo, outcomes, stat), lo + len(outcomes)
     del rows  # (T, n) at one count: freed before L's temporaries
     U = np.zeros((lo, losses.shape[1]))
     for lo, outcomes, _ in tables.values():
         U[lo:lo + len(outcomes), :outcomes.shape[1]] = outcomes
-    return idx.T, U, tables, voter_losses(U, idx, losses).T
+    return idx, U, tables, voter_losses(U, idx, losses)
 
 
 def _check_losses(losses) -> None:

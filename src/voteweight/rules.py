@@ -392,11 +392,11 @@ def outcome_table(rule: VotingRule, m: int, codes) -> tuple[np.ndarray, np.ndarr
 
 def voter_losses(U: np.ndarray, idx: np.ndarray, losses: np.ndarray) -> np.ndarray:
     """Each vote's U[idx] . losses, summed over the alternatives in order so that
-    scalar replays match exactly. Any rounds axis is idx's last and losses' first."""
+    scalar replays match exactly. Any rounds axis is the first of both idx and losses."""
     out = np.zeros(np.shape(idx))
     for k in range(U.shape[1]):
         term = U[:, k].take(idx)
-        term *= losses[..., k]
+        term *= losses[..., k, None]
         out += term
         del term  # freed before the next one is taken
     return out

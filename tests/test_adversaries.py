@@ -71,6 +71,10 @@ class TestWinnerPunishingRound:
             assert groups.tolist() == [0] + [1] * (n - 1)
         assert np.array_equal(self.source.orders, self.witness)
 
+    def test_no_voters_are_degenerate_weights(self):
+        with pytest.raises(DegenerateWeightsError, match="total weight"):
+            self.source.emit([])
+
 
 class TestMajorityPrefixPartition:
     def test_single_heavy_voter(self):

@@ -453,6 +453,16 @@ class TestFileSource:
         with pytest.raises(ConfigError, match=r"\.jsonl:1: bad round: rankings of shape"):
             file_source([bad])
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first_line", "later_line"])
+    def test_empty_rankings_named_as_such(self, first):
+        # not "rankings of shape (0, [])", a shape no file can have
+        good = {"rankings": [[0, 1], [1, 0]], "losses": [0.5, 0.5]}
+        lines = [] if first else [good]
+        lines.append({"rankings": [], "losses": [0.1, 0.2]})
+        with pytest.raises(ConfigError, match=rf"\.jsonl:{len(lines)}: bad round: "
+                                              r"rankings must list at least one voter$"):
+            file_source(lines)
+
     @pytest.mark.parametrize("rankings", [{"012": 0, "210": 1}, "012210"], ids=["dict", "string"])
     def test_rankings_not_a_list_of_rows_rejected(self, rankings):
         good = {"rankings": [[0, 1, 2], [2, 1, 0]], "losses": [0.1, 0.2, 0.3]}

@@ -1,6 +1,7 @@
-"""The oblivious engine keeps per-voter arrays voter-major, (n, T). Its kernels
-must give, bit for bit, what the row-wise formulas on (T, n) arrays give, and
-the trace it hands out must stay C-ordered (T, n)."""
+"""The oblivious engine builds its per-voter arrays in the trace's C-ordered
+(T, n) layout; only Hedge's prefix sum and softmax run voter-major, (n, T).
+Its kernels must give, bit for bit, what the row-wise formulas on (T, n)
+arrays give, and the trace it hands out must stay C-ordered (T, n)."""
 
 import itertools
 import math
@@ -44,13 +45,12 @@ class TestKernels:
     def test_voter_losses_match_the_per_element_loop(self, rng, n, T, rows, width):
         U, losses = rng.random((rows, width)), rng.random((T, width))
         U[rng.integers(1, width + 1, rows)[:, None] <= np.arange(width)] = 0.0  # padding
-        idx = rng.integers(0, rows, (n, T))
+        idx = rng.integers(0, rows, (T, n))
         expected = [[sum((U[r, k] * losses[t, k] for k in range(width)), 0.0)
-                     for t, r in enumerate(voter)] for voter in idx.tolist()]
+                     for r in voters] for t, voters in enumerate(idx.tolist())]
         assert np.array_equal(voter_losses(U, idx, losses), expected)
         for t in range(0, T, 7):  # one round: (n,) rows against its (width,) losses
-            assert np.array_equal(voter_losses(U, idx[:, t], losses[t]),
-                                  [row[t] for row in expected])
+            assert np.array_equal(voter_losses(U, idx[t], losses[t]), expected[t])
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 10, 16, 17, 128, 129, 200])
     def test_exp_weights_match_the_row_wise_softmax(self, rng, n):
@@ -124,6 +124,16 @@ class TestTraceLayout:
             totals = totals + row
         assert np.array_equal(trace.per_voter_loss.sum(axis=0), totals)
 
+    @pytest.mark.parametrize("ms", [[3] * 40, [3, 4, 2, 4] * 10], ids=["one-count", "mixed"])
+    def test_index_rounds_builds_the_trace_layout(self, rng, ms):
+        # idx and L are built as C-ordered (T, n) arrays, not transposed views
+        T, n, ms = len(ms), 7, np.array(ms)
+        codes = rng.integers(0, [[math.factorial(m)] for m in ms], (T, n))
+        losses = rng.random((T, ms.max())) * (np.arange(ms.max()) < ms[:, None])
+        idx, _, _, L = _index_rounds(RandomizedPositional("borda"), ms, codes, losses, n)
+        for name, column in (("idx", idx), ("L", L)):
+            assert column.shape == (T, n) and column.flags.c_contiguous, name
+
 
 class TestSingleCount:
     """Oblivious rounds with one alternative count skip the mask copies; their tables
@@ -182,9 +192,9 @@ class TestEpisodeMemory:
         assert self.episode_peak("full_info", IIDRandomSource(self.m)) <= 4.5
 
     def test_partial_information_on_iid_rounds(self):
-        # the benchmark's EXP3 shape, where the uniforms' reading shows: as T
-        # two-float row lists it peaks at 5.57 arrays, as two column lists at 5.17
-        assert self.episode_peak("partial_info", IIDRandomSource(3), T=5000, n=10) <= 5.35
+        # the benchmark's EXP3 shape, where a copy of L (5.17 arrays) or the
+        # uniforms read as T two-float row lists (5.57) would show: it peaks at 4.78
+        assert self.episode_peak("partial_info", IIDRandomSource(3), T=5000, n=10) <= 4.95
 
     def test_voter_draw_normalizes_its_running_sums_in_place(self, rng):
         # one float (T, n) array and a boolean one: no normalized copy
@@ -197,5 +207,5 @@ class TestEpisodeMemory:
 
     def test_voter_losses_hold_one_term_at_a_time(self, rng):
         U, losses = rng.random((700, self.m)), rng.random((self.T, self.m))
-        idx = rng.integers(0, len(U), (self.n, self.T))
+        idx = rng.integers(0, len(U), (self.T, self.n))
         assert self.peak(voter_losses, U, idx, losses) <= 2.5  # the sum and one term
